@@ -54,8 +54,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="fast ISS blocks-vs-per-instruction wall "
                              "speedup floor (default: %(default)sx)")
     parser.add_argument("--min-metered-speedup", type=float, default=1.5,
-                        help="metered blocks-vs-per-instruction wall "
-                             "speedup floor (default: %(default)sx)")
+                        help="testbed profile+price vs stepwise-oracle "
+                             "wall speedup floor (default: %(default)sx)")
     parser.add_argument("--min-dse-profile-speedup", type=float,
                         default=10.0,
                         help="profiled-vs-metered DSE sweep wall speedup "
@@ -122,11 +122,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.min_block_speedup}x floor")
     if metered is not None and metered_slow is not None:
         speedup = metered_slow["mean_s"] / metered["mean_s"]
-        print(f"metered blocks      : {speedup:8.2f}x vs per-instruction "
+        print(f"profile + price     : {speedup:8.2f}x vs stepwise oracle "
               f"(floor {args.min_metered_speedup}x)")
         if speedup < args.min_metered_speedup:
             failures.append(
-                f"metered-block speedup {speedup:.2f}x is below the "
+                f"profile + price speedup {speedup:.2f}x is below the "
                 f"{args.min_metered_speedup}x floor")
     for tag, rung_metered, rung_profiled in (
             ("DSE", dse_metered, dse_profiled),

@@ -66,7 +66,7 @@ def trim(raw: dict) -> dict:
         }
         extra = bench.get("extra_info") or {}
         for key in ("mips", "retired", "cycles", "translated_blocks",
-                    "metered_blocks", "points", "configs",
+                    "points", "configs",
                     "profiled_runs", "frames", "qps", "p99_ms",
                     "requests", "shards", "cpus"):
             if key in extra:

@@ -1,8 +1,9 @@
 """Benchmark: profiled vs metered DSE sweep (the PR-3 smoke grid).
 
 The metered rung measures the full smoke design-space exploration --
-36 candidate platforms x 6 workload pairs, one cost-fused metered
-simulation per point -- cold: a fresh cacheless runner per round, so
+36 candidate platforms x 6 workload pairs, one metered simulation (a
+profiled run priced for its platform) per point -- cold: a fresh
+cacheless runner per round, so
 every point is computed.  The profiled rung runs the identical grid
 through ``sweep_profiled``: one profile simulation per distinct workload
 build (12 for the smoke suite) plus a linear evaluation per point.

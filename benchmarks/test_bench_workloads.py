@@ -4,8 +4,8 @@ The PR-5 counterpart of ``test_bench_dse_profile``: the same stock
 design space (36 candidate platforms), but over the new image-processing
 workloads -- the 3x3 Sobel convolution and the histogram/statistics
 kernel, both through the registry (``img:sobel3x3,img:histstats``).  The
-metered rung pays one cost-fused simulation per (config, workload)
-point, cold; the profiled rung profiles each distinct build once (4
+metered rung pays one simulation per (config, workload) point, cold;
+the profiled rung profiles each distinct build once (4
 profile runs) and prices every point with the linear evaluator.
 
 ``benchmarks/check_floor.py`` enforces the same profiled-vs-metered

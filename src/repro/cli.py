@@ -38,10 +38,6 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="worker processes for independent simulations "
                              "(default: REPRO_WORKERS or min(cpus, 8))")
-    parser.add_argument("--no-metered-blocks", action="store_true",
-                        help="meter the testbed per instruction instead of "
-                             "on cost-fused superblocks (slower A/B "
-                             "baseline, bit-identical results)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk simulation result cache "
                              "(REPRO_CACHE_DIR, default "
@@ -285,10 +281,7 @@ def _run_profile_warm(scale, args) -> int:
     run cold, so a warmed cache makes those start hot.
     """
     from repro.dse.engine import stream_profiles
-    from repro.experiments.setup import (
-        metered_blocks_from_env,
-        runner_from_env,
-    )
+    from repro.experiments.setup import runner_from_env
     from repro.hw.config import HwConfig
     from repro.runner.resilience import UsageError
     from repro.vm.config import CoreConfig
@@ -296,8 +289,7 @@ def _run_profile_warm(scale, args) -> int:
     try:
         specs = select(args.workloads or "all", scale)
         runner = runner_from_env()
-        base = HwConfig(name="leon3", core=CoreConfig(
-            metered_blocks_enabled=metered_blocks_from_env()))
+        base = HwConfig(name="leon3", core=CoreConfig())
         vectors = stream_profiles(
             [spec.pair(scale) for spec in specs], [False, True],
             budget=scale.max_instructions, runner=runner, base=base)
@@ -327,8 +319,6 @@ def main(argv: list[str] | None = None) -> int:
         import os
         if args.workers is not None:
             os.environ["REPRO_WORKERS"] = str(args.workers)
-        if args.no_metered_blocks:
-            os.environ["REPRO_METERED_BLOCKS"] = "0"
         if args.no_cache:
             os.environ["REPRO_CACHE"] = "off"
         if command == "serve":
@@ -342,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run_pipeline(scale, args)
         if command == "profile":
             return _run_profile_warm(scale, args)
-        from repro.runner.resilience import UsageError
+        from repro.runner.resilience import TaskFailedError, UsageError
         from repro.experiments import (figure1, figure4, table1, table3,
                                        table4)
         try:
@@ -362,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as exc:  # malformed REPRO_* environment
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except TaskFailedError as exc:  # a simulation exhausted its retries
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         except KeyboardInterrupt:
             print("interrupted", file=sys.stderr)
             return 130

@@ -16,10 +16,10 @@ instruction stream; this module implements the profile-once alternative:
    produces, which is what makes streamed and materialized reports
    byte-identical.
 
-Integer counters and cycles are bit-identical to the metered sweep;
-dynamic energy agrees to the metered accumulator's own float-rounding
-drift (``<= 1e-12`` relative across the smoke suite; grows as the
-square root of the retired count, see :mod:`repro.nfp.linear`).
+Integer counters and cycles are bit-identical to the metered sweep
+(which profiles every point and prices it for its own board, see
+:meth:`repro.hw.board.Board.measure_raw`); dynamic energy agrees within
+``1e-12`` relative, the batch combine regrouping the same exact sums.
 Profiles of runs that wrote into their own code (self-modifying
 kernels) are flagged unclean and their grid points transparently fall
 back to full metered simulation, point by point.
@@ -68,9 +68,8 @@ def profile_core(core: CoreConfig) -> CoreConfig:
     invariant, so normalising them lets every configuration of a sweep
     share one profile per workload build.  ``metered_blocks_enabled``
     is preserved: it selects profile-fused blocks vs per-instruction
-    observation (the ``--no-metered-blocks`` A/B knob), which record
-    identical profiles but are worth keying apart, exactly like the
-    metered path.
+    observation, which record identical profiles but are worth keying
+    apart, exactly like the metered path.
     """
     return CoreConfig(has_fpu=core.has_fpu, ram_size=core.ram_size,
                       ram_base=core.ram_base,

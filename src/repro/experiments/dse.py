@@ -37,7 +37,7 @@ from repro.dse.engine import (
 from repro.dse.report import StreamReport, SweepReport
 from repro.dse.workload import resolve_pairs
 from repro.experiments.scale import Scale, get_scale
-from repro.experiments.setup import metered_blocks_from_env, runner_from_env
+from repro.experiments.setup import runner_from_env
 from repro.hw.config import HwConfig
 from repro.runner.resilience import (
     CheckpointStore,
@@ -57,7 +57,7 @@ def default_run_id(spec: dict) -> str:
     """The content-derived run id of a sweep: same sweep, same id.
 
     Hashed over the checkpoint spec (scale, axes with their values,
-    profile mode, workload filter, metering mode), so re-invoking an
+    profile mode, workload filter), so re-invoking an
     interrupted command line resumes its own checkpoint without the
     user naming anything.
     """
@@ -161,9 +161,7 @@ def run(scale: Scale | str | None = None,
         scale if isinstance(scale, str) else None)
     space = (DesignSpace.from_spec(axes) if axes
              else DesignSpace.default())
-    base = HwConfig(
-        name="leon3",
-        core=CoreConfig(metered_blocks_enabled=metered_blocks_from_env()))
+    base = HwConfig(name="leon3", core=CoreConfig())
     runner = runner_from_env()
     if stream or refine:
         if resume is not None or run_id is not None:
@@ -193,7 +191,6 @@ def run(scale: Scale | str | None = None,
         "axes": [[name, list(values)] for name, values in space.axes],
         "profile": profile,
         "workloads": workloads or "",
-        "metered_blocks": metered_blocks_from_env(),
     }
     checkpoint = None
     rid = None

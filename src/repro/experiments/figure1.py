@@ -11,8 +11,9 @@ concrete instances of each rung on one FSE kernel:
 * ``iss per-instruction`` -- the same functional ISS with block
   translation disabled (the pre-superblock baseline);
 * ``iss+model``   -- the paper's approach: ISS counts x calibrated model;
-* ``cycle-model`` -- the instrumented cycle/energy testbed model (slowest,
-  the measurement reference, error 0 by definition).
+* ``cycle-model`` -- the instrumented cycle/energy testbed model: one
+  profiled run priced for the board (the measurement reference, error 0
+  by definition; see :meth:`repro.hw.board.Board.measure_raw`).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def run(scale: Scale | str | None = None) -> Figure1Result:
     program = fse_program(index, "hard", scale)
     name = f"figure1:fse:{index:02d}"
 
-    # ground truth: the cycle-level testbed model (the paper's "CAS" rung)
+    # ground truth: the cycle-level testbed model (the paper's "CAS" rung),
+    # an instrumented profiled run priced for the board
     t0 = time.perf_counter()
     measurement = bench.board_fpu.measure(
         program, max_instructions=scale.max_instructions)

@@ -22,7 +22,7 @@ from repro.dse.axes import DesignSpace
 from repro.dse.engine import DseGrid, sweep_profiled
 from repro.dse.report import SweepReport
 from repro.experiments.scale import Scale, get_scale
-from repro.experiments.setup import metered_blocks_from_env, runner_from_env
+from repro.experiments.setup import runner_from_env
 from repro.hw.config import HwConfig
 from repro.runner.resilience import UsageError
 from repro.vm.config import CoreConfig
@@ -115,9 +115,7 @@ def run(scale: Scale | str | None = None,
         chains.append(spec)
         if variants:
             chains.extend(structural_variants(spec, repeat=repeat))
-    base = HwConfig(
-        name="leon3",
-        core=CoreConfig(metered_blocks_enabled=metered_blocks_from_env()))
+    base = HwConfig(name="leon3", core=CoreConfig())
     grid = sweep_profiled(
         space, [pipeline_pair(chain, scale) for chain in chains],
         budget=scale.max_instructions, runner=runner_from_env(), base=base)

@@ -1,7 +1,10 @@
 """Shared experiment infrastructure: boards, calibration, runner, caches.
 
 One board pair (with and without FPU) and one calibrated model per scale
-are shared across all experiment drivers in a process.  Workload runs go
+are shared across all experiment drivers in a process.  A board measures
+a kernel with one profiled run priced for its configuration
+(:meth:`repro.hw.board.Board.measure_raw`; self-modifying kernels are
+metered per instruction instead).  Workload runs go
 through an :class:`~repro.runner.ExperimentRunner`: simulation results
 are content-addressed on disk (shared across figures, processes and
 repeated invocations) and batches fan out over worker processes, while
@@ -16,8 +19,6 @@ Environment knobs (the CLI flags set these too):
     Disable the on-disk cache (an in-process cache remains).
 ``REPRO_WORKERS``
     Worker processes per batch (default ``min(cpu_count, 8)``).
-``REPRO_METERED_BLOCKS=0``
-    Meter per-instruction instead of on cost-fused superblocks (A/B).
 ``REPRO_RETRIES`` / ``REPRO_BACKOFF_S`` / ``REPRO_TIMEOUT_S`` /
 ``REPRO_POOL_FAILURES``
     Resilience knobs (see :mod:`repro.runner.resilience`).
@@ -79,13 +80,7 @@ def effective_settings() -> list[tuple[str, str]]:
          else "off"),
         ("pool failure budget", str(retry.max_pool_failures)),
         ("chaos", chaos.spec() if chaos else "off"),
-        ("metered blocks", "on" if metered_blocks_from_env() else "off"),
     ]
-
-
-def metered_blocks_from_env() -> bool:
-    return os.environ.get("REPRO_METERED_BLOCKS", "1").strip().lower() \
-        not in ("0", "no", "off", "false")
 
 
 @dataclass
@@ -191,11 +186,10 @@ def get_bench(scale: Scale) -> Bench:
     """Build (or fetch) the shared bench for ``scale``.
 
     Keyed by the environment knobs too: ``table3`` followed by
-    ``table3 --no-metered-blocks`` (or ``--no-cache``/``--workers``) in
-    one process must not reuse the first call's boards and runner.
+    ``table3 --no-cache`` (or ``--workers``) in one process must not
+    reuse the first call's boards and runner.
     """
-    metered_blocks = metered_blocks_from_env()
-    env_key = (scale.name, metered_blocks,
+    env_key = (scale.name,
                os.environ.get("REPRO_CACHE", ""),
                os.environ.get("REPRO_CACHE_DIR", ""),
                os.environ.get("REPRO_WORKERS", ""))
@@ -203,10 +197,8 @@ def get_bench(scale: Scale) -> Bench:
         return _BENCHES[env_key]
     runner = runner_from_env()
     instruments = InstrumentModel(seed=2015)
-    board_fpu = Board(leon3_fpu(metered_blocks_enabled=metered_blocks),
-                      instruments)
-    board_nofpu = Board(leon3_nofpu(metered_blocks_enabled=metered_blocks),
-                        instruments)
+    board_fpu = Board(leon3_fpu(), instruments)
+    board_nofpu = Board(leon3_nofpu(), instruments)
     calibrator = Calibrator(board_fpu,
                             iterations=scale.calibration_iterations,
                             unroll=scale.calibration_unroll,

@@ -1,17 +1,20 @@
 """The measurement testbed: run a kernel, measure time and energy.
 
 :class:`Board` plays the role of the paper's Terasic DE2-115 + GRMON +
-power-meter setup: it executes the kernel on the *instrumented* simulator
-loop, accumulating cycle-accurate time and data-dependent energy per
-retired instruction, then passes the totals through the instrument model
-to produce what the experimenter would read off.
+power-meter setup: it executes the kernel on an *instrumented* simulator
+loop, obtains the cycle-accurate time and data-dependent energy of the
+run, then passes the totals through the instrument model to produce what
+the experimenter would read off.
 
-The accumulation itself is performed by :class:`CostMeter`.  Because the
-meter exposes its cost model *structurally* (per-mnemonic base costs plus
-flag behaviours) rather than as an opaque callback, the simulator's
-metered loop can compile it into cost-fused superblocks
-(:func:`repro.vm.blocks.compile_metered_block`) -- the fast testbed path
--- while remaining bit-identical to per-instruction observation.
+The testbed cost model is linear in execution counts (the paper's Eq. 1),
+so the totals come from one profiled run on the profile-fused superblocks
+(:class:`repro.vm.profiler.ProfileMeter`) priced for this board by
+:class:`repro.nfp.linear.LinearNfpEngine`: cycles, retired counts and
+time are bit-identical to observing every retired instruction, and
+energy agrees within 1e-12 relative.  :class:`CostMeter` is that
+per-instruction observer -- the stepwise root oracle.  The board meters
+with it directly when the run wrote into its own code (its profile is
+unclean) or when the core disables instrumented blocks.
 
 :meth:`Board.measure` splits into two halves: :meth:`Board.measure_raw`
 runs the simulation and returns the *deterministic* totals (cacheable and
@@ -27,12 +30,12 @@ from dataclasses import dataclass
 
 from repro.asm.program import Program
 from repro.hw.config import HwConfig
-from repro.hw.energy import jitter_factor
 from repro.hw.powermeter import InstrumentModel
 from repro.vm.blocks import FLAG_BRANCH as _FLAG_BRANCH
 from repro.vm.blocks import FLAG_INTDIV as _FLAG_INTDIV
-from repro.vm.blocks import jitter_table, scaled_jitter_table
+from repro.vm.blocks import jitter_table
 from repro.vm.cpu import DEFAULT_BUDGET
+from repro.vm.profiler import profile_run
 from repro.vm.simulator import SimulationResult, Simulator
 from repro.vm.state import CpuState
 
@@ -77,18 +80,14 @@ class RawMeasurement:
 class CostMeter:
     """Retire observer accumulating cycles and dynamic energy.
 
-    The attributes mirror the accumulator arithmetic exactly and are part
-    of the block-metering contract consumed by
-    :func:`repro.vm.blocks.compile_metered_block`:
-
-    * ``table`` -- per-mnemonic ``(base cycles, dynamic nJ, flag)``,
-      shared per :class:`HwConfig` via :attr:`HwConfig.cost_table`;
-    * ``amp``/``untaken_*``/``wtrap_*`` -- flag-behaviour constants;
-    * ``cycles``/``dyn_energy_nj``/``spills``/``fills`` -- the mutable
-      accumulation state generated block code banks into.
+    The per-instruction definition of the testbed cost model: ``table``
+    holds per-mnemonic ``(base cycles, dynamic nJ, flag)`` entries
+    (shared per :class:`HwConfig` via :attr:`HwConfig.cost_table`), the
+    ``amp``/``untaken_*``/``wtrap_*`` constants parameterise the flag
+    behaviours, and ``cycles``/``dyn_energy_nj`` accumulate in retire
+    order.  :class:`repro.nfp.linear.LinearNfpEngine` reproduces these
+    totals from an execution profile.
     """
-
-    supports_block_metering = True
 
     __slots__ = ("cycles", "dyn_energy_nj", "table", "amp", "jit",
                  "untaken_cycles", "untaken_energy_factor",
@@ -133,25 +132,6 @@ class CostMeter:
         self.dyn_energy_nj += dyn * self.jit[h & 0xFFFF]
 
 
-def warm_cost_tables(config: HwConfig) -> None:
-    """Prime the (process-shared) jitter lookup tables for ``config``.
-
-    Powering a board builds every energy table its meter or the metered
-    block compiler could reach -- the analogue of libraries precomputing
-    their CRC tables at start-up -- so the first measurement costs the
-    same as every later one.  All tables are cached per (amplitude, dyn)
-    module-wide: a no-op from the second board on, and pool workers
-    (forked on Linux) share the parent's tables copy-on-write.
-    """
-    amp = config.jitter_amplitude
-    jitter_table(amp)
-    factor = config.untaken_branch_energy_factor
-    for _, dyn, flag in config.cost_table.values():
-        scaled_jitter_table(amp, dyn)
-        if flag == _FLAG_BRANCH:
-            scaled_jitter_table(amp, dyn * factor)
-
-
 class Board:
     """A synthesised CPU configuration on the test bench.
 
@@ -169,16 +149,30 @@ class Board:
                  instruments: InstrumentModel | None = None):
         self.config = config or HwConfig()
         self.instruments = instruments or InstrumentModel()
-        warm_cost_tables(self.config)
 
     def measure_raw(self, program: Program,
                     max_instructions: int = DEFAULT_BUDGET) -> RawMeasurement:
-        """Run ``program`` and accumulate the exact cycle/energy totals."""
+        """Run ``program`` and return the exact cycle/energy totals."""
+        # deferred: repro.nfp imports this module
+        from repro.nfp.linear import ExecutionProfile, LinearNfpEngine
         config = self.config
+        if config.core.metered_blocks_enabled:
+            sim, profile = profile_run(program, config.core,
+                                       max_instructions)
+            if profile["clean"]:
+                nfp = LinearNfpEngine(config).evaluate(
+                    ExecutionProfile.from_payload(profile))
+                return RawMeasurement(
+                    cycles=nfp.cycles,
+                    dyn_energy_nj=nfp.dyn_energy_nj,
+                    true_time_s=nfp.true_time_s,
+                    true_energy_j=nfp.true_energy_j,
+                    sim=sim,
+                )
+            # the run wrote into its own code: meter it per instruction
         meter = CostMeter(config)
-        simulator = Simulator(program, config.core)
-        sim_result = simulator.run_metered(meter,
-                                           max_instructions=max_instructions)
+        sim = Simulator(program, config.core).run_metered(
+            meter, max_instructions=max_instructions)
         true_time = meter.cycles * config.cycle_seconds
         true_energy = (meter.dyn_energy_nj * 1e-9 +
                        config.static_power_w * true_time)
@@ -187,7 +181,7 @@ class Board:
             dyn_energy_nj=meter.dyn_energy_nj,
             true_time_s=true_time,
             true_energy_j=true_energy,
-            sim=sim_result,
+            sim=sim,
         )
 
     def reading(self, raw: RawMeasurement) -> Measurement:
@@ -215,7 +209,3 @@ class Board:
 def instruction_cost(config: HwConfig, mnemonic: str) -> tuple[int, float]:
     """Base (cycles, dynamic energy nJ) of ``mnemonic`` under ``config``."""
     return (config.cycle_table[mnemonic], config.dyn_energy_nj[mnemonic])
-
-
-# keep module self-contained for doctest-style use
-_ = jitter_factor

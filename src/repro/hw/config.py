@@ -106,7 +106,7 @@ class HwConfig:
         """
         from repro.vm.blocks import cost_flags
 
-        # the flag classification is shared with the metered block
+        # the flag classification is shared with the profiled block
         # compiler and the execution profiler via cost_flags()
         return {mnemonic: (self.cycle_table[mnemonic],
                            self.dyn_energy_nj[mnemonic], flag)

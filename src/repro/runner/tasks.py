@@ -26,6 +26,7 @@ from repro.asm.program import Program
 from repro.hw.board import Board, RawMeasurement
 from repro.hw.config import HwConfig
 from repro.vm.config import CoreConfig
+from repro.vm.profiler import profile_run
 from repro.vm.simulator import SimulationResult, Simulator
 
 #: Bump when result payloads or simulation cost semantics change: old
@@ -35,7 +36,10 @@ from repro.vm.simulator import SimulationResult, Simulator
 #: stale cache can never alias across the schema change.  3: profile
 #: payloads dropped the per-block dispatch diagnostics
 #: (``PROFILE_VERSION`` 2), so v2 entries must stop being addressed.
-SCHEMA_VERSION = 3
+#: 4: metered payloads come from a profiled run priced for the board
+#: (energy moves at the 1e-12 level, ``extras`` changed keys), so a warm
+#: v3 entry would differ from a cold run.
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -171,13 +175,8 @@ def run_task(task) -> dict:
                                          max_instructions=task.budget)
         return raw_to_payload(raw)
     if task.mode == "profile":
-        from repro.vm.profiler import ProfileMeter
-        meter = ProfileMeter()
-        simulator = Simulator(task.program, task.core)
-        sim = simulator.run_profiled(meter, max_instructions=task.budget)
-        clean = simulator.cpu.invalidations == 0
-        return {"sim": sim_to_dict(sim),
-                "profile": meter.snapshot(sim, clean=clean)}
+        sim, profile = profile_run(task.program, task.core, task.budget)
+        return {"sim": sim_to_dict(sim), "profile": profile}
     sim = Simulator(task.program, task.core).run(
         max_instructions=task.budget)
     return {"sim": sim_to_dict(sim)}

@@ -69,18 +69,13 @@ class EvalServer:
     def __init__(self, settings: ServerSettings | None = None,
                  scale=None, runner=None, base: HwConfig | None = None):
         from repro.experiments.scale import get_scale
-        from repro.experiments.setup import (
-            metered_blocks_from_env,
-            runner_from_env,
-        )
+        from repro.experiments.setup import runner_from_env
         self.settings = settings if settings is not None \
             else ServerSettings.from_env()
         self.scale = scale if scale is not None else get_scale(None)
         self.runner = runner if runner is not None else runner_from_env()
         self.base = base if base is not None else HwConfig(
-            name="leon3",
-            core=CoreConfig(
-                metered_blocks_enabled=metered_blocks_from_env()))
+            name="leon3", core=CoreConfig())
         self.stats = ServerStats(
             latency_window=self.settings.latency_window)
         #: the hot tier: (workload name, build tag) -> lowered profile

@@ -31,8 +31,8 @@ console output and window statistics.  Faults mid-block retire exactly the
 preceding prefix (the fix-up handler recounts it) and re-raise with the
 architectural ``pc`` of the faulting instruction, like the stepping loop.
 The only relaxation is ``CpuState.last_value``, which inside a block is
-materialised once at block end (the metered loop, which feeds the
-data-dependent energy model, never runs on the block path).
+materialised once at block end (profile-fused blocks, which feed the
+data-dependent energy model, hash each result expression directly).
 
 A store that lands inside translated text takes a slow early-exit path:
 it retires the prefix including itself, invalidates the overwritten
@@ -86,7 +86,7 @@ _M32 = "4294967295"
 
 #: Cost-model flags: how a mnemonic's base (cycles, energy) entry is
 #: modulated at retire time.  Defined here (not in :mod:`repro.hw`) so the
-#: metered block compiler and the hardware meter share one vocabulary
+#: profiled block compiler and the hardware meter share one vocabulary
 #: without the VM layer depending on the hardware layer.
 FLAG_NORMAL = 0
 FLAG_BRANCH = 1   #: untaken branches are discounted
@@ -99,7 +99,7 @@ def cost_flags() -> dict[str, int]:
 
     The single source of the retire-cost flag classification shared by
     the hardware cost tables (:attr:`repro.hw.config.HwConfig.cost_table`),
-    the metered block compiler and the execution profiler
+    the profiled block compiler and the execution profiler
     (:class:`repro.vm.profiler.ProfileMeter`) -- all consumers must
     classify retires identically or estimated and measured NFPs drift.
     """
@@ -581,8 +581,8 @@ def _scan(cpu: "Cpu", entry: int):
     """Decode the straight-line run at ``entry`` plus its terminator.
 
     Returns ``(fused, term, term_pc, inline, delay, mode, expr)`` -- the
-    shared front end of both block compilers, so the fast and the metered
-    translation always agree on block shape.  Raises
+    shared front end of both block compilers, so the fast and the
+    profiled translation always agree on block shape.  Raises
     :class:`~repro.vm.errors.IllegalInstruction` only for the entry word.
     """
     has_fpu = cpu.morpher.has_fpu
@@ -720,8 +720,7 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
         "_getd": get_d, "_putd": put_d, "_getf": get_f, "_putf": put_f,
         "_fdivh": ieee_div, "_fsqrth": ieee_sqrt, "_f2i": f64_to_i32_trunc,
     }
-    for i, (_, cell, _) in enumerate(cell_order):
-        ns[f"_mc{i}"] = cell
+    acct.fill_ns(ns)
 
     # A branch whose target is the block's own entry lets the block iterate
     # *internally*: one dispatch runs the whole hot loop until it exits or
@@ -800,14 +799,6 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
         out.append(f"{li}    _fix(st, i)")
         out.append(f"{li}    raise")
 
-    def emit_batch(ind: str) -> None:
-        """The per-execution batched counter update (fused + inline term)."""
-        for cat in sorted(cat_totals):
-            out.append(f"{ind}cc[{cat}] += {cat_totals[cat]}")
-        for i, (_, _, count) in enumerate(cell_order):
-            if count:
-                out.append(f"{ind}_mc{i}[0] += {count}")
-
     def emit_delay(ind: str) -> None:
         """Delay-slot body + its counters inside a branch arm."""
         assert delay is not None and delay_cell_name is not None
@@ -845,7 +836,7 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
             # untaken exit: flush full iterations, then retire the final
             # partial pass (fused + branch, plus delay unless annulled)
             emit_flush(li)
-            emit_batch(li)
+            acct.emit_batch(li, out)
             out.append(f"{li}st.taken = 0")
             if lv is not None:
                 out.append(f"{li}st.last_value = {lv}")
@@ -866,7 +857,7 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
         end = term_pc + 4 + (4 if delay is not None else 0)
         length = taken_count
     else:
-        emit_batch(li)
+        acct.emit_batch(li, out)
         if lv is not None:
             out.append(f"{li}st.last_value = {lv}")
 
@@ -938,8 +929,8 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
 def jitter_table(amplitude: float) -> tuple[float, ...]:
     """``jit[i] == 1.0 + amplitude * (i / 32768.0 - 1.0)`` for 16-bit ``i``.
 
-    Per-amplitude lookup shared by the metered block code and
-    :meth:`repro.hw.board.CostMeter.on_retire`: each entry is computed
+    Per-amplitude lookup of :meth:`repro.hw.board.CostMeter.on_retire`
+    (the testbed's stepwise oracle): each entry is computed
     with exactly the float expression of
     :func:`repro.hw.energy.jitter_factor`, so indexing it is bit-identical
     to evaluating the formula while replacing four float operations per
@@ -967,513 +958,15 @@ _CENTERED_16BIT: tuple[float, ...] | None = None
 _JITTER_TABLES: dict[float, tuple[float, ...]] = {}
 
 
-def scaled_jitter_table(amplitude: float, dyn: float) -> tuple[float, ...]:
-    """``jitter_table(amplitude)`` premultiplied by one dyn-energy base.
-
-    Entry ``i`` is exactly ``dyn * jitter_table(amplitude)[i]`` -- the
-    very multiplication the accumulator performs per retire -- so the
-    metered block code replaces ``dyn * jit[idx]`` with one subscript.
-    Tables are cached per ``(amplitude, dyn)``: a hardware config prices
-    mnemonics from a handful of distinct energy values, so only those few
-    64K-entry tables ever exist per process.
-    """
-    key = (amplitude, dyn)
-    table = _SCALED_TABLES.get(key)
-    if table is None:
-        table = tuple(map(dyn.__mul__, jitter_table(amplitude)))
-        _SCALED_TABLES[key] = table
-    return table
-
-
-_SCALED_TABLES: dict[tuple[float, float], tuple[float, ...]] = {}
-
-
-def compile_metered_block(cpu: "Cpu", entry: int, meter) -> Block:
-    """Translate the superblock at ``entry`` with *fused cost accounting*.
-
-    ``meter`` is the mutable cost accumulator of the hardware model (see
-    :class:`repro.hw.board.CostMeter`): ``meter.table`` maps each mnemonic
-    to its ``(base_cycles, dyn_energy_nj, flag)`` entry and the
-    amplitude/discount attributes parameterise the flag behaviours.  The
-    generated closure replays, instruction for instruction, exactly the
-    arithmetic ``meter.on_retire`` would perform after each retire:
-
-    * the *static* cycle bases of the block are folded into compile-time
-      sums (with a prefix-sum table for exact fault recovery), while the
-      data-dependent parts -- the integer-divide bit-length shortening,
-      untaken-branch discounts and window-trap charges -- stay inline;
-    * each instruction's energy term is one statement: the jitter hash
-      consumes the instruction's *result expression* directly (no
-      ``st.last_value`` store per instruction), picks its factor from the
-      shared :func:`jitter_table` and adds onto a local float seeded from
-      ``meter.dyn_energy_nj`` in retire order, so the accumulated total
-      is bit-identical to per-instruction observation;
-    * branches back to the block's own entry iterate *internally* like
-      the fast compiler's self-loops: energy stays inline (it is
-      data-dependent), while counters and static cycles of completed
-      iterations are recovered as ``_n // taken_count`` multiples at the
-      exits, faults and self-modifying-code bail-outs.
-
-    ``st.last_value`` is materialised at every block exit (the next
-    block's leading non-producing instructions hash it), with the same
-    mid-block relaxation as the fast compiler: after a fault it may hold
-    an earlier producer's value.  Everything else -- counters, pc/npc,
-    spill/fill charges, the meter totals -- matches the stepping loop at
-    every observable point (``tests/test_metered_blocks.py``).
-    """
-    state = cpu.state
-    mem = state.mem
-    morpher = cpu.morpher
-    tbl = meter.table
-    sentinel = "st.last_value"
-
-    fused, term, term_pc, inline, delay, mode, expr = _scan(cpu, entry)
-    n = len(fused)
-
-    sentinel_used = False
-    etabs: dict[float, str] = {}
-    #: emission-time CSE state for the value hash held by local ``hv``:
-    #: (val expression, body serial) or None when no reusable hash exists
-    hv_state: list = [None]
-    body_serial = [0]
-
-    def etab(dyn: float) -> str:
-        """The ns name of the dyn-premultiplied jitter table."""
-        name = etabs.get(dyn)
-        if name is None:
-            name = f"_ej{len(etabs)}"
-            etabs[dyn] = name
-            ns[name] = scaled_jitter_table(meter.amp, dyn)
-        return name
-
-    pc_fold = pc_fold16
-
-    def emit_energy(dyn: float, val: str, pc: int, ind: str, out: list,
-                    fresh: bool = False) -> None:
-        """Replay of the accumulator's jitter-hash energy update.
-
-        The value hash ``hv`` is emitted once per distinct (value
-        expression, body serial) and reused by following retires of the
-        same value (branch arms, delay slots, non-producers); each site
-        then costs one premultiplied-table lookup.  ``fresh`` emits an
-        unconditional hash without recording reuse state -- for sites on
-        side control paths (fault/SMC exits, closure retires).
-        """
-        nonlocal sentinel_used
-        if val == sentinel:
-            sentinel_used = True
-        key = (val, body_serial[0])
-        if fresh or hv_state[0] != key:
-            out.append(f"{ind}w = ({val}) * 2654435761")
-            out.append(f"{ind}hv = (w ^ (w >> 15)) & 65535")
-            hv_state[0] = None if fresh else key
-        q = pc_fold(pc)
-        idx = f"hv ^ {q}" if q else "hv"
-        out.append(f"{ind}e += {etab(dyn)}[{idx}]")
-
-    def emit_dynamic(m: str, pc: int, ind: str, out: list, val: str,
-                     untaken: bool = False, fresh: bool = False) -> int:
-        """Data-dependent cost lines for one retire; returns static base.
-
-        Only NORMAL/INTDIV/statically-resolved-BRANCH retires route here
-        (fused instructions, fused delay slots and inline branch arms) --
-        the caller folds the returned base into a batched ``cyc`` add.
-        """
-        base, dyn, flag = tbl[m]
-        if flag == FLAG_BRANCH and untaken:
-            base -= meter.untaken_cycles
-            dyn = dyn * meter.untaken_energy_factor
-        if flag == FLAG_INTDIV:
-            out.append(f"{ind}cyc -= (32 - ({val}).bit_length()) >> 1")
-        emit_energy(dyn, val, pc, ind, out, fresh=fresh)
-        return base
-
-    def emit_retire_cost(m: str, pc: int, ind: str, out: list) -> None:
-        """Full standalone cost replay reading post-retire ``st`` state.
-
-        Used where the instruction ran through its per-instruction
-        closure (delayed-control entries and closure terminators): the
-        flag behaviour is resolved at run time from ``st``.
-        """
-        base, dyn, flag = tbl[m]
-        if flag == FLAG_BRANCH:
-            out.append(f"{ind}if st.taken:")
-            out.append(f"{ind}    cyc += {base}")
-            emit_energy(dyn, sentinel, pc, ind + "    ", out, fresh=True)
-            out.append(f"{ind}else:")
-            out.append(f"{ind}    cyc += {base - meter.untaken_cycles}")
-            emit_energy(dyn * meter.untaken_energy_factor, sentinel, pc,
-                        ind + "    ", out, fresh=True)
-            return
-        if flag == FLAG_WINDOW:
-            out.append(f"{ind}cyc += {base}")
-            out.append(f"{ind}d = {dyn!r}")
-            out.append(f"{ind}if st.spill_count != _acc.spills:")
-            out.append(f"{ind}    _acc.spills = st.spill_count")
-            out.append(f"{ind}    cyc += {meter.wtrap_cycles}")
-            out.append(f"{ind}    d += {meter.wtrap_energy_nj!r}")
-            out.append(f"{ind}if st.fill_count != _acc.fills:")
-            out.append(f"{ind}    _acc.fills = st.fill_count")
-            out.append(f"{ind}    cyc += {meter.wtrap_cycles}")
-            out.append(f"{ind}    d += {meter.wtrap_energy_nj!r}")
-            # d varies at run time: use the shared unscaled table
-            out.append(f"{ind}w = (st.last_value) * 2654435761")
-            out.append(f"{ind}hv = (w ^ (w >> 15)) & 65535")
-            q = pc_fold(pc)
-            idx = f"hv ^ {q}" if q else "hv"
-            out.append(f"{ind}e += d * _jit[{idx}]")
-            return
-        if flag == FLAG_INTDIV:
-            out.append(f"{ind}cyc += {base} - "
-                       f"((32 - st.last_value.bit_length()) >> 1)")
-            emit_energy(dyn, sentinel, pc, ind, out, fresh=True)
-            return
-        out.append(f"{ind}cyc += {base}")
-        emit_energy(dyn, sentinel, pc, ind, out, fresh=True)
-
-    # -- bookkeeping ---------------------------------------------------------
-    acct = _Accounting(morpher)
-    for _, ins in fused:
-        acct.account(ins)
-        acct.meta.append((category_of(ins), morpher.mn_cells[ins.mnemonic]))
-    if term is not None and inline:
-        acct.account(term)
-    #: a non-annulled fused delay slot retires on every arm: batch it
-    delay_batched = delay is not None and not term.annul
-    delay_cell = None
-    if delay is not None:
-        delay_cell = acct.account(delay, batched=delay_batched)
-
-    guarded = any(_can_raise(ins) for _, ins in fused)
-    use_f = any(_uses_fregs(ins) for _, ins in fused) or (
-        delay is not None and _uses_fregs(delay))
-
-    target = (term_pc + term.imm) & M32 if (term is not None and inline) \
-        else None
-    taken_count = n + (1 if delay is None else 2)
-    self_loop = (inline and mode in ("always", "cond")
-                 and target == entry and term.kind != "call")
-
-    #: compile-time static cycle sums (data-dependent parts stay inline)
-    fused_static = sum(tbl[ins.mnemonic][0] for _, ins in fused)
-    taken_arm_static = 0
-    if term is not None and inline:
-        taken_arm_static = tbl[term.mnemonic][0] + (
-            tbl[delay.mnemonic][0] if delay is not None else 0)
-    #: per completed self-loop iteration: fused run + taken branch + delay
-    iter_static = fused_static + taken_arm_static
-
-    def scaled(count: int, factor: str) -> str:
-        return factor if count == 1 else f"{count} * {factor}"
-
-    #: self-loops keep the condition codes in locals across iterations and
-    #: materialise them at every exit; the \x00 marker shields these
-    #: stores from the localisation rewrite below
-    mats = [f"\x00st.{f} = {f}_" for f in ("n", "z", "v", "c", "fcc")] \
-        if self_loop else []
-
-    #: recover completed self-loop iterations: counters and static cycles
-    flush_lines: list[str] = []
-    if self_loop:
-        flush_lines.append(f"_it = _n // {taken_count}")
-        if iter_static:
-            flush_lines.append(f"cyc += {scaled(iter_static, '_it')}")
-        for cat in sorted(acct.cat_totals):
-            flush_lines.append(
-                f"cc[{cat}] += {scaled(acct.cat_totals[cat], '_it')}")
-        for i, (_, _, count) in enumerate(acct.cell_order):
-            if count:
-                flush_lines.append(f"_mc{i}[0] += {scaled(count, '_it')}")
-        # completed iterations each took the back edge: restore the exact
-        # st.taken the stepping loop would hold at this point
-        flush_lines.append("if _n:")
-        flush_lines.append("    st.taken = 1")
-
-    ns: dict[str, object] = {
-        "_first": cpu.closure_at(entry),
-        "_acc": meter,
-        "_jit": jitter_table(meter.amp),
-        "_fix": _make_fixup(entry, acct.meta),
-        "_bget": cpu.mblocks_get,
-        "_ram": mem.ram,
-        "_MF": MemoryFault,
-        "_ifb": int.from_bytes,
-        "_udiv": _udiv, "_sdiv": _sdiv, "_umul": _umul, "_smul": _smul,
-        "_getd": get_d, "_putd": put_d, "_getf": get_f, "_putf": put_f,
-        "_fdivh": ieee_div, "_fsqrth": ieee_sqrt, "_f2i": f64_to_i32_trunc,
-    }
-
-    mbase, msize = mem.base, mem.size
-    first_instr = fused[0][1] if fused else term
-    out: list[str] = ["def _mblock(st, _rem):",
-                      "    r = st.regs"]
-    if use_f:
-        out.append("    f = st.fregs")
-    out.append("    cc = st.cat_counts")
-    out.append("    cyc = 0")
-    out.append("    e = _acc.dyn_energy_nj")
-    # Delayed-control entry (pc == entry, npc elsewhere): execute exactly
-    # one instruction through its closure, then meter it.  A raise inside
-    # _first propagates uncosted, like the stepping loop.
-    out.append(f"    if st.npc != {entry + 4}:")
-    out.append("        _first(st)")
-    emit_retire_cost(first_instr.mnemonic, entry, "        ", out)
-    out.append("        _acc.cycles += cyc")
-    out.append("        _acc.dyn_energy_nj = e")
-    out.append("        return 1")
-    # the entry path always hashes st.last_value; that must not force
-    # back-edge materialisation inside the loop body
-    sentinel_used = False
-
-    li = "    "
-    if self_loop:
-        out.append("    _n = 0")
-        out.append(f"    _limit = _rem - {taken_count}")
-        out.append("    while True:")
-        li = "        "
-    acc_prefix = "_n + " if self_loop else ""
-
-    #: prefix sums of the fused static cycle bases (fault recovery)
-    pfx: list[int] = [0]
-    body_ind = li + "    " if guarded else li
-    if guarded:
-        out.append(f"{li}i = 0")
-        out.append(f"{li}try:")
-
-    def emit_body_tracked(ins: DecodedInstr, ipc: int, k: int, ind: str,
-                          flush: list | None = None) -> str | None:
-        """_emit_body + hash-CSE invalidation when state may have moved."""
-        before = len(out)
-        lv = _emit_body(ins, ipc, k, ind, out, mbase, msize,
-                        acc=acc_prefix, flush=flush)
-        if len(out) != before:
-            body_serial[0] += 1
-        return lv
-
-    cur = sentinel
-    static_total = 0
-    for k, (ipc, ins) in enumerate(fused):
-        out.append(f"{body_ind}# 0x{ipc:08x} {ins.mnemonic}")
-        if _can_raise(ins):
-            out.append(f"{body_ind}i = {k}")
-        flush = None
-        if ins.kind == "store":
-            # self-modifying-code early exit: meter the store itself (its
-            # last_value is already set by the SMC branch), bank the
-            # accumulators, then let _fix retire the prefix counters
-            flush = [f"cyc += {pfx[k] + tbl[ins.mnemonic][0]}"]
-            emit_energy(tbl[ins.mnemonic][1], sentinel, ipc, "", flush,
-                        fresh=True)
-            flush += flush_lines
-            flush += mats
-            flush.append("_acc.cycles += cyc")
-            flush.append("_acc.dyn_energy_nj = e")
-        lv = emit_body_tracked(ins, ipc, k, body_ind, flush)
-        if lv is not None:
-            cur = lv
-        static_total += emit_dynamic(ins.mnemonic, ipc, body_ind, out, cur)
-        pfx.append(static_total)
-    assert static_total == fused_static
-    if guarded:
-        out.append(f"{li}except BaseException:")
-        for line in flush_lines + mats:
-            out.append(f"{li}    {line}")
-        out.append(f"{li}    _acc.cycles += cyc + _pfx[i]")
-        out.append(f"{li}    _acc.dyn_energy_nj = e")
-        out.append(f"{li}    _fix(st, i)")
-        out.append(f"{li}    raise")
-        ns["_pfx"] = tuple(pfx)
-
-    end = entry + 4 * n
-    length = n
-    cur_prelude = cur  # last-value expression after the fused run
-
-    def emit_delay(ind: str) -> tuple[str, int]:
-        """Delay-slot body + energy/counters; returns (new cur, base)."""
-        out.append(f"{ind}# 0x{term_pc + 4:08x} {delay.mnemonic} (delay)")
-        dlv = emit_body_tracked(delay, term_pc + 4, 0, ind)
-        val = dlv if dlv is not None else cur_prelude
-        base = emit_dynamic(delay.mnemonic, term_pc + 4, ind, out, val)
-        if not delay_batched:
-            out.append(f"{ind}cc[{category_of(delay)}] += 1")
-            out.append(f"{ind}{delay_cell}[0] += 1")
-        return val, base
-
-    def emit_materialize(ind: str, value: str) -> None:
-        if value != sentinel:
-            out.append(f"{ind}st.last_value = {value}")
-
-    def emit_bank(ind: str) -> None:
-        for line in mats:
-            out.append(f"{ind}{line}")
-        out.append(f"{ind}_acc.cycles += cyc")
-        out.append(f"{ind}_acc.dyn_energy_nj = e")
-
-    if term is None:
-        # fall-through end: chain to the successor metered block if ready
-        if static_total:
-            out.append(f"    cyc += {static_total}")
-        acct.emit_batch("    ", out)
-        emit_materialize("    ", cur)
-        out.append(f"    st.pc = {end}")
-        out.append(f"    st.npc = {end + 4}")
-        emit_bank("    ")
-        out.append(f"    _nxt = _bget({end})")
-        out.append(f"    if _nxt is not None and _nxt[1] <= _rem - {n}:")
-        out.append(f"        return {n} + _nxt[0](st, _nxt[1])")
-        out.append(f"    return {n}")
-    elif not inline:
-        # terminator via its per-instruction closure (which retires its
-        # own counters); a raise inside it costs nothing, like stepping
-        if static_total:
-            out.append(f"    cyc += {static_total}")
-        acct.emit_batch("    ", out)
-        emit_materialize("    ", cur)
-        out.append(f"    st.pc = {term_pc}")
-        out.append(f"    st.npc = {term_pc + 4}")
-        out.append("    try:")
-        out.append("        _term(st)")
-        out.append("    except BaseException:")
-        out.append("        _acc.cycles += cyc")
-        out.append("        _acc.dyn_energy_nj = e")
-        out.append("        raise")
-        emit_retire_cost(term.mnemonic, term_pc, "    ", out)
-        emit_bank("    ")
-        out.append(f"    return {n + 1}")
-        ns["_term"] = cpu.closure_at(term_pc)
-        end = term_pc + 4
-        length = n + 1
-    else:
-        if not self_loop:
-            # per-dispatch blocks retire their statics and counters once;
-            # self-loops defer both to the flush at their exits
-            total = static_total if mode == "never" else \
-                static_total + taken_arm_static
-            if mode == "cond":
-                total = static_total  # arm statics differ: emitted per arm
-            if total:
-                out.append(f"{li}cyc += {total}")
-            acct.emit_batch(li, out)
-        if term.kind == "call":
-            out.append(f"{li}r[15] = {term_pc}")
-
-        def emit_chain(ind: str, dest: int, count: int) -> None:
-            """Tail-chain into the already-translated successor block.
-
-            The successor receives exactly its own length as remaining
-            budget, so chains bottom out after one frame (a chained
-            self-loop runs exactly one pass) -- the fall-through chaining
-            argument applied to branch arms.
-            """
-            out.append(f"{ind}_nxt = _bget({dest})")
-            out.append(f"{ind}if _nxt is not None "
-                       f"and _nxt[1] <= _rem - {count}:")
-            out.append(f"{ind}    return {count} + _nxt[0](st, _nxt[1])")
-            out.append(f"{ind}return {count}")
-
-        def emit_taken(ind: str) -> None:
-            base = emit_dynamic(term.mnemonic, term_pc, ind, out,
-                                cur_prelude)
-            count = n + 1
-            cur = cur_prelude
-            if delay is not None:
-                cur, dbase = emit_delay(ind)
-                base += dbase
-                count = taken_count
-            if not self_loop and mode == "cond":
-                out.append(f"{ind}cyc += {base}")
-            if self_loop:
-                out.append(f"{ind}_n += {taken_count}")
-                out.append(f"{ind}if _n <= _limit:")
-                if sentinel_used and cur != sentinel:
-                    # the next pass hashes st.last_value before its first
-                    # producer: keep it fresh across the back edge
-                    out.append(f"{ind}    st.last_value = {cur}")
-                out.append(f"{ind}    continue")
-                for line in flush_lines[:-2]:  # taken exit: set st.taken
-                    out.append(f"{ind}{line}")
-            out.append(f"{ind}st.taken = 1")
-            emit_materialize(ind, cur)
-            out.append(f"{ind}st.pc = {target}")
-            out.append(f"{ind}st.npc = {target + 4}")
-            emit_bank(ind)
-            if self_loop:
-                out.append(f"{ind}return _n")
-            else:
-                emit_chain(ind, target, count)
-
-        def emit_untaken(ind: str) -> None:
-            if self_loop:
-                for line in flush_lines[:-2]:  # st.taken set explicitly
-                    out.append(f"{ind}{line}")
-                if static_total:
-                    out.append(f"{ind}cyc += {static_total}")
-                acct.emit_batch(ind, out)
-            out.append(f"{ind}st.taken = 0")
-            base = emit_dynamic(term.mnemonic, term_pc, ind, out,
-                                cur_prelude, untaken=True)
-            count = n + 1
-            cur = cur_prelude
-            if not term.annul and delay is not None:
-                cur, dbase = emit_delay(ind)
-                base += dbase
-                count = taken_count
-            out.append(f"{ind}cyc += {base}")
-            emit_materialize(ind, cur)
-            out.append(f"{ind}st.pc = {term_pc + 8}")
-            out.append(f"{ind}st.npc = {term_pc + 12}")
-            emit_bank(ind)
-            if self_loop:
-                out.append(f"{ind}return _n + {count}")
-            else:
-                emit_chain(ind, term_pc + 8, count)
-
-        if mode == "always":
-            emit_taken(li)
-        elif mode == "never":
-            emit_untaken(li)
-        else:
-            out.append(f"{li}if {expr}:")
-            # the arms are alternative control paths: hash-CSE state from
-            # inside the taken arm must not leak into the untaken arm
-            saved = (hv_state[0], body_serial[0])
-            emit_taken(li + "    ")
-            hv_state[0], body_serial[0] = saved
-            emit_untaken(li)
-        end = term_pc + 4 + (4 if delay is not None else 0)
-        length = taken_count if (delay is not None or mode != "never") \
-            else n + 1
-
-    if self_loop:
-        # with no fault or SMC exit inside the loop, every path out of an
-        # iteration runs the full fused pass first: flag values dead
-        # inside the loop can then be computed at the exits only
-        delay_writes_flags = delay is not None and (
-            delay.kind == "fcmp" or (delay.kind == "arith"
-                                     and delay.mnemonic in CC_FAMILY))
-        out = _localize_flags(
-            out, defer_dead=not guarded
-            and not any(ins.kind == "store" for _, ins in fused)
-            and not delay_writes_flags)
-
-    acct.fill_ns(ns)
-    source = "\n".join(out) + "\n"
-    code = _compile_source(source, f"<mblock 0x{entry:08x}>")
-    exec(code, ns)  # noqa: S102 - the source is generated above, not input
-    fn = ns["_mblock"]
-    fn.__block_source__ = source  # debugging aid
-    return Block(fn, max(length, 1), entry, end)
-
-
 def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
     """Translate the superblock at ``entry`` with *fused profiling*.
 
     ``profiler`` is the configuration-independent accumulator of the
     profile-once DSE path (:class:`repro.vm.profiler.ProfileMeter`).
-    Where the metered compiler bakes one hardware configuration's costs
-    into the generated code, the profiled compiler records the *operands
-    of the cost algebra* instead, so any configuration can be priced
-    later by :mod:`repro.nfp.linear` without re-running the simulation:
+    Instead of one hardware configuration's costs, the generated code
+    records the *operands of the cost algebra*, so any configuration can
+    be priced later by :mod:`repro.nfp.linear` without re-running the
+    simulation:
 
     * per-mnemonic retire counts ride the existing batched counters;
     * each retire adds its 16-bit jitter index -- exactly the subscript a
@@ -1492,12 +985,12 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
       indices for any candidate ``nwindows`` fall out of the single run.
 
     Control flow, fault recovery, self-modifying-code bail-outs and
-    self-loop counter deferral mirror :func:`compile_metered_block`; the
+    self-loop counter deferral mirror :func:`compile_block`; the
     architectural results stay bit-identical to every other loop
-    (``tests/test_profile.py``).  Because the accumulators are plain
-    integer adds (no premultiplied float tables), a profiled run costs
-    about the same as a metered one -- and replaces one run per
-    configuration with one run per workload.
+    (``tests/test_profile.py``).  One profiled run replaces one metered
+    run per configuration: the hardware testbed
+    (:meth:`repro.hw.board.Board.measure_raw`) prices it for its board,
+    and the profile-once sweeps price it for every grid point.
     """
     state = cpu.state
     mem = state.mem
@@ -1616,7 +1109,8 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
         return factor if count == 1 else f"{count} * {factor}"
 
     #: self-loops keep the condition codes in locals across iterations and
-    #: materialise them at every exit (see compile_metered_block)
+    #: materialise them at every exit; the \x00 marker shields these
+    #: stores from the localisation rewrite (:func:`_localize_flags`)
     mats = [f"\x00st.{f} = {f}_" for f in ("n", "z", "v", "c", "fcc")] \
         if self_loop else []
 

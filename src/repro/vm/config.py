@@ -45,13 +45,16 @@ class CoreConfig:
         superblock (the block terminator and a fused delay slot come on
         top of this).
     metered_blocks_enabled:
-        When ``True`` (the default) the *instrumented* testbed loop
-        (:meth:`repro.vm.cpu.Cpu.run_metered`) dispatches cost-fused
-        superblocks for observers that expose a structured cost model
-        (see :class:`repro.hw.board.CostMeter`); when ``False`` it always
-        observes per retired instruction.  Both modes accumulate
-        bit-identical cycles and energy -- the knob exists for A/B
-        benchmarks and exactness-sensitive tooling.
+        When ``True`` (the default) the *instrumented* loop
+        (:meth:`repro.vm.cpu.Cpu.run_profiled`) dispatches profile-fused
+        superblocks, and the hardware testbed
+        (:meth:`repro.hw.board.Board.measure_raw`) prices the profiled
+        run; when ``False`` both observe every retired instruction, the
+        testbed through its stepwise cost meter
+        (:class:`repro.hw.board.CostMeter`).  Cycles, counters and time
+        are bit-identical either way and energy agrees within 1e-12
+        relative -- the knob exists for A/B benchmarks and
+        exactness-sensitive tooling.
     """
 
     has_fpu: bool = True
@@ -87,5 +90,5 @@ class CoreConfig:
                        else block_size)
 
     def with_metered_blocks(self, enabled: bool = True) -> "CoreConfig":
-        """A copy with metered (cost-fused) block dispatch toggled."""
+        """A copy with instrumented (profile-fused) block dispatch toggled."""
         return replace(self, metered_blocks_enabled=enabled)

@@ -11,8 +11,8 @@ Python closures at two granularities:
   closure with batched NFP accounting, dispatched by :meth:`Cpu.run`.
 
 Both translators share one decoded-instruction cache per PC, so the
-decode work is paid once regardless of which loop runs first.  Three run
-loops exist:
+decode work is paid once regardless of which loop runs first.  The run
+loops are:
 
 * :meth:`Cpu.run` -- the fast functional loop used by the ISS.  With
   ``blocks_enabled`` (the default) it dispatches whole superblocks: one
@@ -22,19 +22,16 @@ loops exist:
   block granularity).  With blocks disabled it falls back to the
   per-instruction loop; both modes retire bit-identical state/counters.
 * :meth:`Cpu.step` -- single-step debugging interface (per-instruction).
-* :meth:`Cpu.run_metered` -- the instrumented loop used by the hardware
-  testbed model (the slow, accurate path of Fig. 1).  When the observer
-  advertises :attr:`supports_block_metering` (a structured cost model,
-  see :class:`repro.hw.board.CostMeter`) and ``metered_blocks_enabled``
-  is set, it dispatches *cost-fused* superblocks compiled by
-  :func:`repro.vm.blocks.compile_metered_block`: the per-mnemonic cycle
-  and energy constants, branch discounts, divide shortening, window-trap
-  charges and the per-instruction energy-jitter hash are baked into
-  block-specialised code, so no Python callback runs per retired
-  instruction while the accumulated cycles/energy stay bit-identical to
-  per-instruction observation.  Opaque observers (the generic
-  :class:`RetireObserver` protocol) fall back to the per-instruction
-  loop.
+* :meth:`Cpu.run_profiled` -- the instrumented loop behind the hardware
+  testbed model and the profile-once DSE path.  With
+  ``metered_blocks_enabled`` (the default) it dispatches *profile-fused*
+  superblocks compiled by :func:`repro.vm.blocks.compile_profiled_block`,
+  which record the configuration-independent counts the linear NFP
+  evaluator prices (see :class:`repro.vm.profiler.ProfileMeter`);
+  otherwise it observes every retired instruction.
+* :meth:`Cpu.run_metered` -- per-instruction observation by any
+  :class:`RetireObserver` (the stepwise root oracle of the testbed, see
+  :class:`repro.hw.board.CostMeter`).
 
 Translations are invalidated when a store (guest or host) hits an address
 holding translated code, so self-modifying kernels never execute stale
@@ -64,16 +61,10 @@ _PAGE_SHIFT = 8
 #: amortise; hot entries cross the threshold within a few loop trips.
 BLOCK_COMPILE_THRESHOLD = 16
 
-#: The metered twin runs warmer before compiling: cold metered code is
-#: already cheap on the metering strip (prefetched cost constants, local
-#: accumulators), so a block must earn its millisecond-class ``compile()``
-#: with a few dozen dispatches.
-METERED_COMPILE_THRESHOLD = 32
-
 #: Dispatches of an entry PC before its *profiled* superblock is
 #: compiled.  The cold profiled path observes through a Python method per
-#: retire (no strip -- cold code is rare by definition), so profiled
-#: blocks pay off as quickly as fast blocks do.
+#: retire (cold code is rare by definition), so profiled blocks pay off
+#: as quickly as fast blocks do.
 PROFILED_COMPILE_THRESHOLD = 16
 
 
@@ -98,6 +89,9 @@ class Cpu:
         unaffected by this knob.
     block_size:
         Maximum fused instructions per superblock.
+    metered_blocks_enabled:
+        Dispatch profile-fused superblocks in :meth:`run_profiled`
+        (default) instead of observing per retired instruction.
     """
 
     def __init__(self, state: CpuState, morpher: Morpher,
@@ -118,17 +112,6 @@ class Cpu:
         self._block_pages: dict[int, set[int]] = {}
         #: entry pc -> dispatch count while below the compile threshold.
         self._heat: dict[int, int] = {}
-        #: the metered twin of the three caches above: cost-fused blocks
-        #: are specialised to one meter (see :meth:`run_metered`), so they
-        #: live in their own dispatch table with their own heat counters.
-        self._mblocks: dict[int, tuple[Callable, int]] = {}
-        self._mblock_info: dict[int, "_blocks_mod.Block"] = {}
-        self._mblock_pages: dict[int, set[int]] = {}
-        self._mheat: dict[int, int] = {}
-        #: pc -> per-instruction metering strip entry (closure + prefetched
-        #: cost constants), the cheap tier below compiled metered blocks.
-        self._mcost: dict[int, tuple] = {}
-        self._meter = None
         #: the profiled triplet of caches: profile-fused blocks are
         #: specialised to one profiler (see :meth:`run_profiled`).
         self._pblocks: dict[int, tuple[Callable, int]] = {}
@@ -142,7 +125,6 @@ class Cpu:
         self.invalidations = 0
         #: bound methods handed to generated code for successor chaining.
         self.blocks_get = self._blocks.get
-        self.mblocks_get = self._mblocks.get
         self.pblocks_get = self._pblocks.get
         state.on_code_write = self.invalidate_range
         state.mem.on_write = self._host_write
@@ -204,11 +186,6 @@ class Cpu:
             pc, _blocks_mod.compile_block(self, pc),
             self._blocks, self._block_info, self._block_pages)
 
-    def _translate_metered_block(self, pc: int, meter) -> tuple[Callable, int]:
-        return self._register_block(
-            pc, _blocks_mod.compile_metered_block(self, pc, meter),
-            self._mblocks, self._mblock_info, self._mblock_pages)
-
     def _translate_profiled_block(self, pc: int,
                                   profiler) -> tuple[Callable, int]:
         return self._register_block(
@@ -238,15 +215,11 @@ class Cpu:
             self._cache.pop(pc, None)
             self._mnemonics.pop(pc, None)
             self._decoded.pop(pc, None)
-            self._mcost.pop(pc, None)
         # conservative page-granular drop: any block registered on a
         # written page is retranslated on its next dispatch
         if self._blocks:
             self._drop_block_pages(lo, hi, self._block_pages,
                                    self._blocks, self._block_info)
-        if self._mblocks:
-            self._drop_block_pages(lo, hi, self._mblock_pages,
-                                   self._mblocks, self._mblock_info)
         if self._pblocks:
             self._drop_block_pages(lo, hi, self._pblock_pages,
                                    self._pblocks, self._pblock_info)
@@ -361,21 +334,12 @@ class Cpu:
 
     def run_metered(self, observer: RetireObserver,
                     max_instructions: int = DEFAULT_BUDGET) -> int:
-        """Run with per-instruction cost observation (hardware-model path).
+        """Run observing every retired instruction (the stepwise oracle).
 
-        Observers that advertise ``supports_block_metering`` (structured
-        cost models, e.g. :class:`repro.hw.board.CostMeter`) are dispatched
-        on cost-fused superblocks when ``metered_blocks_enabled`` is set;
-        the accumulated costs are bit-identical either way.
+        Works with any :class:`RetireObserver`; the hardware testbed's
+        :class:`repro.hw.board.CostMeter` accumulates the reference
+        cycles and energy through it.
         """
-        if (self.metered_blocks_enabled
-                and getattr(observer, "supports_block_metering", False)):
-            return self._run_metered_blocks(observer, max_instructions)
-        return self._run_metered_stepwise(observer, max_instructions)
-
-    def _run_metered_stepwise(self, observer: RetireObserver,
-                              max_instructions: int) -> int:
-        """The per-instruction metered loop (works with any observer)."""
         state = self.state
         cache = self._cache
         mnemonics = self._mnemonics
@@ -397,112 +361,6 @@ class Cpu:
                 break
         return executed
 
-    def _run_metered_blocks(self, meter, max_instructions: int) -> int:
-        """Dispatch cost-fused superblocks compiled against ``meter``.
-
-        Mirrors :meth:`run`: cold entries step through the per-instruction
-        closures (observing through ``meter.on_retire``) until they cross
-        the compile threshold; blocks that no longer fit the watchdog
-        budget are single-stepped to the edge for exact accounting.
-        """
-        if self._meter is not meter:
-            if self._meter is not None:
-                # blocks and strip entries are specialised to one cost
-                # model: drop stale ones
-                self._mblocks.clear()
-                self._mblock_info.clear()
-                self._mblock_pages.clear()
-                self._mheat.clear()
-                self._mcost.clear()
-            self._meter = meter
-        state = self.state
-        mblocks_get = self.mblocks_get
-        mcost_get = self._mcost.get
-        cache_get = self._cache.get
-        mnemonics = self._mnemonics
-        on_retire = meter.on_retire
-        heat = self._mheat
-        heat_get = heat.get
-        executed = 0
-        budget = max_instructions
-        while state.running:
-            pc = state.pc
-            entry = mblocks_get(pc)
-            if entry is None:
-                count = heat_get(pc, 0) + 1
-                if count < METERED_COMPILE_THRESHOLD:
-                    # cold entry: walk the straight-line run on the
-                    # metering strip -- per-instruction closures with the
-                    # cost constants prefetched per pc and the totals in
-                    # locals -- charging one heat tick per dispatch
-                    heat[pc] = count
-                    cyc = 0
-                    e = meter.dyn_energy_nj
-                    try:
-                        while True:
-                            ent = mcost_get(pc)
-                            if ent is None:
-                                ent = self._mcost_fill(pc, meter)
-                            f, flag, base, tab, q, ub, utab, mn = ent
-                            f(state)
-                            lv = state.last_value
-                            if flag:
-                                if flag == 1:  # branch: untaken discount
-                                    if not state.taken:
-                                        base = ub
-                                        tab = utab
-                                elif flag == 2:  # intdiv: result-sized
-                                    base -= (32 - lv.bit_length()) >> 1
-                                else:  # window traps: exact slow path
-                                    meter.cycles += cyc
-                                    meter.dyn_energy_nj = e
-                                    cyc = 0
-                                    on_retire(pc, mn, state)
-                                    e = meter.dyn_energy_nj
-                                    executed += 1
-                                    if executed >= budget \
-                                            or not state.running:
-                                        break
-                                    if state.pc != pc + 4:
-                                        break
-                                    pc = state.pc
-                                    continue
-                            cyc += base
-                            h = lv * 2654435761
-                            e += tab[((h ^ (h >> 15)) & 65535) ^ q]
-                            executed += 1
-                            if executed >= budget or not state.running:
-                                break
-                            if state.pc != pc + 4:
-                                break  # branch/trap redirected control
-                            pc = state.pc
-                    finally:
-                        meter.cycles += cyc
-                        meter.dyn_energy_nj = e
-                    if executed >= budget:
-                        if state.running:
-                            raise WatchdogTimeout(budget, state.pc)
-                        break
-                    continue
-                heat.pop(pc, None)
-                entry = self._translate_metered_block(pc, meter)
-            if executed + entry[1] <= budget:
-                executed += entry[0](state, budget - executed)
-            else:
-                # the whole block no longer fits the watchdog budget:
-                # single-step (observed) to the edge for exact accounting
-                f = cache_get(pc)
-                if f is None:
-                    f = self._translate(pc)
-                f(state)
-                on_retire(pc, mnemonics[pc], state)
-                executed += 1
-            if executed >= budget:
-                if state.running:
-                    raise WatchdogTimeout(budget, state.pc)
-                break
-        return executed
-
     def run_profiled(self, profiler,
                      max_instructions: int = DEFAULT_BUDGET) -> int:
         """Run while recording a configuration-independent profile.
@@ -512,22 +370,21 @@ class Cpu:
         ``supports_block_profiling`` are dispatched on profile-fused
         superblocks compiled by
         :func:`repro.vm.blocks.compile_profiled_block` when
-        ``metered_blocks_enabled`` is set (the instrumented-block knob
-        governs both instrumented loops).  The recorded profile is
+        ``metered_blocks_enabled`` is set.  The recorded profile is
         identical either way.
         """
         if (self.metered_blocks_enabled
                 and getattr(profiler, "supports_block_profiling", False)):
             return self._run_profiled_blocks(profiler, max_instructions)
-        return self._run_metered_stepwise(profiler, max_instructions)
+        return self.run_metered(profiler, max_instructions)
 
     def _run_profiled_blocks(self, profiler, max_instructions: int) -> int:
         """Dispatch profile-fused superblocks compiled against ``profiler``.
 
-        Mirrors :meth:`_run_metered_blocks`; cold entries step through
-        the per-instruction closures observed by ``profiler.on_retire``
-        (no strip tier -- the integer profile accumulators have no
-        per-pc constants worth prefetching).
+        Mirrors :meth:`run`; cold entries step through the
+        per-instruction closures observed by ``profiler.on_retire``, and
+        blocks that no longer fit the watchdog budget are single-stepped
+        (observed) to the edge for exact accounting.
         """
         if self._profiler is not profiler:
             if self._profiler is not None:
@@ -591,32 +448,6 @@ class Cpu:
                 break
         return executed
 
-    def _mcost_fill(self, pc: int, meter) -> tuple:
-        """Build the metering-strip entry for ``pc``.
-
-        ``(closure, flag, base cycles, dyn-premultiplied jitter table,
-        16-bit pc hash fold, untaken base, untaken table, mnemonic)`` --
-        everything the cold loop needs to replay ``meter.on_retire``
-        bit-identically without per-retire dict lookups or attribute
-        read-modify-writes.
-        """
-        f = self._cache.get(pc)
-        if f is None:
-            f = self._translate(pc)
-        mnemonic = self._mnemonics[pc]
-        base, dyn, flag = meter.table[mnemonic]
-        tab = _blocks_mod.scaled_jitter_table(meter.amp, dyn)
-        p = pc * 0x9E3779B1
-        q = (p ^ (p >> 15)) & 0xFFFF
-        ub, utab = 0, None
-        if flag == 1:
-            ub = base - meter.untaken_cycles
-            utab = _blocks_mod.scaled_jitter_table(
-                meter.amp, dyn * meter.untaken_energy_factor)
-        entry = (f, flag, base, tab, q, ub, utab, mnemonic)
-        self._mcost[pc] = entry
-        return entry
-
     # -- translation statistics ----------------------------------------------
 
     def translated_pcs(self) -> int:
@@ -632,10 +463,6 @@ class Cpu:
     def block_stats(self) -> tuple[int, float]:
         """``(translated_blocks, mean retired instructions per block)``."""
         return self._stats(self._block_info)
-
-    def mblock_stats(self) -> tuple[int, float]:
-        """``(translated metered blocks, mean retired per block)``."""
-        return self._stats(self._mblock_info)
 
     def pblock_stats(self) -> tuple[int, float]:
         """``(translated profiled blocks, mean retired per block)``."""

@@ -1,13 +1,14 @@
 """Execution profiling: one instrumented run -> a reusable cost basis.
 
 The paper's thesis (Eq. 1) is that non-functional properties are linear
-in execution counts; the simulator's metered loop nevertheless re-runs
-the whole program for every candidate hardware configuration, because the
-cost *parameters* are baked into the run.  :class:`ProfileMeter` records
-the counts themselves instead -- everything the retire-cost algebra of
-:class:`repro.hw.board.CostMeter` consumes -- so one profiled run per
-(program, input) prices *any* :class:`~repro.hw.config.HwConfig` later as
-a handful of dot products (:mod:`repro.nfp.linear`):
+in execution counts; metering a run per instruction
+(:class:`repro.hw.board.CostMeter`) bakes one hardware configuration's
+cost *parameters* into it.  :class:`ProfileMeter` records the counts
+themselves instead -- everything the retire-cost algebra of the cost
+meter consumes -- so one profiled run per (program, input) prices *any*
+:class:`~repro.hw.config.HwConfig` later as a handful of dot products
+(:mod:`repro.nfp.linear`); the hardware testbed itself measures this
+way (:meth:`repro.hw.board.Board.measure_raw`):
 
 * per-mnemonic retire counts (already tracked by the simulator);
 * per-mnemonic *jitter-index sums*: each retire's 16-bit energy-jitter
@@ -40,9 +41,12 @@ accumulators with plain integer adds.
 
 from __future__ import annotations
 
+from repro.asm.program import Program
 from repro.isa.opcodes import INSTR_SPECS
 from repro.vm.blocks import FLAG_BRANCH, FLAG_INTDIV, cost_flags
-from repro.vm.simulator import SimulationResult
+from repro.vm.config import CoreConfig
+from repro.vm.cpu import DEFAULT_BUDGET
+from repro.vm.simulator import SimulationResult, Simulator
 from repro.vm.state import CpuState
 
 #: Bump when the recorded profile structure or semantics change (also
@@ -177,3 +181,18 @@ class ProfileMeter:
             "restore_depths": {str(d): list(cell) for d, cell
                                in sorted(self.restore_depths.items())},
         }
+
+
+def profile_run(program: Program, core: CoreConfig | None = None,
+                max_instructions: int = DEFAULT_BUDGET
+                ) -> tuple[SimulationResult, dict]:
+    """One profiled run: the simulation result and its profile payload.
+
+    The payload is :meth:`ProfileMeter.snapshot`, flagged unclean when
+    the run wrote into its own code.
+    """
+    meter = ProfileMeter()
+    simulator = Simulator(program, core)
+    sim = simulator.run_profiled(meter, max_instructions=max_instructions)
+    return sim, meter.snapshot(sim,
+                               clean=simulator.cpu.invalidations == 0)

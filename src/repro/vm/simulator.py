@@ -129,7 +129,7 @@ class Simulator:
 
     def run_metered(self, observer: RetireObserver,
                     max_instructions: int = DEFAULT_BUDGET) -> SimulationResult:
-        """Execute with a per-instruction cost observer (testbed path)."""
+        """Execute with a per-instruction observer (the stepwise oracle)."""
         self._claim()
         start = time.perf_counter()
         self.cpu.run_metered(observer, max_instructions=max_instructions)
@@ -168,7 +168,6 @@ class Simulator:
         st = self.state
         counts = dict(zip(CATEGORY_IDS, st.cat_counts))
         n_blocks, avg_len = self.cpu.block_stats()
-        n_mblocks, avg_mlen = self.cpu.mblock_stats()
         return SimulationResult(
             exit_code=st.exit_code if st.exit_code is not None else -1,
             retired=st.retired,
@@ -184,8 +183,6 @@ class Simulator:
                 "block_mode": 1.0 if self.config.blocks_enabled else 0.0,
                 "translated_blocks": float(n_blocks),
                 "avg_block_len": avg_len,
-                "metered_blocks": float(n_mblocks),
-                "avg_metered_block_len": avg_mlen,
             },
         )
 

@@ -77,3 +77,23 @@ def test_workloads_requires_action():
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["bogus"])
+
+
+@pytest.mark.parametrize("command", ["table3", "all"])
+def test_report_command_exits_1_when_retries_run_out(
+        command, monkeypatch, tmp_path, capsys):
+    """A simulation that exhausts its retries ends a report command
+    with one ``error:`` line and exit status 1, not a traceback."""
+    from repro.experiments.setup import reset_benches
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # nothing cached
+    monkeypatch.setenv("REPRO_CHAOS", "3:raise=1.0,depth=5")
+    monkeypatch.setenv("REPRO_RETRIES", "1")
+    monkeypatch.setenv("REPRO_BACKOFF_S", "0")
+    reset_benches()
+    assert main([command, "--scale", "smoke"]) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert "failed after 1 attempts" in errors[0]
+    assert "Traceback" not in captured.err + captured.out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (
@@ -17,6 +19,19 @@ from repro.experiments import (
 from repro.experiments.render import fmt_si, hbar, text_table
 from repro.experiments.scale import DEFAULT, FULL, SMOKE
 from repro.experiments.workloads import kernel_set, workload_pairs
+
+#: SHA-256 of the stdout of ``repro <command> --scale smoke``.  The
+#: table3 digest equals the one in ``perfbench/reference.json``.
+REPORT_DIGESTS = {
+    "table1":
+        "68727aea04fd133490054d73458a58396a4f560b0f3460ed49e0425d67153747",
+    "table3":
+        "642fc2de8eb0e950052ec92af755a3f250cac43d18e482aed600b6bfa81fa0aa",
+    "table4":
+        "3e4620d2c7ef80772f6e0595108dcab2edce00d5d0580c83da329d8a10c600fd",
+    "figure4":
+        "64cb8c5621332eb83c772856ab0e0f9d88629011693d2b5749dcf8c8ba0a323a",
+}
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +168,24 @@ class TestDrivers:
         first = bench.measure(name, program, abi == "hard")
         second = bench.measure(name, program, abi == "hard")
         assert first is second
+
+
+class TestReportDigests:
+    """Every digit of the paper's smoke-scale reports is pinned."""
+
+    @pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+    def test_stdout_is_byte_identical(self, command, capsys):
+        from repro.cli import main
+        from repro.experiments.setup import reset_benches
+        reset_benches()  # a fresh bench, as in a new CLI process
+        assert main([command, "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        if command == "table3":
+            errors = {line.split("|")[0].strip():
+                      [cell.strip() for cell in line.split("|")[1:3]]
+                      for line in out.splitlines()
+                      if "absolute error" in line}
+            assert errors == {"Mean absolute error": ["1.39 %", "1.65 %"],
+                              "Maximum absolute error": ["5.82 %", "5.71 %"]}
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            REPORT_DIGESTS[command]

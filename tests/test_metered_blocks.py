@@ -1,28 +1,35 @@
-"""Metered superblocks == per-instruction metering, bit for bit.
+"""The testbed's profile + price measurement == stepwise metering.
 
-The cost-fused block compiler (:func:`repro.vm.blocks.compile_metered_block`)
-must accumulate exactly the cycles and (float) energy the per-instruction
-observer accumulates, in the same order -- across the whole hardware cost
-model: base cycle/energy tables, untaken-branch discounts, divide
-bit-length shortening, window-trap spill/fill charges and the
-per-instruction energy-jitter hash.  These tests compare Board
-measurements between ``metered_blocks_enabled`` on and off (the off mode
-is the seed's observer loop, the accuracy reference).
+:meth:`repro.hw.board.Board.measure_raw` measures a kernel with one run
+on the profile-fused superblocks priced for the board by
+:class:`repro.nfp.linear.LinearNfpEngine`.  It must reproduce the
+stepwise root oracle -- :class:`repro.hw.board.CostMeter` observing every
+retired instruction (``tests.helpers.meter_stepwise``) -- across the
+whole hardware cost model: base cycle/energy tables, untaken-branch
+discounts, divide bit-length shortening, window-trap spill/fill charges
+and the per-instruction energy-jitter hash.  Cycles, retired counts,
+time, spill/fill counts and console output are bit-identical; energy is
+within 1e-12 relative.  Self-modifying kernels fall back to the oracle
+itself and match exactly, energy included.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.asm import assemble
-from repro.hw.board import Board, CostMeter, Measurement
+from repro.hw.board import Board, CostMeter, RawMeasurement
 from repro.hw.config import HwConfig, leon3_fpu, leon3_nofpu
 from repro.hw.energy import jitter_factor
-from repro.hw.powermeter import PerfectInstruments
+from repro.nfp.linear import ExecutionProfile, LinearNfpEngine
 from repro.vm import CoreConfig, MemoryFault, Simulator, WatchdogTimeout
-from repro.vm.blocks import jitter_table, scaled_jitter_table
+from repro.vm.blocks import jitter_table
+from repro.vm.profiler import ProfileMeter
 
 from test_vm_blocks import CALL_KERNEL, FP_KERNEL, MIXED_KERNEL
+from tests.helpers import meter_stepwise
 
 #: SimulationResult fields that must match bit-for-bit across modes.
 SIM_FIELDS = (
@@ -33,31 +40,41 @@ SIM_FIELDS = (
 
 def measure_both(source_or_program, factory=leon3_fpu,
                  max_instructions=50_000_000,
-                 **core_overrides) -> tuple[Measurement, Measurement]:
-    """Measure in metered-block mode and per-instruction mode."""
+                 **core_overrides) -> tuple[RawMeasurement, RawMeasurement]:
+    """Measure on the board (profile + price) and with the oracle."""
     program = (assemble(source_or_program)
                if isinstance(source_or_program, str) else source_or_program)
-    results = []
-    for metered_blocks in (True, False):
-        board = Board(factory(metered_blocks_enabled=metered_blocks,
-                              **core_overrides), PerfectInstruments())
-        results.append(board.measure(program,
-                                     max_instructions=max_instructions))
-    return results[0], results[1]
+    hw = factory(**core_overrides)
+    priced = Board(hw).measure_raw(program, max_instructions=max_instructions)
+    return priced, meter_stepwise(program, hw, max_instructions)
 
 
-def assert_meter_identical(blocked: Measurement,
-                           stepped: Measurement) -> None:
-    assert blocked.cycles == stepped.cycles
-    assert blocked.true_time_s == stepped.true_time_s
-    # exact float equality: the energy sums must be the same additions
-    # in the same order, not merely close
-    assert blocked.true_energy_j == stepped.true_energy_j
-    assert blocked.time_s == stepped.time_s
-    assert blocked.energy_j == stepped.energy_j
+def assert_meter_identical(priced: RawMeasurement, stepped: RawMeasurement,
+                           exact_energy: bool = False) -> None:
+    assert priced.cycles == stepped.cycles
+    assert priced.true_time_s == stepped.true_time_s
+    if exact_energy:
+        assert priced.dyn_energy_nj == stepped.dyn_energy_nj
+        assert priced.true_energy_j == stepped.true_energy_j
+    else:
+        # the oracle's running float sum drifts by ~sqrt(retired) ulp;
+        # the priced energy is a correctly rounded sum of exact terms
+        assert priced.dyn_energy_nj == pytest.approx(stepped.dyn_energy_nj,
+                                                     rel=1e-12)
+        assert priced.true_energy_j == pytest.approx(stepped.true_energy_j,
+                                                     rel=1e-12)
     for field in SIM_FIELDS:
-        assert getattr(blocked.sim, field) == getattr(stepped.sim, field), \
+        assert getattr(priced.sim, field) == getattr(stepped.sim, field), \
             field
+
+
+def priced_partial(simulator: Simulator, meter: ProfileMeter, hw: HwConfig):
+    """Price the profile of a run that raised (no SimulationResult)."""
+    partial = SimpleNamespace(
+        mnemonic_counts=simulator.morpher.mnemonic_counts(),
+        retired=simulator.state.retired)
+    return LinearNfpEngine(hw).evaluate(
+        ExecutionProfile.from_payload(meter.snapshot(partial, clean=True)))
 
 
 class TestModeEquivalence:
@@ -68,8 +85,7 @@ class TestModeEquivalence:
         blocked, stepped = measure_both(kernel)
         assert_meter_identical(blocked, stepped)
         assert blocked.sim.exit_code == 0
-        assert blocked.sim.extras["metered_blocks"] > 0
-        assert stepped.sim.extras["metered_blocks"] == 0.0
+        assert blocked.sim.extras["profiled_blocks"] > 0
 
     @pytest.mark.parametrize("block_size", [1, 2, 3, 8])
     def test_small_block_sizes(self, block_size):
@@ -171,7 +187,7 @@ done:
 
         The unsafe (faultable) delay slot keeps the branch on its
         per-instruction closure, so the delay instruction is dispatched
-        with ``npc`` pointing at the branch target -- the metered block's
+        with ``npc`` pointing at the branch target -- the profiled block's
         delayed-control entry path.
         """
         src = """
@@ -210,18 +226,15 @@ class TestJitterTables:
             h ^= h >> 15
             assert table[h & 0xFFFF] == jitter_factor(pc, value, amp)
 
-    def test_scaled_table_is_premultiplied(self):
-        base = jitter_table(0.05)
-        scaled = scaled_jitter_table(0.05, 13.4)
-        for i in (0, 777, 65535):
-            assert scaled[i] == 13.4 * base[i]
-
     def test_zero_amplitude(self):
         assert set(jitter_table(0.0)) == {1.0}
 
 
 class TestSelfModifyingCode:
-    """The SMC kernels of test_vm_blocks, re-run under metering."""
+    """The SMC kernels of test_vm_blocks, re-run under metering.
+
+    Their profiles are unclean, so the board meters them stepwise: the
+    result is the oracle's, energy included."""
 
     def _kernels(self):
         import test_vm_blocks as tvb
@@ -289,7 +302,7 @@ new_insn:
         for name, src, exit_code in self._kernels():
             blocked, stepped = measure_both(src)
             assert blocked.sim.exit_code == exit_code, name
-            assert_meter_identical(blocked, stepped)
+            assert_meter_identical(blocked, stepped, exact_energy=True)
 
 
 class TestEdges:
@@ -303,20 +316,26 @@ _start:
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 100, 1000, 1001])
     def test_watchdog_exactness(self, budget):
+        """Profiled blocks stop exactly at the budget, like stepping."""
         config = HwConfig()
-        meters = []
-        for metered_blocks in (True, False):
-            sim = Simulator(assemble(self.INFINITE),
-                            config.core.with_metered_blocks(metered_blocks))
-            meter = CostMeter(config)
-            with pytest.raises(WatchdogTimeout):
-                sim.run_metered(meter, max_instructions=budget)
-            assert sim.state.retired == budget, metered_blocks
-            meters.append(meter)
-        assert meters[0].cycles == meters[1].cycles
-        assert meters[0].dyn_energy_nj == meters[1].dyn_energy_nj
+        program = assemble(self.INFINITE)
+        blocked = Simulator(program, config.core)
+        profiler = ProfileMeter()
+        with pytest.raises(WatchdogTimeout):
+            blocked.run_profiled(profiler, max_instructions=budget)
+        stepped = Simulator(program, config.core)
+        meter = CostMeter(config)
+        with pytest.raises(WatchdogTimeout):
+            stepped.run_metered(meter, max_instructions=budget)
+        assert blocked.state.retired == stepped.state.retired == budget
+        nfp = priced_partial(blocked, profiler, config)
+        assert nfp.cycles == meter.cycles
+        assert nfp.dyn_energy_nj == pytest.approx(meter.dyn_energy_nj,
+                                                  rel=1e-12)
 
     def test_fault_mid_block_meter_state(self):
+        """A fault inside a profiled block leaves the profile and the
+        architectural state exactly where stepwise metering leaves them."""
         src = """
     .text
 _start:
@@ -330,18 +349,26 @@ loop:
     ta 5
 """
         config = HwConfig()
+        program = assemble(src)
+        blocked = Simulator(program, config.core)
+        profiler = ProfileMeter()
+        with pytest.raises(MemoryFault):
+            blocked.run_profiled(profiler)
+        assert blocked.cpu.pblock_stats()[0] > 0  # faulted on the block path
+        stepped = Simulator(program, config.core)
+        meter = CostMeter(config)
+        with pytest.raises(MemoryFault):
+            stepped.run_metered(meter)
         outcomes = []
-        for metered_blocks in (True, False):
-            sim = Simulator(assemble(src),
-                            config.core.with_metered_blocks(metered_blocks))
-            meter = CostMeter(config)
-            with pytest.raises(MemoryFault):
-                sim.run_metered(meter)
+        for sim in (blocked, stepped):
             st = sim.state
-            outcomes.append((meter.cycles, meter.dyn_energy_nj,
-                             st.retired, st.pc, st.npc, st.taken,
+            outcomes.append((st.retired, st.pc, st.npc, st.taken,
                              list(st.cat_counts), st.regs[10]))
         assert outcomes[0] == outcomes[1]
+        nfp = priced_partial(blocked, profiler, config)
+        assert nfp.cycles == meter.cycles
+        assert nfp.dyn_energy_nj == pytest.approx(meter.dyn_energy_nj,
+                                                  rel=1e-12)
 
     def test_opaque_observer_uses_stepping_loop(self):
         class Recorder:
@@ -361,7 +388,6 @@ _start:
 """))
         result = sim.run_metered(observer)
         assert len(observer.events) == result.retired
-        assert result.extras["metered_blocks"] == 0.0
 
     def test_metered_blocks_knob(self):
         config = CoreConfig()

@@ -1,12 +1,12 @@
 """Frame pipelines: chains, goldens, structural variants, and the oracle.
 
 The acceptance contract of the composed-profile path (see
-:mod:`repro.workloads.pipeline`): for every registered pipeline and
-every configuration across the fpu / nwindows / wait-state / clock
-axes, pricing the composed profiles is **bit-identical** in cycles,
-retired instructions and time to metering every stage invocation of
-the stream (energy within 1e-12 relative) -- and a literal per-frame
-simulation of a small stream sums to exactly the same numbers.
+:mod:`repro.workloads.pipeline`): across the fpu / nwindows / wait-state
+/ clock axes, pricing the composed profiles of a frame stream is
+**bit-identical** in cycles, retired instructions and time to metering
+every frame of the stream with the stepwise oracle (energy within 1e-12
+relative), and the streamed sweep of every registered pipeline
+reproduces the materialized one.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import math
 import pytest
 
 from repro.cli import main
-from repro.dse import DesignSpace, sweep, sweep_profiled
+from repro.dse import DesignSpace, sweep_profiled
 from repro.dse.engine import StreamSummary, stream_profiles, sweep_streamed
 from repro.experiments.pipeline import registered_pipelines, structural_variants
 from repro.experiments.scale import SMOKE
-from repro.hw.board import Board
 from repro.hw.config import HwConfig
 from repro.nfp.linear import (
     ExecutionProfile,
@@ -47,8 +46,39 @@ from repro.workloads.pipeline import (
     pipeline_variant,
 )
 
+from tests.helpers import meter_stepwise
+
 SIZE = SMOKE.image_size
 BUDGET = SMOKE.max_instructions
+
+#: a small two-class stream over the xfel chain (dark frames exit early)
+TINY = PipelineSpec(
+    name="pipe:tiny", stages=XFEL.stages,
+    classes=(FrameClass("signal", base=2, count=3),
+             FrameClass("dark", base=8, count=2, shift=2)))
+
+
+def metered_stream(spec: PipelineSpec, hw: HwConfig, literal: bool = True):
+    """``(cycles, retired, dyn nJ per frame)`` of metering every frame.
+
+    Each frame is one stepwise-oracle run of its stage invocation.  With
+    ``literal=False`` a frame class's identical frames reuse one run of
+    the deterministic simulator instead of repeating it.
+    """
+    abi = "hard" if hw.core.has_fpu else "soft"
+    cycles = retired = 0
+    dyn_nj = []
+    for inv in pipeline_invocations(spec, SIZE):
+        program = _invocation_program(inv.stage, inv.image, SIZE, abi)
+        raw = None
+        for _ in range(inv.frames):
+            if raw is None or literal:
+                raw = meter_stepwise(program, hw, BUDGET)
+                assert raw.sim.console == inv.golden
+            cycles += raw.cycles
+            retired += raw.sim.retired
+            dyn_nj.append(raw.dyn_energy_nj)
+    return cycles, retired, dyn_nj
 
 
 class TestRegistration:
@@ -165,67 +195,70 @@ class TestVariants:
 
 
 class TestComposedOracle:
-    """The acceptance oracle: composed == metered across the axes."""
+    """The acceptance oracle: composed == stepwise metering, per frame."""
 
     SPACE = DesignSpace.from_spec(
         "fpu,nwindows=4:8,wait_states=0:2,clock_mhz=50:80")
+    #: four of SPACE's 16 configurations -- (fpu, nwindows, wait_states,
+    #: clock_mhz) -- in which both values of every axis appear
+    ORACLE_COMBOS = ((False, 4, 0, 50.0), (True, 8, 2, 80.0),
+                     (False, 8, 2, 50.0), (True, 4, 0, 80.0))
 
     @pytest.fixture(scope="class")
-    def grids(self, tmp_path_factory):
-        runner = ExperimentRunner(
+    def runner(self, tmp_path_factory):
+        return ExperimentRunner(
             cache_dir=tmp_path_factory.mktemp("pipe-cache"))
+
+    @pytest.fixture(scope="class")
+    def grids(self, runner):
         pairs = [pipeline_pair(spec, SMOKE) for spec in PIPELINES]
-        metered = sweep(self.SPACE, pairs, budget=BUDGET, runner=runner)
         profiled = sweep_profiled(self.SPACE, pairs, budget=BUDGET,
                                   runner=runner)
         streamed = sweep_streamed(self.SPACE, pairs, budget=BUDGET,
                                   runner=runner)
-        return metered, profiled, streamed
+        return profiled, streamed
 
-    def test_composed_sweep_is_bit_identical_to_metered(self, grids):
-        metered, profiled, _ = grids
-        assert not metered.failures and not profiled.failures
-        # 16 configs x 2 pipelines (one build each: float iff fpu)
-        assert len(metered.points) == 32
-        assert len(metered.points) == len(profiled.points)
-        for a, b in zip(metered.points, profiled.points):
-            assert (a.config, a.workload, a.build) == \
-                (b.config, b.workload, b.build)
-            assert b.cycles == a.cycles        # bit-identical integers
-            assert b.retired == a.retired
-            assert b.time_s == a.time_s        # cycles * cycle_seconds
-            assert b.energy_j == pytest.approx(a.energy_j, rel=1e-12)
+    def test_composed_sweep_is_bit_identical_to_metered(self, runner):
+        configs = [self.SPACE.config_for(combo)
+                   for combo in self.ORACLE_COMBOS]
+        for name in ("fpu", "nwindows", "wait_states", "clock_mhz"):
+            assert {c.value(name) for c in configs} == \
+                set(dict(self.SPACE.axes)[name])
+        grid = sweep_profiled(configs, [pipeline_pair(TINY, SMOKE)],
+                              budget=BUDGET, runner=runner)
+        assert not grid.failures and len(grid.points) == len(configs)
+        for config in configs:
+            point = grid.point(config.name, TINY.name)
+            hw = config.hw
+            cycles, retired, dyn_nj = metered_stream(TINY, hw,
+                                                     literal=False)
+            assert point.cycles == cycles, config.name  # bit-identical
+            assert point.retired == retired, config.name
+            assert point.time_s == cycles * hw.cycle_seconds, config.name
+            energy = math.fsum(dyn_nj) * 1e-9 + \
+                hw.static_power_w * point.time_s
+            assert point.energy_j == pytest.approx(energy, rel=1e-12)
 
     def test_streamed_summary_matches_materialized_grid(self, grids):
-        _, profiled, streamed = grids
+        profiled, streamed = grids
+        assert not profiled.failures
+        # 16 configs x 2 pipelines (one build each: float iff fpu)
+        assert len(profiled.points) == 32
         assert streamed == StreamSummary.from_grid(profiled)
 
 
 class TestLiteralStreamOracle:
     """Composition vs literally simulating every frame of a stream."""
 
-    TINY = PipelineSpec(
-        name="pipe:tiny", stages=XFEL.stages,
-        classes=(FrameClass("signal", base=2, count=3),
-                 FrameClass("dark", base=8, count=2, shift=2)))
-
     def test_composed_equals_frame_by_frame_simulation(self):
         from repro.dse.evaluate import profile_task
         hw = HwConfig(name="leon3", core=CoreConfig(has_fpu=True))
-        board = Board(hw)
-        cycles = retired = 0
-        dyn_nj = []
+        # the literal stream: one stepwise-oracle run per frame
+        cycles, retired, dyn_nj = metered_stream(TINY, hw)
         parts = []
-        for inv in pipeline_invocations(self.TINY, SIZE):
+        for inv in pipeline_invocations(TINY, SIZE):
             program = _invocation_program(inv.stage, inv.image, SIZE,
                                           "hard")
-            # the literal stream: one full metered run per frame
-            for _ in range(inv.frames):
-                raw = board.measure_raw(program, max_instructions=BUDGET)
-                assert raw.sim.console == inv.golden
-                cycles += raw.cycles
-                retired += raw.sim.retired
-                dyn_nj.append(raw.dyn_energy_nj)
             payload = run_task(profile_task(program, BUDGET, hw.core))
             parts.append((ExecutionProfile.from_payload(payload["profile"]),
                           inv.frames))

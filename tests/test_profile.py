@@ -1,15 +1,16 @@
 """Profile-once evaluation == metered simulation, across the cost model.
 
 The execution profile (:mod:`repro.vm.profiler`) plus the linear
-evaluator (:mod:`repro.nfp.linear`) must reproduce the metered testbed
-for *any* hardware configuration: bit-identical integer counters and
-cycles (hence bit-identical times) and dynamic energy within the metered
-accumulator's own float rounding (1e-12 relative).  These tests pin that
-contract per board, per sweep (property-based over randomized axis
-values and over all five PR-3 axes), and pin the edge rules: profiled
-block dispatch vs per-instruction observation, self-modifying kernels
-falling back to full simulation, watchdog behaviour, and the cache
-schema bump isolating profile payloads from pre-profile entries.
+evaluator (:mod:`repro.nfp.linear`) must reproduce stepwise metering
+(``tests.helpers.meter_stepwise``, the root oracle) for *any* hardware
+configuration: bit-identical integer counters and cycles (hence
+bit-identical times) and dynamic energy within the oracle accumulator's
+own float rounding (1e-12 relative).  These tests pin that contract per
+board, per sweep (property-based over randomized axis values and over
+all five sweep axes), and pin the edge rules: profiled block dispatch vs
+per-instruction observation, self-modifying kernels falling back to full
+simulation, watchdog behaviour, and the cache schema bumps isolating
+current payloads from older entries.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from hypothesis import strategies as st
 from repro.asm import assemble
 from repro.dse import DesignSpace, WorkloadPair, get_axis, sweep, sweep_profiled
 from repro.dse.evaluate import profile_core, profile_task
-from repro.hw import Board, PerfectInstruments
+from repro.hw import Board
 from repro.hw.config import leon3_fpu, leon3_nofpu
 from repro.isa.categories import CATEGORY_IDS
 from repro.nfp.linear import ExecutionProfile, LinearNfpEngine
 from repro.runner import ExperimentRunner, SimTask
 from repro.runner.cache import ResultCache
-from repro.runner.tasks import run_task, task_key
+from repro.runner.tasks import raw_to_payload, run_task, task_key
 from repro.vm import CoreConfig, Simulator, WatchdogTimeout
 from repro.vm.profiler import ProfileMeter
+
+from tests.helpers import meter_stepwise
 
 BUDGET = 5_000_000
 
@@ -164,34 +167,46 @@ class TestLinearEvaluation:
         lambda: get_axis("clock_mhz").apply(leon3_fpu(), 80.0),
     ], ids=["base", "w4", "w2", "ws3", "clk80"])
     def test_matches_board(self, factory, pair):
+        """The engine and the board (profile + price) == the oracle."""
         hw = factory()
-        raw = Board(hw).measure_raw(pair.float_program,
-                                    max_instructions=BUDGET)
+        oracle = meter_stepwise(pair.float_program, hw, BUDGET)
         profile, sim, _ = profile_program(pair.float_program, hw.core)
         nfp = LinearNfpEngine(hw).evaluate(profile)
-        assert nfp.cycles == raw.cycles
-        assert nfp.retired == raw.sim.retired == sim.retired
-        assert nfp.true_time_s == raw.true_time_s
-        assert nfp.dyn_energy_nj == pytest.approx(raw.dyn_energy_nj,
-                                                  rel=1e-12)
-        assert nfp.true_energy_j == pytest.approx(raw.true_energy_j,
-                                                  rel=1e-12)
+        board = Board(hw).measure_raw(pair.float_program,
+                                      max_instructions=BUDGET)
+        assert nfp.cycles == board.cycles == oracle.cycles
+        assert nfp.retired == sim.retired == board.sim.retired \
+            == oracle.sim.retired
+        assert nfp.true_time_s == board.true_time_s == oracle.true_time_s
+        for got in (nfp, board):
+            assert got.dyn_energy_nj == pytest.approx(oracle.dyn_energy_nj,
+                                                      rel=1e-12)
+            assert got.true_energy_j == pytest.approx(oracle.true_energy_j,
+                                                      rel=1e-12)
         # the window trap model resolves per-config from the histogram
-        assert nfp.spills == raw.sim.spill_count
-        assert nfp.fills == raw.sim.fill_count
+        assert nfp.spills == board.sim.spill_count == oracle.sim.spill_count
+        assert nfp.fills == board.sim.fill_count == oracle.sim.fill_count
+        assert board.sim.console == oracle.sim.console
 
     def test_one_profile_prices_every_window_count(self, pair):
-        """One run yields exact spill/fill counts for any nwindows."""
+        """One run yields exact spill/fill counts for any nwindows, and
+        the board's own profile + price matches the oracle at each."""
         profile, _, _ = profile_program(pair.fixed_program,
                                         CoreConfig(has_fpu=False))
         for nwindows in range(2, 17):
             hw = leon3_nofpu(nwindows=nwindows)
-            raw = Board(hw).measure_raw(pair.fixed_program,
-                                        max_instructions=BUDGET)
+            oracle = meter_stepwise(pair.fixed_program, hw, BUDGET)
+            board = Board(hw).measure_raw(pair.fixed_program,
+                                          max_instructions=BUDGET)
             nfp = LinearNfpEngine(hw).evaluate(profile)
-            assert nfp.cycles == raw.cycles, nwindows
+            assert nfp.cycles == board.cycles == oracle.cycles, nwindows
+            assert board.true_time_s == oracle.true_time_s, nwindows
+            assert board.sim.retired == oracle.sim.retired, nwindows
             assert (nfp.spills, nfp.fills) == \
-                (raw.sim.spill_count, raw.sim.fill_count), nwindows
+                (board.sim.spill_count, board.sim.fill_count) == \
+                (oracle.sim.spill_count, oracle.sim.fill_count), nwindows
+            assert board.true_energy_j == pytest.approx(
+                oracle.true_energy_j, rel=1e-12), nwindows
 
     def test_profiled_blocks_match_stepwise_observation(self, pair):
         """Block-fused profiling == per-instruction observation, exactly.
@@ -348,8 +363,7 @@ class TestEdgeRules:
     def test_watchdog_fires_like_the_metered_loop(self, pair):
         hw = leon3_fpu()
         with pytest.raises(WatchdogTimeout) as metered_exc:
-            Board(hw, PerfectInstruments()).measure_raw(
-                pair.float_program, max_instructions=1000)
+            meter_stepwise(pair.float_program, hw, max_instructions=1000)
         with pytest.raises(WatchdogTimeout) as profiled_exc:
             Simulator(pair.float_program, hw.core).run_profiled(
                 ProfileMeter(), max_instructions=1000)
@@ -399,6 +413,31 @@ class TestCacheSchema:
         assert "stale" not in payload
         assert payload["profile"]["clean"] is True
         assert payload["profile"]["retired"] > 0
+
+    def test_schema_3_metered_entries_are_never_read(self, pair, tmp_path,
+                                                     monkeypatch):
+        """Schema 4 re-keys metered payloads: they now come from a
+        profiled run priced for the board (energy moves at the 1e-12
+        level, ``extras`` changed keys), so a warm schema-3 entry must
+        never stand in for a cold run.  A planted v3-shaped payload with
+        a poisoned cycle count under the old key is never read."""
+        import repro.runner.tasks as tasks_mod
+        hw = leon3_fpu()
+        program = pair.float_program
+        mtask = SimTask(mode="metered", program=program, budget=BUDGET,
+                        hw=hw)
+        with monkeypatch.context() as patch:
+            patch.setattr(tasks_mod, "SCHEMA_VERSION", 3)
+            old_key = task_key(mtask)
+        assert old_key != task_key(mtask)
+        stale = raw_to_payload(meter_stepwise(program, hw, BUDGET))
+        stale["cycles"] += 1
+        stale["sim"]["extras"]["metered_blocks"] = 1.0
+        ResultCache(tmp_path).put(old_key, stale)
+        runner = ExperimentRunner(cache_dir=tmp_path, workers=1)
+        raw = runner.metered_raw(program, hw, BUDGET)
+        assert raw.cycles == stale["cycles"] - 1
+        assert "metered_blocks" not in raw.sim.extras
 
 
 # -- counts_vector satellite --------------------------------------------------

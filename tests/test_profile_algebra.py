@@ -10,8 +10,9 @@ The contracts under test (see :mod:`repro.nfp.linear`):
 * :func:`offset_sites` changes no NFP (site keys only group counts);
 * :func:`compose_profiles` prices a weighted mix of real stage
   invocations bit-identically in cycles/retired to metering every
-  invocation (energy <= 1e-12 relative), for any stage order and any
-  frame mix -- the exactness the pipeline workloads stand on.
+  invocation with the stepwise oracle (energy <= 1e-12 relative), for
+  any stage order and any frame mix -- the exactness the pipeline
+  workloads stand on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.board import Board
 from repro.hw.config import HwConfig
 from repro.nfp.linear import (
     SITE_SPAN,
@@ -40,6 +40,8 @@ from repro.nfp.linear import (
 )
 from repro.vm.blocks import FLAG_BRANCH, cost_flags
 from repro.vm.config import CoreConfig
+
+from tests.helpers import meter_stepwise
 
 BASIS = canonical_basis()
 FLAGS = cost_flags()
@@ -142,7 +144,7 @@ HWS = (
 
 @pytest.fixture(scope="module")
 def stage_runs():
-    """Per-stage (profile, per-hw raw metering) of real invocations."""
+    """Per-stage (profile, per-hw stepwise metering) of real invocations."""
     from repro.dse.evaluate import profile_task
     from repro.runner.tasks import run_task
     from repro.workloads.pipeline import _invocation_program, frame_image
@@ -156,7 +158,7 @@ def stage_runs():
             program = _invocation_program(stage, image, SIZE, abi)
             payload = run_task(profile_task(program, 10**7, hw.core))
             profile = ExecutionProfile.from_payload(payload["profile"])
-            raw = Board(hw).measure_raw(program, max_instructions=10**7)
+            raw = meter_stepwise(program, hw, max_instructions=10**7)
             runs.append((stage, hw, profile, raw))
     return runs
 
