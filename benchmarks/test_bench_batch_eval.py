@@ -2,9 +2,10 @@
 
 The streamed rung runs ``sweep_streamed`` over a million-configuration
 design space (a 12,500-step clock sweep x FPU x 8 window counts x 5
-wait-state settings) at smoke scale: the cartesian product is priced in
-vectorized chunks through :class:`~repro.nfp.linear.BatchNfpEngine` and
-reduced into online Pareto fronts without ever materializing the grid.
+wait-state settings) at smoke scale: the streamed-sweep engine
+(:class:`~repro.dse.stream._FastSweep`) prices the cartesian product in
+vectorized chunks from factored per-axis cost tables and reduces it into
+exact Pareto fronts without ever materializing the grid.
 The per-point rung prices a 2,000-configuration subspace the pre-batch
 way -- one :class:`~repro.nfp.linear.LinearNfpEngine` evaluation per
 (configuration, workload) point over ``DesignSpace.iter_configs`` -- and

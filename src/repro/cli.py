@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "'repro workloads list')")
     p.add_argument("--stream", action="store_true",
                    help="generate-price-reduce: profile each build once, "
-                        "then stream the cartesian product through the "
-                        "batch evaluator into online Pareto fronts "
+                        "then price the cartesian product from "
+                        "per-axis cost tables into online Pareto fronts "
                         "without materializing the grid (memory stays "
                         "proportional to the front; reports are "
                         "byte-identical to the materialized --profile "
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "serial for small ones)")
     p.add_argument("--front-cap", type=int, default=None, metavar="N",
                    dest="front_cap",
-                   help="materialize at most N front members per "
+                   help="materialize at most N >= 1 front members per "
                         "workload in streamed reports (counts, knees "
                         "and winners stay exact; default: all)")
     p.add_argument("--format", choices=("text", "csv", "json"),

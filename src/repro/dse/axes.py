@@ -20,13 +20,13 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Sequence
 
-from repro.hw.config import HwConfig, ScaledDynTable
+from repro.hw.config import HwConfig, ScaledDynTable, check_clock_hz
 from repro.hw.timing import cycle_table_with_wait_states
 
 
 @dataclass(frozen=True)
 class AxisLowering:
-    """Per-value cost-model effects of one axis, for the streamed fast path.
+    """Per-value cost-model effects of one axis, for streamed sweeps.
 
     Aligned with the axis' value list; only the fields the axis touches
     are set.  ``dyn_scales``/``clock_hz`` describe a DVFS-style axis
@@ -35,7 +35,9 @@ class AxisLowering:
     ``nwindows``/``has_fpu`` adjust the core, and an instance with no
     fields set declares the axis NFP-inert (``block_size``).  Each
     table derivation must match the axis' ``apply`` bit-for-bit -- the
-    streamed-vs-materialized byte-identity tests enforce it.
+    streamed-vs-materialized byte-identity tests enforce it -- and the
+    hook must raise the ``ValueError`` that ``apply`` raises for a value
+    the platform config rejects.
     """
 
     dyn_scales: tuple[float, ...] | None = None
@@ -64,10 +66,11 @@ class Axis:
     doc:
         One-line description shown in help/reports.
     lower:
-        Optional ``(base_hw, values) -> AxisLowering`` hook.  When every
-        axis of a space provides one, the streamed sweep prices the
-        cartesian product from factored per-axis tables instead of
-        applying ``apply`` per config (:func:`repro.dse.engine.sweep_streamed`).
+        ``(base_hw, values) -> AxisLowering`` hook, required for
+        streamed sweeps: :func:`repro.dse.engine.sweep_streamed` prices
+        the cartesian product from these factored per-axis tables
+        instead of applying ``apply`` per config, and refuses a space
+        with an axis that has none (``None``: materialized sweeps only).
     refine:
         Optional ``(a, b) -> mid | None`` midpoint hook between two
         swept values; axes with one are eligible for the adaptive
@@ -172,9 +175,12 @@ def _apply_block_size(hw: HwConfig, block_size) -> HwConfig:
 
 def _lower_clock(hw: HwConfig, values: tuple) -> AxisLowering:
     mhzs = [float(v) for v in values]
+    clocks = tuple(mhz * 1e6 for mhz in mhzs)
+    for clock_hz in clocks:   # the HwConfig check, without building one
+        check_clock_hz(clock_hz)
     return AxisLowering(
         dyn_scales=tuple(_clock_scale(mhz) for mhz in mhzs),
-        clock_hz=tuple(mhz * 1e6 for mhz in mhzs))
+        clock_hz=clocks)
 
 
 def _lower_fpu(hw: HwConfig, values: tuple) -> AxisLowering:
@@ -182,7 +188,8 @@ def _lower_fpu(hw: HwConfig, values: tuple) -> AxisLowering:
 
 
 def _lower_nwindows(hw: HwConfig, values: tuple) -> AxisLowering:
-    return AxisLowering(nwindows=tuple(int(v) for v in values))
+    return AxisLowering(nwindows=tuple(
+        _apply_nwindows(hw, v).core.nwindows for v in values))
 
 
 def _lower_wait_states(hw: HwConfig, values: tuple) -> AxisLowering:
@@ -191,6 +198,8 @@ def _lower_wait_states(hw: HwConfig, values: tuple) -> AxisLowering:
 
 
 def _lower_block_size(hw: HwConfig, values: tuple) -> AxisLowering:
+    for value in values:    # the CoreConfig range check only
+        _apply_block_size(hw, value)
     return AxisLowering()   # simulator knob: NFPs and area are invariant
 
 
@@ -337,6 +346,21 @@ class DesignSpace:
     @property
     def axis_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.axes)
+
+    def check(self, base: HwConfig | None = None) -> None:
+        """Raise ``ValueError`` for any axis value the platform rejects.
+
+        Runs each axis' lowering hook where it has one (cheap over long
+        value lists), else applies every value to ``base``.
+        """
+        base = base if base is not None else HwConfig()
+        for name, values in self.axes:
+            axis = get_axis(name)
+            if axis.lower is not None:
+                axis.lower(base, tuple(values))
+            else:
+                for value in values:
+                    axis.apply(base, value)
 
     def configs(self, base: HwConfig | None = None) -> tuple[SweepConfig, ...]:
         """Every candidate platform, in deterministic product order."""

@@ -26,17 +26,11 @@ chunk, so an interrupted ``repro dse`` resumes from its last checkpoint
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.dse.axes import DesignSpace, SweepConfig, get_axis
-from repro.dse.pareto import (
-    ParetoAccumulator,
-    classify,
-    knee_point,
-    pareto_front,
-)
+from repro.dse.axes import DesignSpace, SweepConfig
+from repro.dse.pareto import classify, knee_point, pareto_front
 from repro.dse.workload import PipelineProgram, WorkloadPair, pipeline_parts
 from repro.hw.area import memctrl_les, synthesize
 from repro.hw.config import HwConfig
@@ -51,7 +45,7 @@ from repro.runner.resilience import (
     is_failure,
     log_event,
 )
-from repro.runner.tasks import SimTask, raw_from_payload
+from repro.runner.tasks import SimTask
 
 #: Objective names, in the order :attr:`DsePoint.objectives` reports them.
 OBJECTIVES = ("time_s", "energy_j", "area_les")
@@ -505,38 +499,6 @@ class StreamSummary:
         )
 
 
-class _PointStream:
-    """Mutable per-workload streaming state: online front + running minima."""
-
-    __slots__ = ("workload", "acc", "best", "count")
-
-    def __init__(self, workload: str):
-        self.workload = workload
-        self.acc = ParetoAccumulator(key=lambda p: p.objectives)
-        self.best: dict[str, tuple] = {}   # objective -> (value, seq, point)
-        self.count = 0
-
-    def offer(self, seq: int, point: DsePoint) -> None:
-        self.count += 1
-        self.acc.add(point)
-        for objective in OBJECTIVES:
-            value = getattr(point, objective)
-            held = self.best.get(objective)
-            if held is None or (value, seq) < (held[0], held[1]):
-                self.best[objective] = (value, seq, point)
-
-    def finalize(self, front_cap: int | None) -> WorkloadFront:
-        front = self.acc.front()
-        return WorkloadFront(
-            workload=self.workload, points=self.count,
-            front_size=len(front),
-            front=tuple(front if front_cap is None else front[:front_cap]),
-            knee=knee_point(front, key=lambda p: p.objectives),
-            best_time=self.best["time_s"][2],
-            best_energy=self.best["energy_j"][2],
-            best_area=self.best["area_les"][2])
-
-
 def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
                     *, budget: int, runner: ExperimentRunner,
                     base: HwConfig) -> dict[tuple[str, str], ProfileVectors]:
@@ -597,129 +559,6 @@ def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
     return vectors
 
 
-def _priced_points(configs: Sequence[SweepConfig],
-                   pairs: Sequence[WorkloadPair],
-                   vectors: dict[tuple[str, str], ProfileVectors],
-                   start_seq: int):
-    """Yield ``(seq, workload, point)`` for a batch of explicit configs.
-
-    The generic batch evaluator (also the refinement pass' and the
-    shard materializer's pricer): one :class:`BatchNfpEngine` over the
-    batch, one evaluation per (workload, build) actually present, then
-    per-config assembly in flat order -- workloads first, the
-    left-to-right aggregate last.  Point construction matches
-    :func:`_grid_from_jobs` / :meth:`DseGrid.aggregate` field for field
-    -- the byte-identity tests compare entire reports through it.
-    """
-    from repro.nfp.linear import BatchNfpEngine   # deferred, see _job_nfps
-    engine = BatchNfpEngine([config.hw for config in configs])
-    builds = sorted({config.hw.core.has_fpu for config in configs})
-    priced: dict[tuple[str, str], list] = {}
-    for pair in pairs:
-        for fpu in builds:
-            build = "float" if fpu else "fixed"
-            priced[(pair.name, build)] = engine.evaluate(
-                vectors[(pair.name, build)])
-    for i, config in enumerate(configs):
-        seq = start_seq + i
-        area = config_area_les(config)
-        build = "float" if config.hw.core.has_fpu else "fixed"
-        agg_time: float = 0
-        agg_energy: float = 0
-        agg_retired = 0
-        agg_cycles = 0
-        for pair in pairs:
-            nfp = priced[(pair.name, build)][i]
-            yield seq, pair.name, DsePoint(
-                config=config.name, axis_values=config.axis_values,
-                workload=pair.name, build=build,
-                time_s=nfp.true_time_s, energy_j=nfp.true_energy_j,
-                area_les=area, retired=nfp.retired, cycles=nfp.cycles)
-            agg_time = agg_time + nfp.true_time_s
-            agg_energy = agg_energy + nfp.true_energy_j
-            agg_retired += nfp.retired
-            agg_cycles += nfp.cycles
-        yield seq, AGGREGATE, DsePoint(
-            config=config.name, axis_values=config.axis_values,
-            workload=AGGREGATE, build=build,
-            time_s=agg_time, energy_j=agg_energy,
-            area_les=area, retired=agg_retired, cycles=agg_cycles)
-
-
-def _price_configs(configs: Sequence[SweepConfig],
-                   pairs: Sequence[WorkloadPair],
-                   vectors: dict[tuple[str, str], ProfileVectors],
-                   start_seq: int,
-                   streams: dict[str, _PointStream]) -> None:
-    """Price a batch of explicit configs and stream the points out."""
-    for seq, workload, point in _priced_points(configs, pairs, vectors,
-                                               start_seq):
-        streams[workload].offer(seq, point)
-
-
-def _refine_pass(space: DesignSpace,
-                 pairs: Sequence[WorkloadPair],
-                 vectors: dict[tuple[str, str], ProfileVectors],
-                 base: HwConfig,
-                 streams: dict[str, _PointStream],
-                 *, rounds: int, start_seq: int) -> int:
-    """Adaptive coordinate refinement around the streaming aggregate knee.
-
-    Each round reads the current aggregate knee, proposes the midpoint
-    between the knee's value and its nearest known neighbours on every
-    refinable axis (``Axis.refine``), prices the off-grid candidates
-    through the same batch pricer, and feeds them into the streaming
-    fronts.  Stops early when no axis can refine further or the knee
-    configuration is unchanged by a round, so the pass is deterministic:
-    same space, same workloads, same rounds -> same candidates in the
-    same order.  Returns the number of refinement configs priced.
-    """
-    refinable = [i for i, (name, _) in enumerate(space.axes)
-                 if get_axis(name).refine is not None]
-    if not refinable or rounds <= 0:
-        return 0
-    known: dict[int, list] = {
-        i: sorted(set(space.axes[i][1])) for i in refinable}
-    seen_combos = set()
-    seq = start_seq
-    for _ in range(rounds):
-        knee = streams[AGGREGATE].acc.knee()
-        candidates = []
-        knee_combo = tuple(knee.value(name) for name, _ in space.axes)
-        for i in refinable:
-            axis = get_axis(space.axes[i][0])
-            values = known[i]
-            value = knee_combo[i]
-            pos = bisect_left(values, value)
-            below = values[pos - 1] if pos > 0 else None
-            if pos < len(values) and values[pos] == value:
-                above = values[pos + 1] if pos + 1 < len(values) else None
-            else:
-                above = values[pos] if pos < len(values) else None
-            for lo, hi in ((below, value), (value, above)):
-                if lo is None or hi is None:
-                    continue
-                mid = axis.refine(lo, hi)
-                if mid is None or mid in values:
-                    continue
-                combo = knee_combo[:i] + (mid,) + knee_combo[i + 1:]
-                if combo not in seen_combos:
-                    seen_combos.add(combo)
-                    candidates.append((i, mid, combo))
-        if not candidates:
-            break
-        configs = [space.config_for(combo, base)
-                   for _, _, combo in candidates]
-        _price_configs(configs, pairs, vectors, seq, streams)
-        seq += len(configs)
-        for i, mid, _ in candidates:
-            insort(known[i], mid)
-        new_knee = streams[AGGREGATE].acc.knee()
-        if new_knee.config == knee.config:
-            break
-    return seq - start_seq
-
-
 def sweep_streamed(space: DesignSpace,
                    pairs: Sequence[WorkloadPair], *,
                    budget: int,
@@ -732,44 +571,45 @@ def sweep_streamed(space: DesignSpace,
     """Generate-price-reduce: sweep a space without materializing it.
 
     The streaming counterpart of :func:`sweep_profiled`: each distinct
-    workload build is profiled once, then the cartesian product is
-    priced in bounded-memory chunks and reduced on the fly into online
-    Pareto fronts (:class:`~repro.dse.pareto.ParetoAccumulator`),
-    per-objective minima and knees -- the full grid never exists, so
-    million-config spaces fit in memory proportional to the front plus
-    one chunk.  Results are byte-identical to
+    workload build is profiled once, then one
+    :class:`~repro.dse.stream._FastSweep` prices the cartesian product
+    from factored per-axis cost tables in bounded-memory chunks and
+    reduces it on the fly into exact Pareto fronts, per-objective
+    minima and knees -- the full grid never exists, so million-config
+    spaces fit in memory proportional to the front plus one chunk.
+    Results are byte-identical to
     ``StreamSummary.from_grid(sweep_profiled(...))`` at equal
     ``front_cap`` (the property tests and the CI check enforce it).
-
-    When numpy is available and every axis provides a lowering hook
-    (all stock axes do), pricing runs on the factored fast path
-    (:mod:`repro.dse.stream`): per-axis cost tables combined in flat
-    index space, ~10^6 configs x the smoke suite in seconds.  Otherwise
-    the generic chunked path prices through :class:`BatchNfpEngine`
-    with the same bits.
+    Every axis needs a lowering hook (``Axis.lower``; all stock axes
+    have one); a space the engine cannot price exactly raises a
+    :class:`~repro.runner.resilience.UsageError` pointing at the
+    materialized sweep -- there is no fallback path.
 
     ``refine`` adds that many adaptive coordinate-refinement rounds
-    around the streaming aggregate knee (:func:`_refine_pass`); refined
-    candidates are off-grid, so a refined summary is a superset of the
-    base space's.  ``front_cap`` bounds how many front members are
+    around the streaming aggregate knee
+    (:meth:`~repro.dse.stream._FastSweep.refine`); refined candidates
+    are off-grid, so a refined summary is a superset of the base
+    space's.  ``front_cap`` bounds how many front members are
     *materialized* as points per workload (fronts over near-continuous
     axes can approach the grid in size); counts, knees and minima are
     always exact.
 
     ``shards`` splits the flat index space into that many contiguous
-    ranges priced in parallel worker processes, with the shard fronts
-    merged exactly in the parent (:mod:`repro.dse.shard`) -- Pareto
+    ranges priced in parallel worker processes (:mod:`repro.dse.shard`);
+    the parent folds their exported reductions into its own sweep's
+    stores and finishes exactly as the inline sweep does -- Pareto
     reduction is associative, so the summary (and every report built
-    from it) is byte-identical to ``shards=1``.  ``None`` picks a
-    count from the worker budget but keeps small spaces serial; ``1``
-    is today's in-process path.
+    from it) is byte-identical to ``shards=1``.  ``None`` picks a count
+    from the worker budget but keeps small spaces inline.
     """
-    from repro.nfp.linear import numpy_or_none   # deferred, see _job_nfps
     pairs = list(pairs)
     if not pairs:
         raise ValueError("sweep_streamed needs at least one workload pair")
+    if front_cap is not None and front_cap < 1:
+        raise ValueError(f"front_cap must be positive, got {front_cap}")
     runner = runner if runner is not None else ExperimentRunner()
     base = base if base is not None else HwConfig()
+    space.check(base)   # fail before any profiling
     fpu_axis_values = None
     for name, values in space.axes:
         if name == "fpu":
@@ -780,53 +620,21 @@ def sweep_streamed(space: DesignSpace,
     vectors = stream_profiles(pairs, fpu_builds, budget=budget,
                               runner=runner, base=base)
 
-    # deferred: the shard module imports back into this one
-    from repro.dse.shard import resolve_shards, sweep_shards
+    # deferred: both modules import back into this one, and the sweep
+    # engine loads numpy
+    from repro.dse.shard import price_shards, resolve_shards
+    from repro.dse.stream import _FastSweep
+    fast = _FastSweep(space, pairs, vectors, base, chunk)
     n_shards = resolve_shards(shards, space.size)
     if n_shards > 1:
-        return sweep_shards(space, pairs, vectors, base, runner,
-                            chunk=chunk, shards=n_shards,
-                            refine=refine, front_cap=front_cap)
-
-    np = numpy_or_none()
-    fast = None
-    if np is not None:
-        from repro.dse import stream as _stream   # deferred: optional numpy
-        fast = _stream.fast_sweep(np, space, pairs, vectors, base,
-                                  chunk=chunk)
-    workload_names = [pair.name for pair in pairs]
-    if fast is not None:
-        fast.run()
-        if not refine:
-            return StreamSummary(
-                axis_names=space.axis_names,
-                workloads=tuple(workload_names),
-                configs=space.size,
-                space_size=space.size,
-                refined=0,
-                front_cap=front_cap,
-                aggregate=fast.workload_front(AGGREGATE, front_cap),
-                per_workload=tuple(fast.workload_front(name, front_cap)
-                                   for name in workload_names),
-            )
-        streams = {name: fast.point_stream(name)
-                   for name in workload_names + [AGGREGATE]}
+        for shard in price_shards(space, pairs, vectors, base, runner,
+                                  chunk=chunk, shards=n_shards):
+            for workload, export in shard.items():
+                fast.stores[workload].absorb(export)
     else:
-        streams = {name: _PointStream(name)
-                   for name in workload_names + [AGGREGATE]}
-        buffer: list[SweepConfig] = []
-        seq = 0
-        for config in space.iter_configs(base):
-            buffer.append(config)
-            if len(buffer) >= max(1, chunk):
-                _price_configs(buffer, pairs, vectors, seq, streams)
-                seq += len(buffer)
-                buffer.clear()
-        if buffer:
-            _price_configs(buffer, pairs, vectors, seq, streams)
-
-    refined = _refine_pass(space, pairs, vectors, base, streams,
-                           rounds=refine, start_seq=space.size)
+        fast.run()
+    refined = fast.refine(refine)
+    workload_names = [pair.name for pair in pairs]
     return StreamSummary(
         axis_names=space.axis_names,
         workloads=tuple(workload_names),
@@ -834,8 +642,8 @@ def sweep_streamed(space: DesignSpace,
         space_size=space.size,
         refined=refined,
         front_cap=front_cap,
-        aggregate=streams[AGGREGATE].finalize(front_cap),
-        per_workload=tuple(streams[name].finalize(front_cap)
+        aggregate=fast.workload_front(AGGREGATE, front_cap),
+        per_workload=tuple(fast.workload_front(name, front_cap)
                            for name in workload_names),
     )
 

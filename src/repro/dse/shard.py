@@ -1,23 +1,18 @@
-"""Process-parallel streamed sweeps: shard, price, merge exactly.
+"""Process-parallel streamed sweeps: shard planning, transport, workers.
 
 The flat cartesian index space ``[0, N)`` is split into contiguous
 shard ranges; each shard is priced by a worker process running the
-exact serial machinery (the vectorized fast path when it applies, the
-generic :class:`~repro.nfp.linear.BatchNfpEngine` chunk loop when it
-declines) and ships back only its compact per-workload reduction:
-survivor objective columns plus *global* flat sequence numbers, the
-per-objective minima and the offer count -- never raw points.  The
-parent folds the shard fronts through the fast path's vectorized
-staircase machinery (:func:`_merge_front_columns`; the
-:class:`~repro.dse.pareto.ParetoAccumulator` twin when numpy is
-absent).  Pareto reduction is associative -- ``front(A | B) ==
-front(front(A) | front(B))``, because a point dominated within its
-shard is dominated globally -- so the merged front is *exactly* the
-serial front; the few sequence numbers
-that materialize into :class:`~repro.dse.engine.DsePoint` objects are
-re-priced through the same batch evaluator the serial generic path
-uses, and the result feeds the same summary / refinement / report code
-as ``--shards 1``, so every text/csv/json report is byte-identical.
+serial engine (:class:`~repro.dse.stream._FastSweep`) over its range
+and ships back only its compact per-workload reduction
+(:meth:`~repro.dse.stream._Store.export`): front columns with *global*
+flat sequence numbers, the per-objective winners and the offer count --
+never raw points.  :func:`price_shards` returns those reductions; the
+parent folds them into its own sweep's stores
+(:meth:`~repro.dse.stream._Store.absorb`) and finishes exactly as an
+inline sweep does.  Pareto reduction is associative -- ``front(A | B)
+== front(front(A) | front(B))``, because a point dominated within its
+shard is dominated globally -- so every text/csv/json report is
+byte-identical to ``--shards 1``.
 
 Shard tasks run through the resilient pool
 (:class:`~repro.runner.resilience.ResilientExecutor` via
@@ -44,16 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.dse.axes import DesignSpace
-from repro.dse.engine import (
-    AGGREGATE,
-    DsePoint,
-    StreamSummary,
-    WorkloadFront,
-    _PointStream,
-    _priced_points,
-    _refine_pass,
-)
-from repro.dse.pareto import ParetoAccumulator, knee_point
 from repro.dse.workload import WorkloadPair
 from repro.hw.config import HwConfig
 
@@ -125,8 +110,8 @@ class _NamedPair:
 
 #: Parent-published contexts, inherited by forked pool workers.
 _CONTEXTS: dict[str, ShardContext] = {}
-#: Per-process pricers (tables built once per worker per context).
-_PRICERS: dict[str, "_ShardPricer"] = {}
+#: Per-process sweeps (tables built once per worker per context).
+_SWEEPS: dict[str, object] = {}
 
 
 def publish_context(ctx: ShardContext) -> tuple[str, bytes]:
@@ -139,7 +124,7 @@ def publish_context(ctx: ShardContext) -> tuple[str, bytes]:
 
 def unpublish_context(digest: str) -> None:
     _CONTEXTS.pop(digest, None)
-    _PRICERS.pop(digest, None)
+    _SWEEPS.pop(digest, None)
 
 
 def shard_task_key(digest: str, start: int, stop: int) -> str:
@@ -189,273 +174,36 @@ def _load_context(transport: tuple | None) -> ShardContext:
 # -- worker side --------------------------------------------------------------
 
 def run_shard_task(task: ShardTask) -> dict:
-    """Pool-worker entry: price one flat range of the published sweep."""
-    pricer = _PRICERS.get(task.digest)
-    if pricer is None:
+    """Pool-worker entry: price one flat range of the published sweep.
+
+    One :class:`~repro.dse.stream._FastSweep` per context and process
+    (its tables are built once per worker), reset for every range.
+    """
+    sweep = _SWEEPS.get(task.digest)
+    if sweep is None:
         ctx = _CONTEXTS.get(task.digest)
         if ctx is None:
             ctx = _CONTEXTS[task.digest] = _load_context(task.transport)
-        pricer = _PRICERS[task.digest] = _ShardPricer(ctx)
-    return pricer.price(task.start, task.stop)
-
-
-class _ShardPricer:
-    """Prices flat ranges of one context; tables built once per worker."""
-
-    def __init__(self, ctx: ShardContext):
-        self.ctx = ctx
-        from repro.nfp.linear import numpy_or_none   # deferred, see above
-        self.pairs = [_NamedPair(name) for name in ctx.pair_names]
-        self.fast = None
-        np = numpy_or_none()
-        if np is not None:
-            from repro.dse.stream import fast_sweep
-            self.fast = fast_sweep(np, ctx.space, self.pairs, ctx.vectors,
-                                   ctx.base, chunk=ctx.chunk)
-        self.strides = _strides(ctx.space)
-
-    def price(self, start: int, stop: int) -> dict:
-        if self.fast is not None:
-            self.fast.reset()
-            self.fast.run(start, stop)
-            shard = {workload: _export_store(store)
-                     for workload, store in self.fast.stores.items()}
-        else:
-            shard = self._price_generic(start, stop)
-        return {"shard": shard}
-
-    def _price_generic(self, start: int, stop: int) -> dict:
-        """The declined-lowering twin: explicit configs, same bits."""
-        from repro.dse.engine import _price_configs
-        ctx = self.ctx
-        streams = {name: _PointStream(name)
-                   for name in list(ctx.pair_names) + [AGGREGATE]}
-        chunk = max(1, ctx.chunk)
-        for cstart in range(start, stop, chunk):
-            cstop = min(stop, cstart + chunk)
-            configs = [ctx.space.config_for(
-                _combo_at(ctx.space, self.strides, flat), ctx.base)
-                for flat in range(cstart, cstop)]
-            _price_configs(configs, self.pairs, ctx.vectors, cstart, streams)
-        out = {}
-        for name, stream in streams.items():
-            entries = stream.acc.front_entries()
-            out[name] = {
-                "count": stream.count,
-                "best": {objective: [value, seq] for objective,
-                         (value, seq, _point) in stream.best.items()},
-                "front": {
-                    "t": [point.time_s for _, point in entries],
-                    "e": [point.energy_j for _, point in entries],
-                    "area": [point.area_les for _, point in entries],
-                    # one accumulator offer per config in flat order, so
-                    # the local arrival index is the global offset
-                    "seq": [start + local for local, _ in entries],
-                },
-            }
-        return out
-
-
-def _export_store(store) -> dict:
-    """One fast-path store as front columns (global seqs, exact floats).
-
-    The columns stay numpy arrays: they pickle as flat binary buffers
-    (fronts over near-continuous axes reach 10^5..10^6 survivors, and
-    a per-element ``tolist`` round-trip would dominate the shard's
-    wall time), and the parent-side merge consumes arrays directly.
-    """
-    fin = store.finalize()
-    return {
-        "count": int(store.count),
-        "best": {objective: [value, seq] for objective,
-                 (value, seq, _comp) in store.best.items()},
-        "front": {k: fin[k] for k in ("t", "e", "area", "seq")},
-    }
-
-
-# -- flat-index geometry ------------------------------------------------------
-
-def _strides(space: DesignSpace) -> list[int]:
-    """Row-major strides of the cartesian space (last axis fastest),
-    matching both ``DesignSpace.iter_configs`` order and the fast
-    path's decomposition."""
-    nvals = [len(values) for _, values in space.axes]
-    strides = [1] * len(nvals)
-    for j in range(len(nvals) - 2, -1, -1):
-        strides[j] = strides[j + 1] * nvals[j + 1]
-    return strides
-
-
-def _combo_at(space: DesignSpace, strides: Sequence[int],
-              flat: int) -> tuple:
-    """The axis-value combination at flat index ``flat``."""
-    return tuple(values[(flat // stride) % len(values)]
-                 for (_, values), stride in zip(space.axes, strides))
-
-
-# -- parent-side merge --------------------------------------------------------
-
-def _entry_objectives(entry: tuple) -> tuple[float, float, float]:
-    """``(seq, (t, e, area))`` -> the minimised objective vector."""
-    t, e, area = entry[1]
-    return (t, e, float(area))
-
-
-def merge_front_entries(entry_lists: Sequence[Sequence[tuple]]) -> list:
-    """Exact global front of per-shard fronts, in global seq order.
-
-    Each inner list holds one shard's survivors as ``(seq, (t, e,
-    area))`` with globally unique seqs.  Dominance is resolved through
-    the same :class:`ParetoAccumulator` staircases the serial paths
-    use, fed in ascending seq order so arrival-order tie semantics
-    (exact duplicates all survive) match the serial sweep exactly --
-    the shard-split property test pins this against the single-pass
-    front for arbitrary splits.
-
-    This is the reference merge (and the pure-python fallback):
-    production-sized fronts go through the vectorized column twin
-    (:func:`_merge_front_columns`) instead, whose equality to this
-    definition the property tests also pin.
-    """
-    acc = ParetoAccumulator(key=_entry_objectives)
-    for entry in sorted((entry for entries in entry_lists
-                         for entry in entries), key=lambda e: e[0]):
-        acc.add(entry)
-    return acc.front()
-
-
-def _merge_front_columns(shard_fronts: Sequence[dict]) -> dict:
-    """Exact merged front of per-shard column fronts, seq-sorted.
-
-    Vectorized through the fast path's :class:`~repro.dse.stream._Store`
-    when numpy is available: each shard's survivors are injected as
-    pre-grouped pending slices and one ``finalize`` resolves dominance
-    with array sorts -- the accumulator twin, equal by construction
-    (fronts over near-continuous axes hold 10^5..10^6 survivors, where
-    a per-entry staircase insert loop would go quadratic).  Returns
-    numpy column arrays on that path (a per-element list round-trip
-    over such fronts would rival the merge itself); the pure-python
-    fallback returns plain-list columns.  Consumers go through
-    :func:`_seq_ints` where python ints are required.
-    """
-    from repro.nfp.linear import numpy_or_none   # deferred, see above
-    np = numpy_or_none()
-    if np is None:
-        entries = merge_front_entries([
-            list(zip(front["seq"],
-                     zip(front["t"], front["e"], front["area"])))
-            for front in shard_fronts])
-        return {
-            "t": [obj[0] for _, obj in entries],
-            "e": [obj[1] for _, obj in entries],
-            "area": [obj[2] for _, obj in entries],
-            "seq": [seq for seq, _ in entries],
-        }
-    from repro.dse.stream import _Store
-    store = _Store(np, "merge")
-    for front in shard_fronts:
-        area = np.asarray(front["area"], dtype=np.int64)
-        if not area.size:
-            continue
-        cols = {"t": np.asarray(front["t"], dtype=np.float64),
-                "e": np.asarray(front["e"], dtype=np.float64),
-                "seq": np.asarray(front["seq"], dtype=np.int64)}
-        order = np.argsort(area, kind="stable")
-        sorted_area = area[order]
-        bounds = np.flatnonzero(np.concatenate(
-            ([True], sorted_area[1:] != sorted_area[:-1])))
-        ends = np.concatenate((bounds[1:], [area.size]))
-        for b, e in zip(bounds, ends):
-            sel = order[b:e]
-            store.pending.setdefault(int(sorted_area[b]), []).append(
-                {k: v[sel] for k, v in cols.items()})
-    if not store.pending:
-        return {"t": np.zeros(0), "e": np.zeros(0),
-                "area": np.zeros(0, dtype=np.int64),
-                "seq": np.zeros(0, dtype=np.int64)}
-    return store.finalize()
-
-
-def _seq_ints(seqs) -> list[int]:
-    """Plain-int list view of a merged ``seq`` column (array or list)."""
-    return seqs.tolist() if hasattr(seqs, "tolist") else list(seqs)
-
-
-def _front_knee_seq(front: dict) -> int:
-    """The knee's flat seq over merged front columns.
-
-    Vectorized through :func:`~repro.dse.stream._knee_index` when
-    numpy is available -- documented bit-equal to the scalar
-    :func:`knee_point` on the same front, which is the fallback.
-    """
-    from repro.nfp.linear import numpy_or_none   # deferred, see above
-    np = numpy_or_none()
-    if np is not None:
-        from repro.dse.stream import _knee_index
-        i = _knee_index(np, np.asarray(front["t"], dtype=np.float64),
-                        np.asarray(front["e"], dtype=np.float64),
-                        np.asarray(front["area"], dtype=np.int64))
-        return int(front["seq"][i])
-    entries = list(zip(front["seq"],
-                       zip(front["t"], front["e"], front["area"])))
-    return knee_point(entries, key=_entry_objectives)[0]
-
-
-def _merge_payloads(payloads: Sequence[dict]) -> dict[str, dict]:
-    """Fold shard payloads into per-workload count/best/front state."""
-    counts: dict[str, int] = {}
-    bests: dict[str, dict[str, tuple]] = {}
-    fronts: dict[str, list[dict]] = {}
-    for payload in payloads:
-        for workload, data in payload["shard"].items():
-            counts[workload] = counts.get(workload, 0) + data["count"]
-            best = bests.setdefault(workload, {})
-            for objective, (value, seq) in data["best"].items():
-                held = best.get(objective)
-                if held is None or (value, seq) < held:
-                    best[objective] = (value, seq)
-            fronts.setdefault(workload, []).append(data["front"])
-    return {workload: {
-                "count": counts[workload],
-                "best": bests[workload],
-                "front": _merge_front_columns(fronts[workload]),
-            } for workload in counts}
-
-
-def _materialize(space: DesignSpace, pairs: Sequence[WorkloadPair],
-                 vectors: dict, base: HwConfig,
-                 seqs: Sequence[int]) -> dict[tuple[int, str], DsePoint]:
-    """``(seq, workload) -> DsePoint`` for the flat indices in ``seqs``.
-
-    Reconstructs each configuration from its flat index (identical
-    naming and axis values to ``iter_configs``) and prices the batch
-    through the exact generic evaluator, so materialized points carry
-    the same bits as every serial path.
-    """
-    seqs = sorted(set(seqs))
-    if not seqs:
-        return {}
-    strides = _strides(space)
-    configs = [space.config_for(_combo_at(space, strides, seq), base)
-               for seq in seqs]
-    points: dict[tuple[int, str], DsePoint] = {}
-    for i, workload, point in _priced_points(configs, pairs, vectors, 0):
-        points[(seqs[i], workload)] = point
-    return points
+        from repro.dse.stream import _FastSweep   # deferred: loads numpy
+        sweep = _SWEEPS[task.digest] = _FastSweep(
+            ctx.space, [_NamedPair(name) for name in ctx.pair_names],
+            ctx.vectors, ctx.base, ctx.chunk)
+    sweep.reset()
+    sweep.run(task.start, task.stop)
+    return {"shard": {workload: store.export()
+                      for workload, store in sweep.stores.items()}}
 
 
 # -- orchestration ------------------------------------------------------------
 
-def sweep_shards(space: DesignSpace, pairs: Sequence[WorkloadPair],
+def price_shards(space: DesignSpace, pairs: Sequence[WorkloadPair],
                  vectors: dict, base: HwConfig, runner: ExperimentRunner,
-                 *, chunk: int, shards: int, refine: int,
-                 front_cap: int | None) -> StreamSummary:
-    """The sharded body of :func:`~repro.dse.engine.sweep_streamed`.
+                 *, chunk: int, shards: int) -> list[dict]:
+    """Price ``[0, N)`` across ``shards`` pool tasks.
 
-    Profiles were already collected by the caller; this prices the
-    space across ``shards`` pool tasks, merges the shard fronts
-    exactly, and finishes (materialization, knee, refinement, summary)
-    identically to the serial path.
+    Profiles were already collected by the caller.  Returns one
+    ``{workload: store export}`` reduction per shard, in range order;
+    a shard whose retries ran out raises ``RuntimeError``.
     """
     size = space.size
     ctx = ShardContext(space=space, base=base,
@@ -487,85 +235,4 @@ def sweep_shards(space: DesignSpace, pairs: Sequence[WorkloadPair],
             raise RuntimeError(
                 f"shard [{task.start}, {task.stop}) failed after "
                 f"{failure.attempts} attempts: {failure.error}")
-    merged = _merge_payloads(payloads)
-    workload_names = [pair.name for pair in pairs]
-
-    if not refine:
-        # mirror the serial fast path: only the capped front, the knee
-        # and the per-objective winners ever materialize into points
-        need: set[int] = set()
-        knee_seqs: dict[str, int] = {}
-        limits: dict[str, int] = {}
-        for workload in workload_names + [AGGREGATE]:
-            slot = merged[workload]
-            seqs = slot["front"]["seq"]
-            limit = (len(seqs) if front_cap is None
-                     else min(front_cap, len(seqs)))
-            limits[workload] = limit
-            knee_seqs[workload] = _front_knee_seq(slot["front"])
-            need.update(_seq_ints(seqs[:limit]))
-            need.add(knee_seqs[workload])
-            need.update(seq for _, seq in slot["best"].values())
-        points = _materialize(space, pairs, vectors, base, sorted(need))
-
-        def build(workload: str) -> WorkloadFront:
-            slot = merged[workload]
-            seqs = slot["front"]["seq"]
-            best = {objective: points[(seq, workload)]
-                    for objective, (_, seq) in slot["best"].items()}
-            return WorkloadFront(
-                workload=workload,
-                points=slot["count"],
-                front_size=len(seqs),
-                front=tuple(points[(seq, workload)]
-                            for seq in _seq_ints(seqs[:limits[workload]])),
-                knee=points[(knee_seqs[workload], workload)],
-                best_time=best["time_s"],
-                best_energy=best["energy_j"],
-                best_area=best["area_les"])
-
-        return StreamSummary(
-            axis_names=space.axis_names,
-            workloads=tuple(workload_names),
-            configs=size,
-            space_size=size,
-            refined=0,
-            front_cap=front_cap,
-            aggregate=build(AGGREGATE),
-            per_workload=tuple(build(name) for name in workload_names),
-        )
-
-    # refinement extends point streams, so seed them with the exact
-    # merged fronts (sufficient by transitivity: anything dominated by
-    # a discarded entry is dominated by a front member), exactly like
-    # the serial fast path's point_stream conversion
-    need = set()
-    for workload in workload_names + [AGGREGATE]:
-        slot = merged[workload]
-        need.update(_seq_ints(slot["front"]["seq"]))
-        need.update(seq for _, seq in slot["best"].values())
-    points = _materialize(space, pairs, vectors, base, sorted(need))
-    streams: dict[str, _PointStream] = {}
-    for workload in workload_names + [AGGREGATE]:
-        slot = merged[workload]
-        stream = _PointStream(workload)
-        for seq in _seq_ints(slot["front"]["seq"]):
-            stream.acc.add(points[(seq, workload)])
-        stream.count = slot["count"]
-        stream.best = {
-            objective: (value, seq, points[(seq, workload)])
-            for objective, (value, seq) in slot["best"].items()}
-        streams[workload] = stream
-    refined = _refine_pass(space, pairs, vectors, base, streams,
-                           rounds=refine, start_seq=size)
-    return StreamSummary(
-        axis_names=space.axis_names,
-        workloads=tuple(workload_names),
-        configs=size + refined,
-        space_size=size,
-        refined=refined,
-        front_cap=front_cap,
-        aggregate=streams[AGGREGATE].finalize(front_cap),
-        per_workload=tuple(streams[name].finalize(front_cap)
-                           for name in workload_names),
-    )
+    return [payload["shard"] for payload in payloads]

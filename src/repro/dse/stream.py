@@ -1,10 +1,12 @@
-"""The vectorized fast path of the streamed sweep (numpy only).
+"""The streamed-sweep engine: factored pricing into column Pareto stores.
 
-:func:`fast_sweep` prices a cartesian design space in flat index space:
-every axis contributes small per-value cost tables (its
-:class:`~repro.dse.axes.AxisLowering`), a chunk of configurations is
-just ``arange(start, stop)`` decomposed into per-axis indices, and the
-NFP combine is a handful of table gathers plus the exact expressions of
+:class:`_FastSweep` is the one engine behind every streamed sweep
+(:func:`repro.dse.engine.sweep_streamed`).  It prices a cartesian design
+space in flat index space: every axis contributes small per-value cost
+tables (its :class:`~repro.dse.axes.AxisLowering`, which a streamed
+sweep requires of every axis), a chunk of configurations is just
+``arange(start, stop)`` decomposed into per-axis indices, and the NFP
+combine is a handful of table gathers plus the exact expressions of
 :meth:`repro.nfp.linear.BatchNfpEngine._evaluate_scalar` -- so a
 million-config space never materializes a single ``HwConfig``.
 
@@ -20,56 +22,65 @@ Bit-compatibility is the design constraint, not an afterthought:
   per-config combine mirrors the batch engine's expression order, so
   streamed and materialized reports come out byte-identical.
 
-The streaming reduction keeps, per (workload, area) group, only the
-mutually non-dominated ``(time, energy)`` entries as sorted arrays; a
-chunk is folded in with one sort + vectorized dominance marking, and
-:meth:`_Store.finalize` resolves cross-area dominance against a
-cumulative staircase envelope -- the array twin of
+The reduction (:class:`_Store`) keeps, per workload and area value, only
+the mutually non-dominated ``(time, energy)`` entries as sorted column
+arrays; a chunk is folded in with one sort + vectorized dominance
+marking, and :meth:`_Store.finalize` resolves cross-area dominance
+against a cumulative staircase envelope -- the array twin of
 :class:`repro.dse.pareto.ParetoAccumulator`, equal by construction (and
-by the property tests).
+by the property tests).  The stores fill three ways:
+
+- :meth:`_FastSweep.run` prices a flat range ``[start, stop)`` inline;
+- :meth:`_Store.absorb` folds in a shard worker's exported reduction
+  (:mod:`repro.dse.shard`) -- Pareto reduction is associative, so the
+  result equals the inline one;
+- :meth:`_FastSweep.refine` prices off-grid candidates around the
+  aggregate knee through the batch evaluator (:func:`_priced_points`);
+  their seqs continue past the grid's ``N`` and their points are kept
+  in a side table.
+
+One finish, :meth:`_FastSweep.workload_front`, serves every path.
+Entries carry only ``(time, energy, area, seq)``; the few that become
+:class:`~repro.dse.engine.DsePoint` objects are re-priced from their
+flat seq.  numpy is imported inside the pricing code only, so importing
+:mod:`repro.dse` (or simulating anything) never loads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import replace
 from typing import Sequence
 
-from repro.dse.axes import DesignSpace, get_axis
+from repro.dse.axes import DesignSpace, SweepConfig, get_axis
 from repro.dse.engine import (
     AGGREGATE,
+    OBJECTIVES,
     DsePoint,
     WorkloadFront,
-    _PointStream,
+    config_area_les,
 )
 from repro.dse.workload import WorkloadPair
 from repro.hw.area import memctrl_les, synthesize
 from repro.hw.config import HwConfig
-from repro.nfp.linear import ProfileVectors, cycle_dot, energy_dots
+from repro.nfp.linear import (
+    BatchNfpEngine,
+    ProfileVectors,
+    cycle_dot,
+    energy_dots,
+)
+from repro.runner.resilience import UsageError
+
+#: Cycle counts are combined in int64 columns.
+_INT64_MAX = 2 ** 63 - 1
 
 
-def fast_sweep(np, space: DesignSpace, pairs: Sequence[WorkloadPair],
-               vectors: dict[tuple[str, str], ProfileVectors],
-               base: HwConfig, *, chunk: int = 65536):
-    """A :class:`_FastSweep` over ``space``, or None when not lowerable.
-
-    The fast path declines (returning None, so the engine falls back to
-    the generic chunked path with identical results) when an axis has
-    no lowering hook, when two axes claim the same cost-model field, or
-    when a cycle dot product overflows int64.
-    """
-    try:
-        return _FastSweep(np, space, pairs, vectors, base, chunk)
-    except _NotLowerable:
-        return None
-    except OverflowError:
-        return None            # cycle dots past int64: generic path prices it
+def _unstreamable(what: str) -> UsageError:
+    return UsageError(f"{what}; a streamed sweep cannot price it -- run the "
+                      f"materialized sweep with --profile instead")
 
 
-class _NotLowerable(Exception):
-    """The space cannot be priced from factored per-axis tables."""
-
-
-def _merge(np, held, cand):
+def _merge(held, cand):
     """Fold candidate entries into a group's 2-D non-dominated arrays.
 
     One lexicographic sort of old + new entries by ``(time, energy,
@@ -79,6 +90,7 @@ def _merge(np, held, cand):
     (its run's first, i.e. minimal, energy).  Exact objective ties all
     survive, matching :func:`repro.dse.pareto.pareto_front`.
     """
+    import numpy as np
     if held is None:
         merged = cand
     else:
@@ -102,7 +114,7 @@ def _merge(np, held, cand):
     return {k: v[kept] for k, v in merged.items()}
 
 
-def _corners(np, t, e):
+def _corners(t, e):
     """Strictly-improving corners of a time-sorted point set.
 
     The returned ``(t, e)`` pair is the pointwise-minimum staircase of
@@ -110,6 +122,7 @@ def _corners(np, t, e):
     corner with ``t' <= t`` therefore yields the best energy seen at
     any time ``<= t``.
     """
+    import numpy as np
     if not e.size:
         return t, e
     prefix = np.minimum.accumulate(e)
@@ -120,21 +133,45 @@ def _corners(np, t, e):
     return t[corner], e[corner]
 
 
-def _knee_index(np, t, e, area) -> int:
-    """Vectorized :func:`repro.dse.pareto.knee_point` over front arrays.
+def _knee_seq(front: dict) -> int:
+    """The seq of :func:`repro.dse.pareto.knee_point` over front columns.
 
     Same normalisation, same accumulation order over ``(time, energy,
     area)``, same first-minimum tie-break -- bit-equal to the scalar
-    implementation on the same front.
+    implementation on the same (seq-ordered) front.
     """
-    dist = np.zeros(t.size, dtype=np.float64)
-    for arr in (t, e, area.astype(np.float64)):
+    import numpy as np
+    dist = np.zeros(front["t"].size, dtype=np.float64)
+    for arr in (front["t"], front["e"], front["area"].astype(np.float64)):
         low = arr.min()
         span = arr.max() - low
         if span > 0:
             scaled = (arr - low) / span
             dist = dist + scaled * scaled
-    return int(np.argmin(np.sqrt(dist)))
+    return int(front["seq"][np.argmin(np.sqrt(dist))])
+
+
+def _grouping(area) -> list[tuple[int, object]]:
+    """``(area value, row indices)`` of a column batch, stable order."""
+    import numpy as np
+    if not area.size:
+        return []
+    order = np.argsort(area, kind="stable")
+    sorted_area = area[order]
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], sorted_area[1:] != sorted_area[:-1])))
+    ends = np.concatenate((bounds[1:], [area.size]))
+    return [(int(sorted_area[b]), order[b:e]) for b, e in zip(bounds, ends)]
+
+
+def _cols(seq, t, e, area) -> dict:
+    """Store columns of one batch (scalar prices broadcast)."""
+    import numpy as np
+    n = seq.size
+    return {"t": np.broadcast_to(np.asarray(t, dtype=np.float64), (n,)),
+            "e": np.broadcast_to(np.asarray(e, dtype=np.float64), (n,)),
+            "seq": seq,
+            "area": area}
 
 
 class _Store:
@@ -142,42 +179,65 @@ class _Store:
 
     ``groups`` maps an area value to the mutually 2-D non-dominated
     ``(time, energy)`` entries seen so far; ``best`` tracks
-    per-objective running minima with the flat sequence number as
-    tie-break.  New chunk entries accumulate in a per-group pending
-    buffer and fold in only once they outweigh the held front
+    per-objective ``(value, seq)`` running minima, the flat sequence
+    number breaking ties.  New entries accumulate in a per-group
+    pending buffer and fold in only once they outweigh the held front
     (dominance filtering is order-free, so deferred folds keep the
     exact set); each entry is re-sorted O(log) times instead of once
     per chunk, and memory stays bounded by held + pending, both
     O(front + chunk).
     """
 
-    __slots__ = ("np", "workload", "groups", "pending", "best", "count")
+    __slots__ = ("groups", "pending", "best", "count")
 
-    # only what dominance needs travels through the merges; cycles and
-    # fpu are recomputed from the flat seq for the few entries that
-    # materialize into points (_FastSweep._reprice)
+    # only what dominance needs travels through the merges
     _COLS = ("t", "e", "seq")
 
-    def __init__(self, np, workload: str):
-        self.np = np
-        self.workload = workload
+    def __init__(self):
         self.groups: dict[int, dict] = {}
-        self.pending: dict[int, list] = {}  # area -> unfolded chunk slices
-        self.best: dict[str, tuple] = {}   # objective -> (value, seq, comp)
+        self.pending: dict[int, list] = {}  # area -> unfolded slices
+        self.best: dict[str, tuple] = {}   # objective -> (value, seq)
         self.count = 0
 
     def offer(self, cols: dict, grouping) -> None:
-        np = self.np
+        """Fold in one batch of ``t``/``e``/``area``/``seq`` columns.
+
+        ``grouping`` is the batch's :func:`_grouping`, shared by every
+        store the same configurations are offered to.
+        """
+        import numpy as np
         self.count += cols["t"].size
-        for objective, arr in (("time_s", cols["t"]),
-                               ("energy_j", cols["e"]),
-                               ("area_les", cols["area"])):
+        for objective, arr in zip(OBJECTIVES,
+                                  (cols["t"], cols["e"], cols["area"])):
             i = int(np.argmin(arr))     # first minimum = smallest seq
-            value = arr[i].item()
-            seq = int(cols["seq"][i])
-            held = self.best.get(objective)
-            if held is None or (value, seq) < (held[0], held[1]):
-                self.best[objective] = (value, seq, _comp(cols, i))
+            self._best(objective, arr[i].item(), int(cols["seq"][i]))
+        self._queue(cols, grouping)
+
+    def absorb(self, export: dict) -> None:
+        """Fold in another store's :meth:`export` (one shard's range)."""
+        self.count += export["count"]
+        for objective, (value, seq) in export["best"].items():
+            self._best(objective, value, seq)
+        front = export["front"]
+        self._queue(front, _grouping(front["area"]))
+
+    def export(self) -> dict:
+        """Count, winners and exact front columns, for :meth:`absorb`.
+
+        The columns stay numpy arrays: they pickle as flat binary
+        buffers (fronts over near-continuous axes reach 10^5..10^6
+        survivors, and a per-element ``tolist`` round-trip would
+        dominate a shard's wall time).
+        """
+        return {"count": self.count, "best": dict(self.best),
+                "front": self.finalize()}
+
+    def _best(self, objective: str, value, seq: int) -> None:
+        held = self.best.get(objective)
+        if held is None or (value, seq) < held:
+            self.best[objective] = (value, seq)
+
+    def _queue(self, cols: dict, grouping) -> None:
         for area_value, sel in grouping:
             queue = self.pending.setdefault(area_value, [])
             queue.append({k: cols[k][sel] for k in self._COLS})
@@ -187,21 +247,14 @@ class _Store:
                 self._fold(area_value)
 
     def _fold(self, area_value: int) -> None:
+        import numpy as np
         queue = self.pending.get(area_value)
         if not queue:
             return
-        np = self.np
         cand = (queue[0] if len(queue) == 1 else
                 {k: np.concatenate([c[k] for c in queue]) for k in self._COLS})
         self.pending[area_value] = []
-        self.groups[area_value] = _merge(
-            np, self.groups.get(area_value), cand)
-
-    def stored(self) -> int:
-        """Entries currently held (the bounded-memory figure)."""
-        return (sum(g["t"].size for g in self.groups.values())
-                + sum(c["t"].size for q in self.pending.values()
-                      for c in q))
+        self.groups[area_value] = _merge(self.groups.get(area_value), cand)
 
     def finalize(self) -> dict:
         """The exact front as seq-sorted column arrays (incl. ``area``).
@@ -209,11 +262,16 @@ class _Store:
         Ascending area groups are filtered against the cumulative
         staircase envelope of all smaller-area entries (ties included:
         the smaller area is strictly better), exactly like
-        :meth:`repro.dse.pareto.ParetoAccumulator.front`.
+        :meth:`repro.dse.pareto.ParetoAccumulator.front`.  The store
+        stays usable: later offers fold into the same groups.
         """
-        np = self.np
+        import numpy as np
         for area_value in list(self.pending):
             self._fold(area_value)
+        if not self.groups:
+            return {"t": np.empty(0), "e": np.empty(0),
+                    "seq": np.empty(0, dtype=np.int64),
+                    "area": np.empty(0, dtype=np.int64)}
         parts = []
         env_t = env_e = None
         for area_value in sorted(self.groups):
@@ -249,30 +307,79 @@ class _Store:
                 st[bt] = gt
                 se[at] = env_e
                 se[bt] = ge
-            env_t, env_e = _corners(np, st, se)
+            env_t, env_e = _corners(st, se)
         out = {k: np.concatenate([p[k] for p in parts])
                for k in parts[0]}
         order = np.argsort(out["seq"], kind="stable")
         return {k: v[order] for k, v in out.items()}
 
 
-def _comp(cols: dict, i: int) -> tuple:
-    """One entry's compact ``(seq, t, e, area, cycles, fpu)`` scalars."""
-    return (int(cols["seq"][i]), float(cols["t"][i]), float(cols["e"][i]),
-            int(cols["area"][i]), int(cols["cycles"][i]),
-            bool(cols["fpu"][i]))
+def _priced_points(configs: Sequence[SweepConfig],
+                   pairs: Sequence[WorkloadPair],
+                   vectors: dict[tuple[str, str], ProfileVectors],
+                   start_seq: int):
+    """Yield ``(seq, workload, point)`` for a batch of explicit configs.
+
+    The refinement pass' pricer: one :class:`BatchNfpEngine` over the
+    batch, one evaluation per (workload, build) actually present, then
+    per-config assembly in flat order -- workloads first, the
+    left-to-right aggregate last.  Point construction matches
+    :func:`repro.dse.engine._grid_from_jobs` /
+    :meth:`repro.dse.engine.DseGrid.aggregate` field for field -- the
+    byte-identity tests compare entire reports through it.
+    """
+    engine = BatchNfpEngine([config.hw for config in configs])
+    builds = sorted({config.hw.core.has_fpu for config in configs})
+    priced: dict[tuple[str, str], list] = {}
+    for pair in pairs:
+        for fpu in builds:
+            build = "float" if fpu else "fixed"
+            priced[(pair.name, build)] = engine.evaluate(
+                vectors[(pair.name, build)])
+    for i, config in enumerate(configs):
+        seq = start_seq + i
+        area = config_area_les(config)
+        build = "float" if config.hw.core.has_fpu else "fixed"
+        agg_time: float = 0
+        agg_energy: float = 0
+        agg_retired = 0
+        agg_cycles = 0
+        for pair in pairs:
+            nfp = priced[(pair.name, build)][i]
+            yield seq, pair.name, DsePoint(
+                config=config.name, axis_values=config.axis_values,
+                workload=pair.name, build=build,
+                time_s=nfp.true_time_s, energy_j=nfp.true_energy_j,
+                area_les=area, retired=nfp.retired, cycles=nfp.cycles)
+            agg_time = agg_time + nfp.true_time_s
+            agg_energy = agg_energy + nfp.true_energy_j
+            agg_retired += nfp.retired
+            agg_cycles += nfp.cycles
+        yield seq, AGGREGATE, DsePoint(
+            config=config.name, axis_values=config.axis_values,
+            workload=AGGREGATE, build=build,
+            time_s=agg_time, energy_j=agg_energy,
+            area_les=area, retired=agg_retired, cycles=agg_cycles)
 
 
 class _FastSweep:
-    """The planned fast path: factored tables + chunked flat iteration."""
+    """One streamed sweep: factored cost tables, stores and the finish.
 
-    def __init__(self, np, space: DesignSpace,
+    Construction lowers every axis and builds the per-value tables; a
+    space it cannot price exactly -- an axis without a lowering hook,
+    two axes claiming one cost-model field, or cycle counts past int64
+    -- raises a :class:`~repro.runner.resilience.UsageError` naming the
+    cause.  There is no fallback path.
+    """
+
+    def __init__(self, space: DesignSpace,
                  pairs: Sequence[WorkloadPair],
                  vectors: dict[tuple[str, str], ProfileVectors],
-                 base: HwConfig, chunk: int):
-        self.np = np
+                 base: HwConfig, chunk: int = 65536):
+        import numpy as np
         self.space = space
         self.pairs = list(pairs)
+        self.vectors = vectors
         self.base = base
         self.chunk = max(1, chunk)
         self.size = space.size
@@ -289,47 +396,39 @@ class _FastSweep:
         self.strides = strides
 
         # -- role assignment from the axes' lowering hooks -------------------
-        scale_axis = chz_axis = ws_axis = nw_axis = fpu_axis = None
-        scales = clocks = cycle_tables = nw_values = fpu_values = None
+        roles = {"dyn_scales": "scale", "clock_hz": "chz",
+                 "cycle_tables": "ws", "nwindows": "nw", "has_fpu": "fpu"}
+        self.axis_of: dict[str, int | None] = dict.fromkeys(roles.values())
+        lowered: dict[str, tuple] = {}
         for j, (name, values) in enumerate(space.axes):
             axis = get_axis(name)
             if axis.lower is None:
-                raise _NotLowerable(name)
+                raise _unstreamable(
+                    f"axis {name!r} has no lowering hook (Axis.lower)")
             low = axis.lower(base, tuple(values))
-            for field, held in (("dyn_scales", scales),
-                                ("clock_hz", clocks),
-                                ("cycle_tables", cycle_tables),
-                                ("nwindows", nw_values),
-                                ("has_fpu", fpu_values)):
+            for field, role in roles.items():
                 got = getattr(low, field)
                 if got is None:
                     continue
-                if held is not None or len(got) != len(values):
-                    raise _NotLowerable(name)   # double claim / bad hook
-            if low.dyn_scales is not None:
-                scale_axis, scales = j, low.dyn_scales
-            if low.clock_hz is not None:
-                chz_axis, clocks = j, low.clock_hz
-            if low.cycle_tables is not None:
-                ws_axis, cycle_tables = j, low.cycle_tables
-            if low.nwindows is not None:
-                nw_axis, nw_values = j, low.nwindows
-            if low.has_fpu is not None:
-                fpu_axis, fpu_values = j, low.has_fpu
-        self.axis_of = {"scale": scale_axis, "chz": chz_axis, "ws": ws_axis,
-                        "nw": nw_axis, "fpu": fpu_axis}
-        scales = scales if scales is not None else (1.0,)
-        clocks = clocks if clocks is not None else (base.clock_hz,)
-        cycle_tables = (cycle_tables if cycle_tables is not None
-                        else (base.cycle_table,))
-        nw_values = (nw_values if nw_values is not None
-                     else (base.core.nwindows,))
-        self.fpu_values = (tuple(fpu_values) if fpu_values is not None
-                           else (base.core.has_fpu,))
-        builds = sorted(set(self.fpu_values))
+                if field in lowered:
+                    raise _unstreamable(
+                        f"axis {name!r} lowers {field}, which axis "
+                        f"{self.names[self.axis_of[role]]!r} already sets")
+                if len(got) != len(values):
+                    raise _unstreamable(
+                        f"axis {name!r} lowers {len(got)} {field} for "
+                        f"{len(values)} values")
+                lowered[field] = tuple(got)
+                self.axis_of[role] = j
+        scales = lowered.get("dyn_scales", (1.0,))
+        clocks = lowered.get("clock_hz", (base.clock_hz,))
+        cycle_tables = lowered.get("cycle_tables", (base.cycle_table,))
+        nw_values = lowered.get("nwindows", (base.core.nwindows,))
+        self.fpu_values = lowered.get("has_fpu", (base.core.has_fpu,))
+        self.builds = sorted({bool(f) for f in self.fpu_values})
 
         # memory-interface area keys off the axis *named* wait_states,
-        # exactly like the materialized _config_area_les
+        # exactly like the materialized config_area_les
         self.mem_axis = None
         mem_values = (0,)
         for j, name in enumerate(self.names):
@@ -359,178 +458,270 @@ class _FastSweep:
              for nw in nw_values], dtype=np.int64)
 
         # per-(workload, build) profile tables
-        self.keys = [(pair.name, "float" if f else "fixed")
-                     for pair in self.pairs for f in builds]
-        self.RET: dict[tuple[str, str], int] = {}
         self.E: dict[tuple[str, str], object] = {}
         self.CYC: dict[tuple[str, str], object] = {}
         self.TRAPS: dict[tuple[str, str], object] = {}
         self.TRJC: dict[tuple[str, str], object] = {}
-        self.TU: dict[tuple[str, str], int] = {}
-        self.REFUND: dict[tuple[str, str], int] = {}
-        basis = None
-        base_dyn = None
-        for key in self.keys:
-            pv = vectors[key]
-            if basis is None:
+        #: retired counts per (workload or aggregate, build)
+        self.retired: dict[tuple[str, str], int] = {}
+        peaks: dict[str, int] = {}      # workload -> worst-case cycles
+        for pair in self.pairs:
+            for f in self.builds:
+                key = (pair.name, "float" if f else "fixed")
+                pv = vectors[key]
                 basis = pv.basis
-                base_dyn = [base.dyn_energy_nj[m] for m in basis]
-            self.RET[key] = pv.retired
-            self.TU[key] = pv.total_untaken
-            self.REFUND[key] = pv.div_refund
-            # one exact base-row reduction per build, rescaled per DVFS
-            # value: the same ``scale * dot`` a BatchNfpEngine computes
-            # for a ScaledDynTable, so every float matches the
-            # materialized and generic paths bit for bit (a 1.0 scale
-            # multiplies through unchanged under IEEE-754)
-            base_dots = np.asarray(energy_dots(tuple(base_dyn), pv),
-                                   dtype=np.float64)
-            self.E[key] = (np.asarray(scales, dtype=np.float64)[:, None]
-                           * base_dots[None, :])
-            # raises OverflowError past int64 -> fast_sweep declines
-            self.CYC[key] = np.array(
-                [cycle_dot(tuple(table[m] for m in basis), pv)
-                 for table in cycle_tables], dtype=np.int64)
-            win = [pv.window_at(int(nw)) for nw in nw_values]
-            self.TRAPS[key] = np.array([s + f for s, f, _ in win],
-                                       dtype=np.int64)
-            self.TRJC[key] = np.array([j for _, _, j in win],
-                                      dtype=np.float64)
-        self.AGG_RET = {
-            "float" if f else "fixed":
-                sum(self.RET[(pair.name, "float" if f else "fixed")]
-                    for pair in self.pairs)
-            for f in builds}
-
-        self.stores = {name: _Store(np, name) for name in
-                       [pair.name for pair in self.pairs] + [AGGREGATE]}
-
-    # -- execution -----------------------------------------------------------
+                agg = (AGGREGATE, key[1])
+                self.retired[key] = pv.retired
+                self.retired[agg] = self.retired.get(agg, 0) + pv.retired
+                # one exact base-row reduction per build, rescaled per
+                # DVFS value: the same ``scale * dot`` a BatchNfpEngine
+                # computes for a ScaledDynTable, so every float matches
+                # the materialized path bit for bit (a 1.0 scale
+                # multiplies through unchanged under IEEE-754)
+                base_dots = np.asarray(energy_dots(
+                    tuple(base.dyn_energy_nj[m] for m in basis), pv),
+                    dtype=np.float64)
+                self.E[key] = (np.asarray(scales, dtype=np.float64)[:, None]
+                               * base_dots[None, :])
+                dots = [cycle_dot(tuple(table[m] for m in basis), pv)
+                        for table in cycle_tables]
+                win = [pv.window_at(int(nw)) for nw in nw_values]
+                traps = [spills + fills for spills, fills, _ in win]
+                peaks[pair.name] = max(peaks.get(pair.name, 0),
+                                       max(dots) + max(traps) * self.TRAP_CYC)
+                if peaks[pair.name] > _INT64_MAX:
+                    raise _unstreamable(
+                        f"workload {pair.name!r} reaches "
+                        f"{peaks[pair.name]} cycles, past int64")
+                self.CYC[key] = np.array(dots, dtype=np.int64)
+                self.TRAPS[key] = np.array(traps, dtype=np.int64)
+                self.TRJC[key] = np.array([j for _, _, j in win],
+                                          dtype=np.float64)
+        if sum(peaks.values()) > _INT64_MAX:
+            raise _unstreamable(
+                f"the aggregate of {len(peaks)} workloads reaches "
+                f"{sum(peaks.values())} cycles, past int64")
+        self.reset()
 
     def reset(self) -> None:
-        """Fresh stores; the cost tables stay.
+        """Empty stores and side table; the cost tables stay.
 
         A shard worker keeps one :class:`_FastSweep` per sweep context
         and prices several disjoint flat ranges through it, so the
         table construction above runs once per worker while the
         streaming state starts clean for every range.
         """
-        self.stores = {name: _Store(self.np, name) for name in
+        self.stores = {name: _Store() for name in
                        [pair.name for pair in self.pairs] + [AGGREGATE]}
+        #: ``(seq, workload) -> DsePoint`` of refined (off-grid) entries
+        self.refined: dict[tuple[int, str], DsePoint] = {}
 
-    def _axis_index(self, flat, role: str):
-        """Per-config value index on the role's axis, or None when fixed."""
-        j = self.axis_of[role]
+    # -- pricing in index space ----------------------------------------------
+
+    def _axis_index(self, flat, j: int | None):
+        """Per-config value index on axis ``j``, or None when absent."""
+        import numpy as np
         if j is None:
             return None
-        return ((flat // self.strides[j]) % self.nvals[j]).astype(self.np.intp)
+        return ((flat // self.strides[j]) % self.nvals[j]).astype(np.intp)
 
-    def _evaluate_build(self, key, s_idx, c_idx, w_idx, n_idx):
-        """One (workload, build) NFP combine over a chunk, in index space.
+    def _layout(self, flat):
+        """``(role indices, fpu, area)`` of a batch of flat indices."""
+        import numpy as np
+        n = flat.size
+        idx = {role: self._axis_index(flat, j)
+               for role, j in self.axis_of.items()}
+        f_idx, n_idx = idx["fpu"], idx["nw"]
+        if f_idx is not None:
+            fpu = np.asarray(self.fpu_values, dtype=bool)[f_idx]
+        else:
+            fpu = np.broadcast_to(np.asarray(self.fpu_values[0]), (n,))
+        area = self.CORE[n_idx if n_idx is not None else 0,
+                         f_idx if f_idx is not None else 0]
+        m_idx = self._axis_index(flat, self.mem_axis)
+        area = area + self.MEM[m_idx if m_idx is not None else 0]
+        return idx, fpu, np.broadcast_to(np.asarray(area, dtype=np.int64),
+                                         (n,))
+
+    def _evaluate_build(self, key, idx):
+        """One (workload, build) NFP combine over a batch, in index space.
 
         The expressions mirror BatchNfpEngine._evaluate_scalar exactly
         (same grouping, same operand order), so every float matches the
-        generic and materialized paths bit for bit.
+        materialized path bit for bit.
         """
-        edots = (self.E[key][s_idx] if s_idx is not None
-                 else self.E[key][0])
+        import numpy as np
+
+        def pick(table, role):
+            i = idx[role]
+            return table[i] if i is not None else table[0]
+
+        edots = pick(self.E[key], "scale")
         e1, e2, e3, e4 = (edots[..., 0], edots[..., 1],
                           edots[..., 2], edots[..., 3])
-        cyc = self.CYC[key][w_idx] if w_idx is not None else self.CYC[key][0]
-        traps = (self.TRAPS[key][n_idx] if n_idx is not None
-                 else self.TRAPS[key][0])
-        trapjc = (self.TRJC[key][n_idx] if n_idx is not None
-                  else self.TRJC[key][0])
-        trnj = self.TRNJ[s_idx] if s_idx is not None else self.TRNJ[0]
-        static = self.STATIC[s_idx] if s_idx is not None else self.STATIC[0]
-        cycsec = self.CYCSEC[c_idx] if c_idx is not None else self.CYCSEC[0]
+        pv = self.vectors[key]
+        traps = pick(self.TRAPS[key], "nw")
         amp = self.AMP
-        cycles = (cyc - self.TU[key] * self.UD - self.REFUND[key]
-                  + traps * self.TRAP_CYC)
+        cycles = (pick(self.CYC[key], "ws") - pv.total_untaken * self.UD
+                  - pv.div_refund + traps * self.TRAP_CYC)
         dyn = ((e1 + amp * e2) + self.EXTRA * (e3 + amp * e4)
-               + trnj * (traps + amp * trapjc))
-        time_s = cycles.astype(self.np.float64) * cycsec
-        energy = dyn * 1e-9 + static * time_s
+               + pick(self.TRNJ, "scale")
+               * (traps + amp * pick(self.TRJC[key], "nw")))
+        time_s = cycles.astype(np.float64) * pick(self.CYCSEC, "chz")
+        energy = dyn * 1e-9 + pick(self.STATIC, "scale") * time_s
         return time_s, energy, cycles
+
+    def _price(self, workload: str, idx, fpu):
+        """``(time, energy, cycles)`` of a batch, each config on its build.
+
+        The aggregate sums the workloads left to right, exactly like
+        ``sum()`` over points.
+        """
+        import numpy as np
+        names = ([pair.name for pair in self.pairs] if workload == AGGREGATE
+                 else [workload])
+        total = None
+        for name in names:
+            per_build = [self._evaluate_build(
+                (name, "float" if f else "fixed"), idx) for f in self.builds]
+            if len(per_build) == 2:
+                prices = tuple(np.where(fpu, tf, tx) for tx, tf
+                               in zip(*per_build))
+            else:
+                prices = per_build[0]
+            total = (prices if total is None
+                     else tuple(a + b for a, b in zip(total, prices)))
+        return total
 
     def run(self, start: int = 0, stop: int | None = None) -> None:
         """Price flat indices ``[start, stop)`` chunk by chunk into the
-        stores (the whole space by default; a contiguous shard range
-        when the sharded sweep prices this space across workers)."""
-        np = self.np
+        stores (the whole space by default; a contiguous shard range in
+        a shard worker)."""
+        import numpy as np
         stop = self.size if stop is None else min(stop, self.size)
         for cstart in range(start, stop, self.chunk):
-            cstop = min(stop, cstart + self.chunk)
-            flat = np.arange(cstart, cstop, dtype=np.int64)
-            n = flat.size
-            s_idx = self._axis_index(flat, "scale")
-            c_idx = self._axis_index(flat, "chz")
-            w_idx = self._axis_index(flat, "ws")
-            n_idx = self._axis_index(flat, "nw")
-            f_idx = self._axis_index(flat, "fpu")
-
-            if f_idx is not None:
-                fpu = np.asarray(self.fpu_values, dtype=bool)[f_idx]
-            else:
-                fpu = np.broadcast_to(np.asarray(self.fpu_values[0]), (n,))
-            nw_i = n_idx if n_idx is not None else 0
-            fpu_i = f_idx if f_idx is not None else 0
-            area = self.CORE[nw_i, fpu_i]
-            if self.mem_axis is not None:
-                j = self.mem_axis
-                m_idx = ((flat // self.strides[j])
-                         % self.nvals[j]).astype(np.intp)
-                area = area + self.MEM[m_idx]
-            else:
-                area = area + self.MEM[0]
-            area = np.broadcast_to(np.asarray(area, dtype=np.int64), (n,))
-
+            flat = np.arange(cstart, min(stop, cstart + self.chunk),
+                             dtype=np.int64)
+            idx, fpu, area = self._layout(flat)
             # one stable area grouping, shared by every store's fold
-            order = np.argsort(area, kind="stable")
-            sorted_area = area[order]
-            bounds = np.flatnonzero(np.concatenate(
-                ([True], sorted_area[1:] != sorted_area[:-1])))
-            ends = np.concatenate((bounds[1:], [n]))
-            grouping = [(int(sorted_area[b]), order[b:e])
-                        for b, e in zip(bounds, ends)]
-
-            builds = sorted(set(bool(v) for v in self.fpu_values))
+            grouping = _grouping(area)
             agg = None
             for pair in self.pairs:
-                per_build = {}
-                for f in builds:
-                    key = (pair.name, "float" if f else "fixed")
-                    per_build[f] = self._evaluate_build(
-                        key, s_idx, c_idx, w_idx, n_idx)
-                if len(per_build) == 2:
-                    tf, ef, cf = per_build[True]
-                    tx, ex, cx = per_build[False]
-                    t = np.where(fpu, tf, tx)
-                    e = np.where(fpu, ef, ex)
-                    cycles = np.where(fpu, cf, cx)
-                else:
-                    t, e, cycles = per_build[builds[0]]
-                cols = _chunk_cols(np, n, flat, t, e, area, cycles, fpu)
-                self.stores[pair.name].offer(cols, grouping)
-                if agg is None:
-                    agg = (t, e, cycles)
-                else:
-                    # left-to-right, exactly like sum() over points
-                    agg = (agg[0] + t, agg[1] + e, agg[2] + cycles)
-            cols = _chunk_cols(np, n, flat, agg[0], agg[1], area,
-                               agg[2], fpu)
-            self.stores[AGGREGATE].offer(cols, grouping)
+                t, e, _ = self._price(pair.name, idx, fpu)
+                self.stores[pair.name].offer(_cols(flat, t, e, area),
+                                             grouping)
+                agg = (t, e) if agg is None else (agg[0] + t, agg[1] + e)
+            self.stores[AGGREGATE].offer(_cols(flat, *agg, area), grouping)
 
-    # -- result extraction ---------------------------------------------------
+    # -- refinement ----------------------------------------------------------
 
-    def _point(self, workload: str, comp: tuple) -> DsePoint:
-        """Reconstruct the DsePoint of one stored entry from its flat seq."""
-        seq, time_s, energy_j, area_les, cycles, fpu = comp
+    def refine(self, rounds: int) -> int:
+        """Adaptive coordinate refinement around the aggregate knee.
+
+        Each round reads the current aggregate knee, proposes the
+        midpoint between the knee's value and its nearest known
+        neighbours on every refinable axis (``Axis.refine``), prices the
+        off-grid candidates through :func:`_priced_points`, and offers
+        them into the stores with seqs from ``N`` up.  Stops early when
+        no axis can refine further or the knee configuration is
+        unchanged by a round, so the pass is deterministic: same space,
+        same workloads, same rounds -> same candidates in the same
+        order.  Returns the number of refinement configs priced.
+        """
+        space = self.space
+        refinable = [i for i, (name, _) in enumerate(space.axes)
+                     if get_axis(name).refine is not None]
+        if not refinable or rounds <= 0:
+            return 0
+        known: dict[int, list] = {
+            i: sorted(set(space.axes[i][1])) for i in refinable}
+        seen_combos = set()
+        seq = self.size
+        for _ in range(rounds):
+            knee = self._knee(AGGREGATE)
+            candidates = []
+            knee_combo = tuple(knee.value(name) for name, _ in space.axes)
+            for i in refinable:
+                axis = get_axis(space.axes[i][0])
+                values = known[i]
+                value = knee_combo[i]
+                pos = bisect_left(values, value)
+                below = values[pos - 1] if pos > 0 else None
+                if pos < len(values) and values[pos] == value:
+                    above = values[pos + 1] if pos + 1 < len(values) else None
+                else:
+                    above = values[pos] if pos < len(values) else None
+                for lo, hi in ((below, value), (value, above)):
+                    if lo is None or hi is None:
+                        continue
+                    mid = axis.refine(lo, hi)
+                    if mid is None or mid in values:
+                        continue
+                    combo = knee_combo[:i] + (mid,) + knee_combo[i + 1:]
+                    if combo not in seen_combos:
+                        seen_combos.add(combo)
+                        candidates.append((i, mid, combo))
+            if not candidates:
+                break
+            self._offer_configs([space.config_for(combo, self.base)
+                                 for _, _, combo in candidates], seq)
+            seq += len(candidates)
+            for i, mid, _ in candidates:
+                insort(known[i], mid)
+            if self._knee(AGGREGATE).config == knee.config:
+                break
+        return seq - self.size
+
+    def _offer_configs(self, configs: Sequence[SweepConfig],
+                       start_seq: int) -> None:
+        """Price explicit configs into the stores and the side table."""
+        import numpy as np
+        points: dict[str, list[DsePoint]] = {name: [] for name in self.stores}
+        for seq, workload, point in _priced_points(
+                configs, self.pairs, self.vectors, start_seq):
+            self.refined[(seq, workload)] = point
+            points[workload].append(point)
+        seqs = np.arange(start_seq, start_seq + len(configs), dtype=np.int64)
+        area = np.array([p.area_les for p in points[AGGREGATE]],
+                        dtype=np.int64)
+        grouping = _grouping(area)
+        for workload, batch in points.items():
+            self.stores[workload].offer(
+                _cols(seqs, [p.time_s for p in batch],
+                      [p.energy_j for p in batch], area), grouping)
+
+    # -- the finish ----------------------------------------------------------
+
+    def _points(self, workload: str, seqs: Sequence[int]) -> list[DsePoint]:
+        """The points of ``workload`` at flat ``seqs``, in that order.
+
+        Grid seqs are re-priced in one batch through the exact
+        expressions the chunk pass used (elementwise IEEE arithmetic, so
+        the floats are the ones the stores hold); refined seqs come from
+        the side table.
+        """
+        import numpy as np
+        grid = sorted({seq for seq in seqs if seq < self.size})
+        priced: dict[int, DsePoint] = {}
+        if grid:
+            flat = np.asarray(grid, dtype=np.int64)
+            idx, fpu, area = self._layout(flat)
+            t, e, cycles = (np.broadcast_to(np.asarray(col), flat.shape)
+                            for col in self._price(workload, idx, fpu))
+            for k, seq in enumerate(grid):
+                priced[seq] = self._point(
+                    workload, seq, float(t[k]), float(e[k]), int(area[k]),
+                    int(cycles[k]), bool(fpu[k]))
+        return [priced[seq] if seq < self.size
+                else self.refined[(seq, workload)] for seq in seqs]
+
+    def _point(self, workload: str, seq: int, time_s: float,
+               energy_j: float, area_les: int, cycles: int,
+               fpu: bool) -> DsePoint:
+        """The DsePoint of one grid entry, named from its flat seq."""
         indices = [(seq // self.strides[j]) % self.nvals[j]
                    for j in range(len(self.nvals))]
         build = "float" if fpu else "fixed"
-        retired = (self.AGG_RET[build] if workload == AGGREGATE
-                   else self.RET[(workload, build)])
         return DsePoint(
             config="-".join(self.labels[j][i]
                             for j, i in enumerate(indices)),
@@ -542,106 +733,34 @@ class _FastSweep:
             time_s=time_s,
             energy_j=energy_j,
             area_les=area_les,
-            retired=retired,
+            retired=self.retired[(workload, build)],
             cycles=cycles,
         )
 
-    def _reprice(self, workload: str, flat):
-        """Vectorized ``(cycles, fpu)`` of flat indices, from scratch.
-
-        The stores only carry what dominance needs (time, energy, seq);
-        the cycle counts and build flags of the few entries that become
-        :class:`DsePoint` objects are recomputed here through the exact
-        expressions of :meth:`_evaluate_build` -- integer cycle math,
-        so the result is identical to what the chunk pass produced.
-        """
-        np = self.np
-        s_idx = self._axis_index(flat, "scale")
-        c_idx = self._axis_index(flat, "chz")
-        w_idx = self._axis_index(flat, "ws")
-        n_idx = self._axis_index(flat, "nw")
-        f_idx = self._axis_index(flat, "fpu")
-        if f_idx is not None:
-            fpu = np.asarray(self.fpu_values, dtype=bool)[f_idx]
-        else:
-            fpu = np.broadcast_to(np.asarray(self.fpu_values[0]),
-                                  (flat.size,))
-        builds = sorted(set(bool(v) for v in self.fpu_values))
-        pairs = (self.pairs if workload == AGGREGATE
-                 else [p for p in self.pairs if p.name == workload])
-        total = None
-        for pair in pairs:
-            per_build = {}
-            for f in builds:
-                key = (pair.name, "float" if f else "fixed")
-                per_build[f] = self._evaluate_build(
-                    key, s_idx, c_idx, w_idx, n_idx)[2]
-            if len(per_build) == 2:
-                cycles = np.where(fpu, per_build[True], per_build[False])
-            else:
-                cycles = per_build[builds[0]]
-            total = cycles if total is None else total + cycles
-        return np.broadcast_to(np.asarray(total, dtype=np.int64),
-                               (flat.size,)), fpu
-
-    def _fin_comps(self, workload: str, fin: dict, idxs) -> list[tuple]:
-        """Full comp tuples for selected finalized-front row indices."""
-        np = self.np
-        sel = np.asarray(list(idxs), dtype=np.int64)
-        cycles, fpu = self._reprice(workload, fin["seq"][sel])
-        return [(int(fin["seq"][i]), float(fin["t"][i]), float(fin["e"][i]),
-                 int(fin["area"][i]), int(cycles[k]), bool(fpu[k]))
-                for k, i in enumerate(sel)]
+    def _knee(self, workload: str) -> DsePoint:
+        """The current knee of one store's exact front."""
+        return self._points(
+            workload, [_knee_seq(self.stores[workload].finalize())])[0]
 
     def workload_front(self, workload: str,
                        front_cap: int | None) -> WorkloadFront:
-        """Finalize one stream straight into a WorkloadFront."""
+        """Finish one store into a WorkloadFront: the (capped) front,
+        the knee and the per-objective winners as points."""
         store = self.stores[workload]
         fin = store.finalize()
-        front_size = int(fin["t"].size)
-        knee_i = _knee_index(self.np, fin["t"], fin["e"], fin["area"])
+        front_size = int(fin["seq"].size)
         limit = (front_size if front_cap is None
                  else min(front_cap, front_size))
-        comps = self._fin_comps(workload, fin, [*range(limit), knee_i])
-        best = {objective: self._point(workload, comp)
-                for objective, (_, _, comp) in store.best.items()}
+        seqs = fin["seq"][:limit].tolist() + [_knee_seq(fin)]
+        seqs.extend(store.best[objective][1] for objective in OBJECTIVES)
+        points = self._points(workload, seqs)
+        best_time, best_energy, best_area = points[limit + 1:]
         return WorkloadFront(
             workload=workload,
             points=store.count,
             front_size=front_size,
-            front=tuple(self._point(workload, comp)
-                        for comp in comps[:limit]),
-            knee=self._point(workload, comps[limit]),
-            best_time=best["time_s"],
-            best_energy=best["energy_j"],
-            best_area=best["area_les"])
-
-    def point_stream(self, workload: str) -> _PointStream:
-        """Convert one stream into the point-based form refinement extends.
-
-        Seeds a ParetoAccumulator with the exact front (in seq order) --
-        sufficient, since any point dominated by a discarded entry is,
-        by transitivity, dominated by a front member.
-        """
-        stream = _PointStream(workload)
-        store = self.stores[workload]
-        fin = store.finalize()
-        for comp in self._fin_comps(workload, fin, range(fin["t"].size)):
-            stream.acc.add(self._point(workload, comp))
-        stream.count = store.count
-        stream.best = {
-            objective: (value, seq, self._point(workload, comp))
-            for objective, (value, seq, comp) in store.best.items()}
-        return stream
-
-
-def _chunk_cols(np, n: int, flat, t, e, area, cycles, fpu) -> dict:
-    """Normalize chunk columns to shape ``(n,)`` (scalars broadcast)."""
-    return {
-        "t": np.broadcast_to(np.asarray(t, dtype=np.float64), (n,)),
-        "e": np.broadcast_to(np.asarray(e, dtype=np.float64), (n,)),
-        "seq": flat,
-        "cycles": np.broadcast_to(np.asarray(cycles, dtype=np.int64), (n,)),
-        "fpu": np.broadcast_to(np.asarray(fpu, dtype=bool), (n,)),
-        "area": area,
-    }
+            front=tuple(points[:limit]),
+            knee=points[limit],
+            best_time=best_time,
+            best_energy=best_energy,
+            best_area=best_area)

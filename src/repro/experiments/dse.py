@@ -146,7 +146,8 @@ def run(scale: Scale | str | None = None,
     (:func:`repro.dse.engine.sweep_streamed`): the grid is never
     materialized, so million-config spaces sweep in bounded memory, and
     the report renders byte-identically to the materialized ``--profile``
-    sweep at equal ``front_cap``.  Streamed sweeps keep no checkpoint
+    sweep at equal ``front_cap`` (a positive count, streamed sweeps
+    only).  Streamed sweeps keep no checkpoint
     (pricing restarts in seconds; the profile simulations are already
     content-cached), so they are incompatible with ``resume``/``run_id``.
 
@@ -172,6 +173,8 @@ def run(scale: Scale | str | None = None,
             raise UsageError("--refine takes a non-negative round count")
         if shards is not None and shards < 1:
             raise UsageError("--shards takes a positive shard count")
+        if front_cap is not None and front_cap < 1:
+            raise UsageError("--front-cap takes a positive member count")
         mode = f", refine {refine}" if refine else ""
         suite = f", workloads {workloads}" if workloads else ""
         title = (f"design-space exploration ({scale.name} scale, "
@@ -185,6 +188,9 @@ def run(scale: Scale | str | None = None,
             space=space, scale_name=scale.name)
     if shards is not None:
         raise UsageError("--shards only applies to streamed sweeps; "
+                         "add --stream (or --refine)")
+    if front_cap is not None:
+        raise UsageError("--front-cap only applies to streamed sweeps; "
                          "add --stream (or --refine)")
     spec = {
         "scale": scale.name,

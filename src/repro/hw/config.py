@@ -9,6 +9,7 @@ CPU without FPU for ``-msoft-float`` builds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -48,6 +49,12 @@ class ScaledDynTable(dict):
         self.scale = scale
 
 
+def check_clock_hz(clock_hz: float) -> None:
+    """Raise ``ValueError`` unless ``clock_hz`` is a positive finite rate."""
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise ValueError("clock_hz must be positive and finite")
+
+
 @dataclass(frozen=True)
 class HwConfig:
     """A fully priced hardware platform.
@@ -84,8 +91,7 @@ class HwConfig:
     window_trap_energy_nj: float = WINDOW_TRAP_ENERGY_NJ
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+        check_clock_hz(self.clock_hz)
         if not 0 <= self.jitter_amplitude < 0.5:
             raise ValueError("jitter_amplitude must be in [0, 0.5)")
 

@@ -37,7 +37,6 @@ evaluations of the same profile are byte-identical.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -46,25 +45,6 @@ from repro.vm.blocks import FLAG_BRANCH
 
 #: Exact scale of the centred jitter index: ``idx * 2**-15 - 1``.
 _SCALE = 2.0 ** -15
-
-
-def numpy_or_none():
-    """The ``numpy`` module when importable and not disabled, else ``None``.
-
-    ``REPRO_NUMPY=0`` (or ``off``/``no``/``false``) forces the pure-python
-    path even where numpy is installed -- the knob the fallback tests use
-    to cover both paths in one environment.  The batch evaluator is
-    *bit-identical* either way (see :class:`BatchNfpEngine`), so the knob
-    changes throughput, never results.
-    """
-    if os.environ.get("REPRO_NUMPY", "").strip().lower() in (
-            "0", "off", "no", "false"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-        return None
-    return numpy
 
 
 @dataclass(frozen=True)
@@ -523,8 +503,8 @@ def energy_dots(dyn_row: Sequence[float],
 
     ``(sum dyn*count, sum dyn*jcent, sum dyn*ucount, sum dyn*ujcent)``,
     each a correctly-rounded :func:`math.fsum` -- independent of batch
-    composition and identical between the numpy and pure paths, which is
-    what makes streamed and materialized sweeps byte-identical.
+    composition and shared by the batch engine and the streamed sweep,
+    which is what makes streamed and materialized sweeps byte-identical.
     """
     e1 = math.fsum(map(lambda d, c: d * c, dyn_row, vectors.fcounts))
     e2 = math.fsum(map(lambda d, c: d * c, dyn_row, vectors.jcent))
@@ -634,24 +614,25 @@ class BatchNfpEngine:
       scale factoring) regroups the per-point engine's single fsum, so
       energy agrees to a few ulp (well inside the documented 1e-12
       relative envelope); results are independent of how a batch is
-      composed and identical between the numpy and pure-python combine
+      composed and identical between the scalar and the numpy combine
       (same expressions, same IEEE-754 double semantics).
 
-    numpy (when importable and ``REPRO_NUMPY`` does not disable it, see
-    :func:`numpy_or_none`) vectorizes only the per-config combine; small
-    batches use the scalar loop.  Both paths return the same bits.
+    The per-config combine picks its implementation by batch size: the
+    evaluation server's coalesced price batches are small and run the
+    scalar loop (numpy is never imported for them), batches of
+    :attr:`_VECTOR_MIN` or more configs run the numpy combine.  Both
+    return the same bits.
     """
 
     #: below this batch size the scalar combine wins over array set-up
     _VECTOR_MIN = 64
 
-    __slots__ = ("hws", "basis", "_rows", "_np")
+    __slots__ = ("hws", "basis", "_rows")
 
     def __init__(self, hws: Sequence[HwConfig],
                  basis: tuple[str, ...] | None = None):
         self.hws = tuple(hws)
         self.basis = basis or canonical_basis()
-        self._np = numpy_or_none()
         # dedupe cost rows by table identity; the tuples keep the source
         # mappings alive so ids cannot be recycled mid-batch.  A
         # ScaledDynTable contributes its *base* row plus a (row, scale)
@@ -701,10 +682,9 @@ class BatchNfpEngine:
         dots = [base_dots[di] if scale == 1.0
                 else tuple(scale * d for d in base_dots[di])
                 for di, scale in dyn_specs]
-        np = self._np
-        if np is not None and len(self.hws) >= self._VECTOR_MIN:
+        if len(self.hws) >= self._VECTOR_MIN:
             try:
-                return self._evaluate_vector(np, vectors, cyc_dots, dots)
+                return self._evaluate_vector(vectors, cyc_dots, dots)
             except OverflowError:
                 # a cycle dot outside int64 (astronomical budgets):
                 # python's arbitrary-precision path still prices it
@@ -737,7 +717,8 @@ class BatchNfpEngine:
                 spills=spills, fills=fills, retired=retired))
         return out
 
-    def _evaluate_vector(self, np, vectors, cyc_dots, dots) -> list[LinearNfp]:
+    def _evaluate_vector(self, vectors, cyc_dots, dots) -> list[LinearNfp]:
+        import numpy as np
         cyc_rows, dyn_rows, dyn_specs, per_hw = self._rows
         hws = self.hws
         n = len(hws)

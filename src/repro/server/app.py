@@ -299,6 +299,7 @@ class EvalServer:
         try:
             space = (DesignSpace.from_spec(spec.axes) if spec.axes
                      else DesignSpace.default())
+            space.check(self.base)
         except ValueError as exc:
             raise ApiError(400, "bad-axes", str(exc)) from None
         try:

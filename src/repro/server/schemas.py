@@ -165,5 +165,8 @@ def sweep_request(payload: dict) -> SweepRequest:
     if shards is not None and mode != "stream":
         raise ApiError(400, "bad-shards",
                        "'shards' only applies to mode=stream sweeps")
+    if front_cap is not None and mode != "stream":
+        raise ApiError(400, "bad-front-cap",
+                       "'front_cap' only applies to mode=stream sweeps")
     return SweepRequest(axes=axes, workloads=workloads, fmt=fmt, mode=mode,
                         refine=refine, front_cap=front_cap, shards=shards)

@@ -4,15 +4,14 @@ The contract under test (see :class:`repro.nfp.linear.BatchNfpEngine`):
 for *any* configuration batch and *any* execution profile, batch pricing
 returns bit-identical integer cycles and times versus one
 :class:`~repro.nfp.linear.LinearNfpEngine` per configuration, and
-energies within 1e-12 relative.  The same holds between the numpy and
-pure-python combines (``REPRO_NUMPY=0``) and independently of how a
-batch is composed.
+energies within 1e-12 relative.  The scalar and numpy combines
+(picked by batch size, ``BatchNfpEngine._VECTOR_MIN``) return the same
+bits, independently of how a batch is composed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 from contextlib import contextmanager
 
@@ -119,39 +118,31 @@ def test_batch_bit_compatible_with_per_point_engine(space, profile):
 
 
 @contextmanager
-def forced_vector_combine():
-    """Vector combine on any batch size (numpy-vs-scalar, not scalar^2)."""
+def vector_min(size: int):
+    """Pick the combine by forcing the batch-size threshold."""
     held = BatchNfpEngine._VECTOR_MIN
-    BatchNfpEngine._VECTOR_MIN = 1
+    BatchNfpEngine._VECTOR_MIN = size
     try:
         yield
     finally:
         BatchNfpEngine._VECTOR_MIN = held
 
 
-@contextmanager
-def pure_python_combine():
-    held = os.environ.get("REPRO_NUMPY")
-    os.environ["REPRO_NUMPY"] = "0"
-    try:
-        yield
-    finally:
-        if held is None:
-            os.environ.pop("REPRO_NUMPY", None)
-        else:
-            os.environ["REPRO_NUMPY"] = held
+def forced_vector_combine():
+    """Vector combine on any batch size (numpy-vs-scalar, not scalar^2)."""
+    return vector_min(1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(spaces(), profiles())
 def test_batch_pure_python_matches_numpy(space, profile):
-    """REPRO_NUMPY=0 flips the combine implementation, never the bits."""
+    """The batch size flips the combine implementation, never the bits."""
     hws = batch_hws(space)
     vectors = lower_profile(profile)
     with forced_vector_combine():
         fast = BatchNfpEngine(hws).evaluate(vectors)
-        with pure_python_combine():
-            pure = BatchNfpEngine(hws).evaluate(vectors)
+    with vector_min(len(hws) + 1):
+        pure = BatchNfpEngine(hws).evaluate(vectors)
     assert fast == pure
 
 

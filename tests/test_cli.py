@@ -97,3 +97,62 @@ def test_report_command_exits_1_when_retries_run_out(
     assert len(errors) == 1
     assert "failed after 1 attempts" in errors[0]
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_simulation_path_never_imports_numpy(tmp_path):
+    """numpy is a pricing dependency only: the Table III and workload
+    paths (simulation, runner, report rendering) never load it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.experiments.table3, repro.hw.board\n"
+        "import repro.runner.tasks, repro.dse\n"
+        "assert repro.cli.main(['workloads', 'list', '--scale', 'smoke']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    env["REPRO_CACHE_DIR"] = str(tmp_path)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("mode", ["--stream", "--profile"])
+@pytest.mark.parametrize("axes, message", [
+    ("clock_mhz=-5", "clock_hz must be positive and finite"),
+    ("clock_mhz=0", "clock_hz must be positive and finite"),
+    ("clock_mhz=nan", "clock_hz must be positive and finite"),
+    ("nwindows=1", "SPARC V8 allows 2..32 register windows"),
+])
+def test_dse_rejects_bad_axis_values(mode, axes, message, capsys):
+    """Values the platform config rejects exit 2 with one error line on
+    the streamed and the materialized path alike."""
+    argv = ["dse", "--scale", "smoke", mode, "--workloads", "fse:00",
+            "--axes", axes]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error: ")]
+    assert errors == [f"error: {message}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--stream", "--front-cap", "0"], "positive"),
+    (["--stream", "--front-cap", "-1"], "positive"),
+    (["--profile", "--front-cap", "8"], "--stream"),
+    (["--front-cap", "8"], "--stream"),
+])
+def test_dse_front_cap_validation(argv, message, capsys):
+    assert main(["dse", "--scale", "smoke", "--workloads", "fse:00",
+                 *argv]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0]
+    assert captured.out == ""

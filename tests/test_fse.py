@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-# the FSE reference model is genuinely numerical; unlike the evaluator
-# fast paths (which fall back to pure python), these tests need numpy
-np = pytest.importorskip("numpy")
 
 from repro.fse import reference as ref
 from repro.fse.images import (NUM_TEST_IMAGES, make_image, make_mask,

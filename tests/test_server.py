@@ -319,6 +319,11 @@ def test_price_error_paths():
                 (json.dumps({"workload": "img:sobel3x3",
                              "surprise": 1}).encode(), 400,
                  "unknown-field"),
+                # non-finite clocks: a 200 would carry NaN, not JSON
+                (b'{"workload": "fse:00", "axes": {"clock_mhz": NaN}}',
+                 400, "bad-axis-value"),
+                (b'{"workload": "fse:00", "axes": {"clock_mhz": Infinity}}',
+                 400, "bad-axis-value"),
             ]
             for body, want_status, want_code in cases:
                 status, raw = await fetch(HOST, port, "POST", "/v1/price",
@@ -378,8 +383,35 @@ def test_sweep_error_paths():
                 HOST, port, "/v1/sweep", {"mode": "metered"})
             assert status == 400
             assert raw["error"]["code"] == "bad-mode"
+            # values the platform config rejects, in both modes
+            for mode in ("stream", "profile"):
+                for axes in ("clock_mhz=-5", "clock_mhz=0", "clock_mhz=nan",
+                             "nwindows=1"):
+                    status, raw = await fetch_json(
+                        HOST, port, "/v1/sweep",
+                        {"mode": mode, "workloads": "fse:00", "axes": axes})
+                    assert status == 400, (mode, axes)
+                    assert raw["error"]["code"] == "bad-axes"
+            status, raw = await fetch_json(
+                HOST, port, "/v1/sweep", {"mode": "profile", "front_cap": 8})
+            assert status == 400
+            assert raw["error"]["code"] == "bad-front-cap"
+            assert server.stats.sweeps == 0
 
     asyncio.run(main())
+
+
+def test_sweep_schema_validates_front_cap():
+    from repro.server.schemas import ApiError, sweep_request
+    assert sweep_request({"mode": "stream", "front_cap": 4}).front_cap == 4
+    assert sweep_request({}).front_cap is None
+    for bad in ({"mode": "stream", "front_cap": 0},
+                {"mode": "stream", "front_cap": True},
+                {"mode": "profile", "front_cap": 4},
+                {"front_cap": 4}):
+        with pytest.raises(ApiError, match="front_cap") as err:
+            sweep_request(bad)
+        assert err.value.code == "bad-front-cap"
 
 
 # -- the byte-identity contract ----------------------------------------------

@@ -2,16 +2,17 @@
 
 Three layers of guarantees:
 
-* :func:`repro.dse.shard.merge_front_entries` -- merging per-shard
-  fronts through one accumulator equals the single-pass front for
-  *any* contiguous split of the offer sequence, including empty
-  shards, one-point shards and exact objective ties (property-tested:
-  Pareto reduction is associative);
+* :meth:`repro.dse.stream._Store.absorb` -- folding per-shard store
+  exports into one store equals the single-pass front
+  (:class:`~repro.dse.pareto.ParetoAccumulator` and
+  :func:`~repro.dse.pareto.pareto_front`) for *any* contiguous split of
+  the offer sequence, including empty shards, one-point shards and
+  exact objective ties (property-tested: Pareto reduction is
+  associative);
 * :func:`repro.dse.engine.sweep_streamed` with ``shards > 1`` -- the
   summary and every rendered report are byte-identical to the serial
-  ``shards=1`` path, on the numpy fast path and the pure-python
-  generic path, through real pool workers, and under deterministic
-  chaos (kills and raises retry to convergence);
+  ``shards=1`` path, through real pool workers, and under
+  deterministic chaos (kills and raises retry to convergence);
 * the O(n log n) :func:`repro.dse.pareto.classify` staircase rewrite
   equals the quadratic pairwise definition, and the accumulator's
   cached front invalidates exactly on accepted adds.
@@ -19,13 +20,13 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
-import os
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse import (
+    OBJECTIVES,
     DesignSpace,
     ParetoAccumulator,
     WorkloadPair,
@@ -38,13 +39,12 @@ from repro.dse.shard import (
     MIN_SHARD_CONFIGS,
     ShardContext,
     _load_context,
-    _merge_front_columns,
     _shm_export,
-    merge_front_entries,
     publish_context,
     resolve_shards,
     unpublish_context,
 )
+from repro.dse.stream import _grouping, _Store
 from repro.fse.kernel import build_fse_kernel
 from repro.fse.params import FseParams
 from repro.hw.config import HwConfig
@@ -69,16 +69,28 @@ SPACE = DesignSpace((
 vectors = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
 
 
-def shard_fronts(points, bounds):
-    """Per-shard front entries with global seqs, one accumulator each."""
-    fronts = []
+def shard_exports(points, bounds):
+    """One store per contiguous shard range, offered with global seqs."""
+    exports = []
     for lo, hi in zip(bounds, bounds[1:]):
-        acc = ParetoAccumulator()
-        for point in points[lo:hi]:
-            acc.add(point)
-        fronts.append([(lo + seq, item)
-                       for seq, item in acc.front_entries()])
-    return fronts
+        store = _Store()
+        if hi > lo:
+            cols = {
+                "t": np.array([p[0] for p in points[lo:hi]], dtype=float),
+                "e": np.array([p[1] for p in points[lo:hi]], dtype=float),
+                "area": np.array([p[2] for p in points[lo:hi]],
+                                 dtype=np.int64),
+                "seq": np.arange(lo, hi, dtype=np.int64)}
+            store.offer(cols, _grouping(cols["area"]))
+        exports.append(store.export())
+    return exports
+
+
+def absorbed(exports) -> _Store:
+    merged = _Store()
+    for export in exports:
+        merged.absorb(export)
+    return merged
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,48 +102,30 @@ def test_merged_shard_fronts_equal_single_pass(data):
     # at either end and in the middle, and 1-point shards throughout
     cuts = data.draw(st.lists(st.integers(0, n), max_size=6))
     bounds = [0] + sorted(cuts) + [n]
-    merged = merge_front_entries(shard_fronts(points, bounds))
+    merged = absorbed(shard_exports(points, bounds))
+    front = merged.finalize()
     serial = ParetoAccumulator()
     for point in points:
         serial.add(point)
-    assert [item for _, item in merged] == serial.front() \
+    assert list(zip(front["t"].tolist(), front["e"].tolist(),
+                    front["area"].tolist())) == serial.front() \
         == pareto_front(points)
     # global seqs survive the merge (arrival order is the tie contract)
-    assert [seq for seq, _ in merged] == [
+    assert front["seq"].tolist() == [
         seq for seq, _ in serial.front_entries()]
+    assert merged.count == n
+    for k, objective in enumerate(OBJECTIVES):
+        assert merged.best[objective] == min(
+            (point[k], seq) for seq, point in enumerate(points))
 
 
 def test_merge_handles_all_empty_shards():
-    assert merge_front_entries([]) == []
-    assert merge_front_entries([[], []]) == []
-    merged = _merge_front_columns([])
-    assert sorted(merged) == ["area", "e", "seq", "t"]
-    assert all(len(col) == 0 for col in merged.values())
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_vectorized_column_merge_equals_reference(data):
-    """The numpy staircase merge == the accumulator merge, any split."""
-    from repro.nfp.linear import numpy_or_none
-    if numpy_or_none() is None:
-        pytest.skip("numpy unavailable")
-    points = data.draw(st.lists(vectors, min_size=1, max_size=48))
-    n = len(points)
-    cuts = data.draw(st.lists(st.integers(0, n), max_size=6))
-    bounds = [0] + sorted(cuts) + [n]
-    fronts = shard_fronts(points, bounds)
-    merged = _merge_front_columns([
-        {"t": [obj[0] for _, obj in front],
-         "e": [obj[1] for _, obj in front],
-         "area": [obj[2] for _, obj in front],
-         "seq": [seq for seq, _ in front]} for front in fronts])
-    reference = merge_front_entries(fronts)
-    # the fast path returns numpy columns; normalize before comparing
-    assert list(merged["seq"]) == [seq for seq, _ in reference]
-    assert list(merged["t"]) == [obj[0] for _, obj in reference]
-    assert list(merged["e"]) == [obj[1] for _, obj in reference]
-    assert list(merged["area"]) == [obj[2] for _, obj in reference]
+    assert pareto_front([]) == []
+    merged = absorbed(shard_exports([], [0, 0, 0]))
+    front = merged.finalize()
+    assert sorted(front) == ["area", "e", "seq", "t"]
+    assert all(col.size == 0 for col in front.values())
+    assert merged.count == 0 and merged.best == {}
 
 
 # -- classify: staircase rewrite vs the quadratic definition -----------------
@@ -251,22 +245,6 @@ def test_sharded_refinement_equals_serial(sweep_setup):
     sharded = streamed(sweep_setup, shards=4, refine=2)
     assert sharded == serial
     assert sharded.refined == serial.refined
-
-
-def test_sharded_pure_python_equals_serial(sweep_setup):
-    held = os.environ.get("REPRO_NUMPY")
-    os.environ["REPRO_NUMPY"] = "0"
-    try:
-        serial = streamed(sweep_setup, shards=1)
-        sharded = streamed(sweep_setup, shards=4)
-    finally:
-        if held is None:
-            os.environ.pop("REPRO_NUMPY", None)
-        else:
-            os.environ["REPRO_NUMPY"] = held
-    assert sharded == serial
-    # and the generic path agrees with the numpy fast path bit for bit
-    assert sharded == streamed(sweep_setup, shards=4)
 
 
 def test_sharded_chaos_converges_byte_identically(sweep_setup, tmp_path):

@@ -9,14 +9,14 @@ Two layers of guarantees:
 * :func:`repro.dse.engine.sweep_streamed` -- the streamed summary (and
   every :class:`repro.dse.report.StreamReport` format rendered from it)
   is byte-identical to ``StreamSummary.from_grid`` over the
-  materialized :func:`repro.dse.engine.sweep_profiled` grid, with or
-  without numpy, at any chunk size.
+  materialized :func:`repro.dse.engine.sweep_profiled` grid at any
+  chunk size; refined sweeps, which have no materialized twin, are
+  pinned by report digest.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +38,7 @@ from repro.fse.params import FseParams
 from repro.hw.config import HwConfig
 from repro.kir import compile_module
 from repro.runner import ExperimentRunner
+from repro.runner.resilience import UsageError
 from repro.vm.config import CoreConfig
 
 BUDGET = 50_000_000
@@ -48,19 +49,6 @@ SPACE = DesignSpace((
     ("nwindows", (2, 8)),
     ("wait_states", (0, 2)),
 ))
-
-
-@contextmanager
-def pure_python():
-    held = os.environ.get("REPRO_NUMPY")
-    os.environ["REPRO_NUMPY"] = "0"
-    try:
-        yield
-    finally:
-        if held is None:
-            os.environ.pop("REPRO_NUMPY", None)
-        else:
-            os.environ["REPRO_NUMPY"] = held
 
 
 # -- the online accumulator vs the batch front (property-based) --------------
@@ -150,13 +138,6 @@ def test_streamed_report_is_byte_identical_to_materialized(sweep_setup):
         assert lhs == rhs, f"format {fmt} diverged"
 
 
-def test_streamed_pure_python_matches_numpy(sweep_setup):
-    fast = streamed(sweep_setup)
-    with pure_python():
-        pure = streamed(sweep_setup)
-    assert fast == pure
-
-
 def test_streamed_is_chunk_independent(sweep_setup):
     reference = streamed(sweep_setup)
     for chunk in (1, 7, 13):
@@ -181,9 +162,6 @@ def test_streamed_refinement_is_deterministic(sweep_setup):
     assert first == again
     assert first.refined >= 0
     assert first.configs == SPACE.size + first.refined
-    with pure_python():
-        pure = streamed(sweep_setup, refine=2)
-    assert pure == first
 
 
 def test_streamed_never_materializes_the_grid(sweep_setup):
@@ -193,6 +171,60 @@ def test_streamed_never_materializes_the_grid(sweep_setup):
     held = len(summary.aggregate.front) + sum(
         len(w.front) for w in summary.per_workload)
     assert held <= (len(summary.per_workload) + 1) * (2 + 3)
+
+
+def test_streamed_refuses_axis_without_lowering(sweep_setup, monkeypatch):
+    """No silent fallback: the axis is named and --profile suggested."""
+    from repro.dse.axes import AXES, Axis, get_axis
+    clock = get_axis("clock_mhz")
+    monkeypatch.setitem(AXES, "clock_copy", Axis(
+        name="clock_copy", values=(25.0, 50.0), apply=clock.apply,
+        label=clock.label, parse=float))
+    space = DesignSpace((("clock_copy", (25.0, 50.0)), ("fpu", (False,))))
+    pair, runner, base = sweep_setup
+    with pytest.raises(UsageError, match="'clock_copy'.*--profile"):
+        sweep_streamed(space, [pair], budget=BUDGET, runner=runner,
+                       base=base)
+
+
+def test_streamed_refuses_cycle_counts_past_int64(sweep_setup):
+    from repro.dse.engine import stream_profiles
+    from repro.dse.stream import _FastSweep
+    from repro.nfp.linear import scale_vectors
+    pair, runner, base = sweep_setup
+    vectors = stream_profiles([pair], [False, True], budget=BUDGET,
+                              runner=runner, base=base)
+    huge = {key: scale_vectors(v, 2 ** 50) for key, v in vectors.items()}
+    with pytest.raises(UsageError, match="'fse:00'.*int64.*--profile"):
+        _FastSweep(SPACE, [pair], huge, base)
+
+
+def test_streamed_rejects_non_positive_front_cap(sweep_setup):
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="front_cap"):
+            streamed(sweep_setup, front_cap=cap)
+
+
+#: SHA-256 of the stdout of ``repro dse --scale smoke --stream ...``.
+#: Refinement has no materialized twin, so these digests are its oracle.
+STREAM_DIGESTS = {
+    ("--refine", "2", "--format", "json"):
+        "8ab5eb235f8f5fd0b2132ea66b15ed8c00d17dd664a7201834fc208b43c8fd1b",
+    ("--refine", "3", "--front-cap", "5", "--format", "text"):
+        "546cd11b3e65fea0a7eac0a2f7f0debe315afd121a0c983b0727e58d7494ba67",
+}
+
+
+@pytest.mark.parametrize("shards", [(), ("--shards", "3")],
+                         ids=["serial", "shards3"])
+@pytest.mark.parametrize("flags", sorted(STREAM_DIGESTS),
+                         ids=["refine2-json", "refine3-cap5-text"])
+def test_streamed_cli_report_digests(flags, shards, capsys):
+    from repro.cli import main
+    argv = ["dse", "--scale", "smoke", "--stream", *flags, *shards]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[flags]
 
 
 def test_cli_parser_stream_flags():
