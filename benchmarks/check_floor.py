@@ -16,7 +16,7 @@ over the PR-5 imaging-family rung):
   PR-7 batch floor compares configs/sec between the streamed
   million-config sweep and the faithful per-point baseline sweep, the
   PR-8 server floor bounds warm ``/v1/price`` throughput from below
-  and its server-side p99 latency from above, the PR-9 shard floor
+  and its client-side p99 latency from above, the shard floor
   compares configs/sec between the sharded and serial streamed sweep
   (enforced only when the recorded run had 4+ shards worth of cores;
   smaller runners record the honest ratio without failing), and the
@@ -74,8 +74,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="warm-profile /v1/price throughput floor in "
                              "requests/sec (default: %(default)s)")
     parser.add_argument("--max-server-p99-ms", type=float, default=500.0,
-                        help="server-side /v1/price p99 latency ceiling "
-                             "in ms (default: %(default)s)")
+                        help="client-side /v1/price p99 latency ceiling "
+                             "in ms over the measured rounds (default: "
+                             "%(default)s)")
     args = parser.parse_args(argv)
 
     suites = json.loads(args.report.read_text())["suites"]

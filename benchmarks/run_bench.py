@@ -67,7 +67,7 @@ def trim(raw: dict) -> dict:
         extra = bench.get("extra_info") or {}
         for key in ("mips", "retired", "cycles", "translated_blocks",
                     "points", "configs",
-                    "profiled_runs", "frames", "qps", "p99_ms",
+                    "profiled_runs", "frames", "qps", "p50_ms", "p99_ms",
                     "requests", "shards", "cpus"):
             if key in extra:
                 entry[key] = extra[key]

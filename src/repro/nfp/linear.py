@@ -585,9 +585,8 @@ def evaluate_batch(hws: Sequence[HwConfig], vectors: ProfileVectors,
 
     A re-entrant module-level convenience over :class:`BatchNfpEngine`
     (build, evaluate, discard): no engine or module state survives the
-    call, so concurrent callers -- the evaluation server's coalesced
-    price batches run this from worker threads -- never share mutable
-    state.  Results are the engine's bits exactly.
+    call, so concurrent callers never share mutable state.  Results are
+    the engine's bits exactly.
     """
     return BatchNfpEngine(hws, basis).evaluate(vectors)
 

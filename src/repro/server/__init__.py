@@ -11,13 +11,13 @@ runtime dependencies):
     lowered profiles in memory and answers
 
 ``POST /v1/price``
-    one (configuration, workload) point.  Concurrent requests arriving
-    within a short window coalesce into one
-    :class:`~repro.nfp.linear.BatchNfpEngine` evaluation
-    (:mod:`repro.server.batching`), and cold workloads are profiled
-    through the resilient cached runner behind per-key single-flight
-    locks (:mod:`repro.server.singleflight`) -- a stampede of identical
-    cold queries triggers exactly one simulation.
+    one (configuration, workload) point.  Concurrent requests the event
+    loop resumes in the same tick coalesce into one
+    :class:`~repro.nfp.linear.BatchNfpEngine` evaluation, with no wait
+    for others to join (:mod:`repro.server.batching`), and cold
+    workloads are profiled through the resilient cached runner behind
+    per-key single-flight locks (:mod:`repro.server.singleflight`) -- a
+    stampede of identical cold queries triggers exactly one simulation.
 
 ``POST /v1/sweep``
     a whole design-space spec, run through the same sweep drivers the

@@ -10,9 +10,12 @@ into a service:
 - ``/v1/price`` looks the profile up hot, or fills it through
   :func:`repro.dse.engine.stream_profiles` (one simulation, via the
   PR-2/PR-6 cached fault-tolerant runner) behind a single-flight lock;
-  pricing itself rides a coalesced :func:`~repro.nfp.linear.evaluate_batch`.
+  fills run one at a time on the server's one fill thread, and pricing
+  rides the current event-loop tick's batch
+  (:class:`~repro.server.batching.PriceBatcher`) on the loop thread.
 - ``/v1/sweep`` delegates to the ``repro dse`` driver in a worker
-  thread, so a materialized sweep's response body is *byte-identical*
+  thread of its own, so a long sweep never queues a cold fill behind
+  it, and a materialized sweep's response body is *byte-identical*
   to ``repro dse --profile --format json`` for the same spec.
 - ``/v1/healthz`` and ``/v1/stats`` render liveness and the
   :class:`~repro.server.stats.ServerStats` snapshot.
@@ -25,10 +28,13 @@ exits 0.
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import json
 import signal
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.dse.axes import DesignSpace
 from repro.dse.engine import config_area_les, stream_profiles
@@ -81,6 +87,12 @@ class EvalServer:
         #: the hot tier: (workload name, build tag) -> lowered profile
         self.profiles: dict[tuple[str, str], object] = {}
         self.flights = SingleFlight()
+        #: cold fills, one at a time on one long-lived thread (the
+        #: runner serializes them anyway): the default executor may
+        #: start a second thread for a fill, and a new thread grows a
+        #: malloc arena of its own, which shows in peak RSS
+        self._fill_pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-fill")
         self.batcher = PriceBatcher(self.settings, self.stats)
         #: sweeps run one at a time (they own the runner for minutes)
         self.sweep_lock = asyncio.Lock()
@@ -107,6 +119,7 @@ class EvalServer:
             await asyncio.sleep(0.02)
         for writer in list(self._active):
             writer.close()
+        self._fill_pool.shutdown(wait=False, cancel_futures=True)
         # give the per-connection handlers a tick to unwind
         await asyncio.sleep(0)
 
@@ -273,9 +286,12 @@ class EvalServer:
         """The single-flight fill: one profiling simulation, then hot."""
         self.stats.profile_fills += 1
         fpu = key[1] == "float"
+        # the caller's context variables travel along, as with to_thread
+        call = functools.partial(contextvars.copy_context().run,
+                                 self._profile_sync, spec, fpu)
         try:
-            vectors = await asyncio.to_thread(
-                self._profile_sync, spec, fpu)
+            vectors = await asyncio.get_running_loop().run_in_executor(
+                self._fill_pool, call)
         except UsageError as exc:     # self-modifying: no linear pricing
             raise ApiError(422, "unclean-workload", str(exc)) from None
         except RuntimeError as exc:   # retries ran out

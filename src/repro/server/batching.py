@@ -1,17 +1,22 @@
-"""Request coalescing: concurrent prices -> one batch evaluation.
+"""Request coalescing: the prices of one event-loop tick -> one evaluation.
 
-``/v1/price`` requests arriving within ``REPRO_SERVER_BATCH_WINDOW_MS``
-of each other join one :func:`repro.nfp.linear.evaluate_batch` pass:
-the first request opens a window, later arrivals append to it, and the
-flush (window timer, or ``REPRO_SERVER_MAX_BATCH`` arrivals, whichever
-first) prices every member's configuration in a single matrix-product
-evaluation per distinct hot profile.  Each request still receives
+``/v1/price`` handlers resumed in the same event-loop iteration join one
+:func:`price_batch` pass: the first :meth:`PriceBatcher.submit` of a
+tick schedules a flush with ``loop.call_soon``, every later submit of
+that tick appends to it, and the flush prices up to
+``REPRO_SERVER_MAX_BATCH`` members in a single matrix-product
+evaluation per distinct hot profile.  A remainder rides the next tick,
+so one tick never prices more than that many rows.  No request waits
+for others to join: an idle server prices a lone request on the tick
+after it arrives, while requests that arrived as the loop was busy are
+read in one iteration and share a batch.  Each request still receives
 exactly the bits a solo evaluation would produce -- the batch engine is
 bit-identical per row regardless of batch composition -- so coalescing
 changes throughput, never results.
 
-All bookkeeping runs on the event-loop thread (no locks); only the
-pricing itself runs in a worker thread.
+Everything runs on the event-loop thread, pricing included: pricing a
+few rows holds the interpreter lock either way, so a worker-thread hop
+would add a hand-off per batch and no parallelism.
 """
 
 from __future__ import annotations
@@ -46,52 +51,42 @@ def price_batch(entries: list[tuple]) -> list:
 
 
 class PriceBatcher:
-    """The coalescing window in front of the batch evaluator."""
+    """Per-tick coalescing in front of the batch evaluator."""
 
     def __init__(self, settings: ServerSettings, stats: ServerStats):
-        self._window_s = settings.batch_window_s
         self._max_batch = max(1, settings.max_batch)
         self._stats = stats
-        self._pending: list[tuple] = []   # (hw, vectors, future)
-        self._timer: asyncio.TimerHandle | None = None
+        #: (hw, vectors, future); a flush is scheduled while non-empty
+        self._pending: list[tuple] = []
 
     async def submit(self, hw, vectors):
-        """Price one configuration, riding whatever batch is open.
+        """Price one configuration in this tick's batch.
 
         Returns the entry's :class:`~repro.nfp.linear.LinearNfp`; a
         pricing failure propagates to every member of the batch.
         """
         loop = asyncio.get_running_loop()
-        if self._window_s <= 0:
-            self._stats.record_batch(1)
-            return (await asyncio.to_thread(price_batch, [(hw, vectors)]))[0]
         future = loop.create_future()
+        if not self._pending:
+            loop.call_soon(self._flush)
         self._pending.append((hw, vectors, future))
-        if len(self._pending) >= self._max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self._window_s, self._flush)
         return await future
 
     def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        batch, self._pending = self._pending, []
-        if not batch:
+        chunk = self._pending[:self._max_batch]
+        del self._pending[:self._max_batch]
+        if self._pending:
+            asyncio.get_running_loop().call_soon(self._flush)
+        # a cancelled submitter's future is already done: skip its row
+        chunk = [entry for entry in chunk if not entry[2].done()]
+        if not chunk:
             return
-        self._stats.record_batch(len(batch))
-        asyncio.get_running_loop().create_task(self._run(batch))
-
-    async def _run(self, batch: list[tuple]) -> None:
+        self._stats.record_batch(len(chunk))
         try:
-            priced = await asyncio.to_thread(
-                price_batch, [(hw, vectors) for hw, vectors, _ in batch])
-        except BaseException as exc:
-            for _, _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
+            priced = price_batch([(hw, vectors) for hw, vectors, _ in chunk])
+        except Exception as exc:
+            for _, _, future in chunk:
+                future.set_exception(exc)
             return
-        for (_, _, future), nfp in zip(batch, priced):
-            if not future.done():
-                future.set_result(nfp)
+        for (_, _, future), nfp in zip(chunk, priced):
+            future.set_result(nfp)

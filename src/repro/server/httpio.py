@@ -2,10 +2,13 @@
 
 Just enough protocol for the evaluation server's JSON API -- request
 line + headers + ``Content-Length`` bodies in, status + headers + body
-out, keep-alive by default -- written against ``asyncio`` streams so
-the whole server stays on the standard library.  Anything malformed
-raises :class:`BadRequest` (the connection answers 400 and closes);
-bodies above the server's budget raise :class:`PayloadTooLarge` (413).
+out, keep-alive by default on HTTP/1.1 (HTTP/1.0 only on request) --
+written against ``asyncio`` streams so the whole server stays on the
+standard library.  Anything malformed raises :class:`BadRequest` (the
+connection answers 400 and closes), and so does any body framing the
+server cannot follow exactly: ``Transfer-Encoding``, or ``Content-Length``
+headers that disagree, would leave the rest of the stream unparseable.
+Bodies above the server's budget raise :class:`PayloadTooLarge` (413).
 """
 
 from __future__ import annotations
@@ -44,12 +47,19 @@ class Request:
 
     method: str
     path: str
+    version: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
 
     @property
     def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+        """HTTP/1.1 keeps the connection unless told to close; HTTP/1.0
+        closes it unless asked to keep it."""
+        tokens = {token.strip() for token in
+                  self.headers.get("connection", "").lower().split(",")}
+        if self.version == "HTTP/1.0":
+            return "keep-alive" in tokens
+        return "close" not in tokens
 
 
 async def read_request(reader: asyncio.StreamReader,
@@ -75,7 +85,7 @@ async def read_request(reader: asyncio.StreamReader,
     parts = lines[0].split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise BadRequest(f"malformed request line: {lines[0]!r}")
-    method, path, _ = parts
+    method, path, version = parts
     headers: dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -83,21 +93,29 @@ async def read_request(reader: asyncio.StreamReader,
         name, sep, value = line.partition(":")
         if not sep:
             raise BadRequest(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise BadRequest("Transfer-Encoding is not supported; "
+                         "frame the body with Content-Length")
     length_text = headers.get("content-length", "0")
     try:
+        # digits only: int() alone also takes a sign, blanks and "_"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise ValueError(length_text)
         length = int(length_text)
     except ValueError:
         raise BadRequest(
             f"malformed Content-Length: {length_text!r}") from None
-    if length < 0:
-        raise BadRequest("negative Content-Length")
     if length > max_body:
         raise PayloadTooLarge(
             f"request body of {length} bytes exceeds the "
             f"{max_body}-byte budget (REPRO_SERVER_MAX_BODY)")
     body = await reader.readexactly(length) if length else b""
-    return Request(method=method, path=path, headers=headers, body=body)
+    return Request(method=method, path=path, version=version,
+                   headers=headers, body=body)
 
 
 def response_bytes(status: int, body: bytes,

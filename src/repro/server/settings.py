@@ -5,14 +5,10 @@ shared validated-environment helpers, so a typo'd value fails as a
 one-line :class:`~repro.runner.resilience.UsageError` at boot instead
 of a traceback deep inside a request:
 
-``REPRO_SERVER_BATCH_WINDOW_MS``
-    Coalescing window for concurrent ``/v1/price`` requests (default
-    2 ms).  Requests arriving while a window is open join one
-    :class:`~repro.nfp.linear.BatchNfpEngine` evaluation; ``0``
-    disables coalescing (every request prices alone).
 ``REPRO_SERVER_MAX_BATCH``
-    Flush a coalescing window early once this many requests joined it
-    (default 256).
+    Most ``/v1/price`` requests one event-loop tick prices in a single
+    :class:`~repro.nfp.linear.BatchNfpEngine` evaluation (default 256);
+    the rest ride the next tick.
 ``REPRO_SERVER_MAX_GRID``
     Request budget for ``/v1/sweep``: the configuration-grid size
     (configs x workloads) above which a sweep is rejected with a
@@ -40,7 +36,6 @@ from repro.runner.resilience import env_float, env_int
 class ServerSettings:
     """One resolved set of server knobs (see the module docstring)."""
 
-    batch_window_s: float = 0.002
     max_batch: int = 256
     max_grid: int = 250_000
     max_body: int = 1 << 20
@@ -51,8 +46,6 @@ class ServerSettings:
     def from_env(cls) -> "ServerSettings":
         """Read and validate every ``REPRO_SERVER_*`` knob."""
         return cls(
-            batch_window_s=env_float(
-                "REPRO_SERVER_BATCH_WINDOW_MS", 2.0, minimum=0.0) / 1000.0,
             max_batch=env_int("REPRO_SERVER_MAX_BATCH", 256),
             max_grid=env_int("REPRO_SERVER_MAX_GRID", 250_000),
             max_body=env_int("REPRO_SERVER_MAX_BODY", 1 << 20),

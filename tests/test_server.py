@@ -7,9 +7,13 @@ The contracts under test (ISSUE 8):
 - N identical concurrent cold ``/v1/price`` requests run exactly one
   profiling simulation (single-flight), fault-free *and* under
   injected chaos;
-- coalesced price batches return the same bits as solo evaluations;
+- the prices of one event-loop tick coalesce into one batch (at most
+  ``max_batch`` rows a tick) and return the same bits as solo
+  evaluations; a failed or cancelled member harms nobody else;
+- cold fills run one at a time on one thread that is not the loop's;
 - error paths answer with the intended statuses and never wedge the
-  connection, and a client disconnect mid-request leaves the server's
+  connection, a framing the server cannot follow gets one 400 and a
+  close, and a client disconnect mid-request leaves the server's
   caches consistent;
 - ``repro serve`` shuts down gracefully on SIGTERM (exit 0).
 
@@ -23,23 +27,37 @@ import asyncio
 import contextlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser
 from repro.dse.engine import stream_profiles
 from repro.experiments.scale import get_scale
+from repro.hw.config import HwConfig
 from repro.nfp.linear import evaluate_batch
 from repro.runner import ExperimentRunner
 from repro.runner.resilience import ChaosPolicy, RetryPolicy, UsageError
-from repro.server import EvalServer, ServerSettings
+from repro.server import EvalServer, ServerSettings, batching
+from repro.server.batching import PriceBatcher
 from repro.server.client import ServerClient, fetch, fetch_json
+from repro.server.httpio import (
+    BadRequest,
+    PayloadTooLarge,
+    Request,
+    read_request,
+)
+from repro.server.schemas import price_request
 from repro.server.singleflight import SingleFlight
-from repro.server.stats import quantile
+from repro.server.stats import ServerStats, quantile
+from repro.vm.config import CoreConfig
 from repro.workloads import get_spec
 
 SCALE = get_scale("smoke")
@@ -74,10 +92,10 @@ def test_serve_parser_defaults():
 
 
 def test_settings_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVER_BATCH_WINDOW_MS", "5")
+    monkeypatch.setenv("REPRO_SERVER_MAX_BATCH", "5")
     monkeypatch.setenv("REPRO_SERVER_MAX_GRID", "123")
     settings = ServerSettings.from_env()
-    assert settings.batch_window_s == pytest.approx(0.005)
+    assert settings.max_batch == 5
     assert settings.max_grid == 123
     monkeypatch.setenv("REPRO_SERVER_MAX_GRID", "lots")
     with pytest.raises(UsageError):
@@ -244,58 +262,181 @@ def test_stampede_single_flight_under_chaos(tmp_path):
     assert clean_stats["profiles"]["fills"] == 1
 
 
-def test_price_coalescing_batches_and_matches_solo_bits():
+def test_cold_fills_share_one_thread_off_the_loop():
+    """Concurrent cold fills of two workloads run on the server's one
+    fill thread, never on the event loop's."""
     async def main():
-        settings = ServerSettings(batch_window_s=0.05)
-        async with server_ctx(settings=settings) as (server, port):
-            # warm the profile so the measured batch is pure pricing
-            status, _ = await fetch(HOST, port, "POST", "/v1/price",
-                                    _stampede_body())
-            assert status == 200
-            _, raw = await fetch(HOST, port, "GET", "/v1/stats")
-            before = json.loads(raw)["batching"]
-            clocks = (25.0, 40.0, 50.0, 80.0)
+        async with server_ctx() as (server, port):
+            threads = []
+            fill = server._profile_sync
+
+            def recording_fill(spec, fpu):
+                threads.append(threading.get_ident())
+                return fill(spec, fpu)
+
+            server._profile_sync = recording_fill
             results = await asyncio.gather(*[
                 fetch_json(HOST, port, "/v1/price",
-                           {"workload": "img:sobel3x3",
-                            "axes": {"clock_mhz": mhz, "fpu": True}})
-                for mhz in clocks])
-            assert all(status == 200 for status, _ in results)
-            _, raw = await fetch(HOST, port, "GET", "/v1/stats")
-            after = json.loads(raw)["batching"]
-            assert after["batched_requests"] - before["batched_requests"] \
-                == len(clocks)
-            # they arrived within one window: fewer flushes than requests
-            assert after["batches"] - before["batches"] < len(clocks)
-            assert after["max_batch"] >= 2
-            # coalesced bits == solo bits
-            from repro.server.schemas import price_request
-            key = ("img:sobel3x3", "float")
-            vectors = server.profiles[key]
-            for (_, payload), mhz in zip(results, clocks):
-                config, _, _ = price_request(
-                    {"workload": "img:sobel3x3",
-                     "axes": {"clock_mhz": mhz, "fpu": True}},
-                    server.base)
-                nfp = evaluate_batch([config.hw], vectors)[0]
-                assert payload["time_s"] == nfp.true_time_s
-                assert payload["energy_j"] == nfp.true_energy_j
+                           {"workload": name, "axes": {"fpu": True}})
+                for name in ("img:sobel3x3", "img:histstats")])
+            assert [status for status, _ in results] == [200, 200]
+            assert server.stats.profile_fills == 2
+            return threads, threading.get_ident()
 
-    asyncio.run(main())
+    threads, loop_thread = asyncio.run(main())
+    assert len(threads) == 2
+    assert threads[0] == threads[1] != loop_thread
 
 
-def test_window_zero_disables_coalescing():
+# -- the per-tick price batcher ----------------------------------------------
+
+BASE = HwConfig(name="leon3", core=CoreConfig())
+
+
+@pytest.fixture(scope="module")
+def sobel_vectors():
+    """The lowered float-build profile of ``img:sobel3x3``."""
+    pair = get_spec("img:sobel3x3").pair(SCALE)
+    return stream_profiles([pair], [True], budget=SCALE.max_instructions,
+                           runner=ExperimentRunner(workers=1),
+                           base=BASE)[("img:sobel3x3", "float")]
+
+
+def clock_hws(clocks) -> list[HwConfig]:
+    """The FPU build at each clock, configured as ``/v1/price`` does."""
+    return [price_request({"workload": "img:sobel3x3",
+                           "axes": {"clock_mhz": mhz, "fpu": True}},
+                          BASE)[0].hw for mhz in clocks]
+
+
+@pytest.fixture
+def priced(monkeypatch):
+    """The configurations of every ``price_batch`` call, in call order."""
+    calls = []
+    price_batch = batching.price_batch
+
+    def recording(entries):
+        calls.append([hw for hw, _ in entries])
+        return price_batch(entries)
+
+    monkeypatch.setattr(batching, "price_batch", recording)
+    return calls
+
+
+def submit_all(batcher, hws, vectors):
+    """Every submit as its own task, so all of them join one tick."""
+    return asyncio.wait_for(asyncio.gather(
+        *[batcher.submit(hw, vectors) for hw in hws],
+        return_exceptions=True), timeout=30)
+
+
+def test_price_coalescing_batches_and_matches_solo_bits(sobel_vectors,
+                                                        priced):
+    hws = clock_hws((25.0, 40.0, 50.0, 80.0))
+    stats = ServerStats()
+
     async def main():
-        settings = ServerSettings(batch_window_s=0.0)
-        async with server_ctx(settings=settings) as (server, port):
-            for _ in range(2):
-                status, _ = await fetch(HOST, port, "POST", "/v1/price",
-                                        _stampede_body())
-                assert status == 200
-            assert server.stats.batches == 2
-            assert server.stats.max_batch == 1
+        return await submit_all(PriceBatcher(ServerSettings(), stats),
+                                hws, sobel_vectors)
 
-    asyncio.run(main())
+    results = asyncio.run(main())
+    assert priced == [hws]          # one tick, one batch of all four
+    assert (stats.batches, stats.batched_requests, stats.max_batch) \
+        == (1, 4, 4)
+    # coalesced bits == solo bits
+    assert results == [evaluate_batch([hw], sobel_vectors)[0]
+                       for hw in hws]
+
+
+def test_batcher_prices_max_batch_rows_per_tick_in_order(sobel_vectors,
+                                                         monkeypatch):
+    hws = clock_hws([25.0 + i for i in range(7)])
+    iterations, calls = [0], []
+    price_batch = batching.price_batch
+
+    def recording(entries):
+        calls.append((iterations[0], [hw for hw, _ in entries]))
+        return price_batch(entries)
+
+    monkeypatch.setattr(batching, "price_batch", recording)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+
+        def tick():                 # advances once per loop iteration
+            iterations[0] += 1
+            handle[0] = loop.call_soon(tick)
+
+        handle = [loop.call_soon(tick)]
+        try:
+            return await submit_all(
+                PriceBatcher(ServerSettings(max_batch=3), ServerStats()),
+                hws, sobel_vectors)
+        finally:
+            handle[0].cancel()
+
+    results = asyncio.run(main())
+    ticks = [tick for tick, _ in calls]
+    chunks = [chunk for _, chunk in calls]
+    assert [len(chunk) for chunk in chunks] == [3, 3, 1]
+    assert [hw for chunk in chunks for hw in chunk] == hws
+    assert ticks == sorted(set(ticks))      # one evaluation per tick
+    assert results == [evaluate_batch([hw], sobel_vectors)[0]
+                       for hw in hws]
+
+
+def test_batcher_failure_fails_only_its_chunk(sobel_vectors, monkeypatch):
+    sizes = []
+    price_batch = batching.price_batch
+
+    def flaky(entries):
+        sizes.append(len(entries))
+        if len(sizes) == 1:
+            raise RuntimeError("pricing failed")
+        return price_batch(entries)
+
+    monkeypatch.setattr(batching, "price_batch", flaky)
+    hws = clock_hws((25.0, 40.0, 50.0, 80.0))
+
+    async def main():
+        batcher = PriceBatcher(ServerSettings(max_batch=2), ServerStats())
+        first = await submit_all(batcher, hws, sobel_vectors)
+        again = await asyncio.wait_for(
+            batcher.submit(hws[0], sobel_vectors), timeout=30)
+        return first, again
+
+    first, again = asyncio.run(main())
+    assert sizes == [2, 2, 1]
+    assert all(isinstance(r, RuntimeError) for r in first[:2])
+    assert first[2:] == [evaluate_batch([hw], sobel_vectors)[0]
+                         for hw in hws[2:]]
+    # the failure was not sticky: the next submit still prices
+    assert again == evaluate_batch([hws[0]], sobel_vectors)[0]
+
+
+def test_batcher_skips_cancelled_submitter(sobel_vectors, priced):
+    hws = clock_hws((25.0, 40.0, 50.0))
+    loop_errors = []
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(
+            lambda _, context: loop_errors.append(context))
+        batcher = PriceBatcher(ServerSettings(), ServerStats())
+        tasks = [asyncio.ensure_future(batcher.submit(hw, sobel_vectors))
+                 for hw in hws]
+        await asyncio.sleep(0)      # all three queued, not yet flushed
+        assert priced == [] and not any(task.done() for task in tasks)
+        tasks[1].cancel()
+        return await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), timeout=30)
+
+    results = asyncio.run(main())
+    assert isinstance(results[1], asyncio.CancelledError)
+    assert priced == [[hws[0], hws[2]]]
+    assert [results[0], results[2]] == [
+        evaluate_batch([hw], sobel_vectors)[0] for hw in (hws[0], hws[2])]
+    assert loop_errors == []
 
 
 # -- error paths -------------------------------------------------------------
@@ -350,6 +491,122 @@ def test_oversized_body_rejected_413():
             assert json.loads(raw)["error"]["code"] == "payload-too-large"
 
     asyncio.run(main())
+
+
+async def raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh connection; every byte until EOF."""
+    reader, writer = await asyncio.open_connection(HOST, port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=30)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def split_response(raw: bytes) -> tuple[int, bytes, bytes, bytes]:
+    """``(status, head, body, rest)`` of the first response in ``raw``."""
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    return int(head.split()[1]), head, rest[:length], rest[length:]
+
+
+_CHUNK = json.dumps(PRICE).encode()
+
+
+@pytest.mark.parametrize("payload, want_status", [
+    # a chunked body the server cannot frame: one 400, not a second
+    # response parsed out of the chunk
+    (b"POST /v1/price HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+     + b"%x\r\n" % len(_CHUNK) + _CHUNK + b"\r\n0\r\n\r\n", 400),
+    (b"POST /v1/price HTTP/1.1\r\nContent-Length: 2\r\n"
+     b"Content-Length: 40\r\n\r\n{}" + b" " * 38, 400),
+    (b"POST /v1/price HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", 400),
+    # HTTP/1.0 closes by default
+    (b"GET /v1/healthz HTTP/1.0\r\n\r\n", 200),
+], ids=["chunked", "conflicting-length", "signed-length", "http10"])
+def test_one_response_then_close(payload, want_status):
+    async def main():
+        async with server_ctx() as (server, port):
+            return await raw_exchange(port, payload)
+
+    status, head, body, rest = split_response(asyncio.run(main()))
+    assert status == want_status
+    assert b"Connection: close" in head
+    assert rest == b""              # exactly one response, then EOF
+    if status == 400:
+        assert json.loads(body)["error"]["code"] == "bad-request"
+
+
+def test_http10_keep_alive_on_request():
+    async def main():
+        async with server_ctx() as (server, port):
+            reader, writer = await asyncio.open_connection(HOST, port)
+            try:
+                for _ in range(2):  # the connection outlives the first
+                    writer.write(b"GET /v1/healthz HTTP/1.0\r\n"
+                                 b"Connection: keep-alive\r\n\r\n")
+                    await writer.drain()
+                    head = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), timeout=30)
+                    assert b"Connection: keep-alive" in head
+                    length = int(re.search(rb"Content-Length: (\d+)",
+                                           head).group(1))
+                    body = await reader.readexactly(length)
+                    assert json.loads(body)["status"] == "ok"
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return server.stats.by_endpoint["/v1/healthz"]["requests"]
+
+    assert asyncio.run(main()) == 2
+
+
+_REQUEST_LINES = st.sampled_from([
+    b"GET /v1/healthz HTTP/1.1", b"POST /v1/price HTTP/1.0",
+    b"GET / HTTP/2", b"GET /v1/stats", b""])
+_HEADER_LINES = st.sampled_from([
+    b"Content-Length: 0", b"Content-Length: 5", b"Content-Length: 100",
+    b"Content-Length: -1", b"Content-Length: 1_0", b"Content-Length: 5, 5",
+    b"Content-Length: " + b"9" * 5000, b"Transfer-Encoding: chunked",
+    b"Connection: close", b"Connection: keep-alive", b"Host: x",
+    b"no-colon", b"X-Big: " + b"a" * 20000])
+
+
+@st.composite
+def http_bytes(draw):
+    """Request-shaped bytes, any piece of them possibly random."""
+    line = draw(st.one_of(_REQUEST_LINES, st.binary(max_size=40)))
+    headers = draw(st.lists(st.one_of(_HEADER_LINES,
+                                      st.binary(max_size=40)), max_size=5))
+    data = (b"\r\n".join([line, *headers]) + b"\r\n\r\n"
+            + draw(st.binary(max_size=120)))
+    return data[:draw(st.integers(0, len(data)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=300), http_bytes()))
+@example(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n"
+         b"Content-Length: 4\r\n\r\nbody")
+def test_read_request_fuzzed_bytes_then_eof(data):
+    """Any bytes then EOF: a request, a clean EOF, or a named error --
+    never another exception, never a hang."""
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        try:
+            return await asyncio.wait_for(read_request(reader, 64),
+                                          timeout=10)
+        except (BadRequest, PayloadTooLarge, asyncio.IncompleteReadError):
+            return None
+
+    request = asyncio.run(main())
+    if request is not None:
+        assert isinstance(request, Request)
+        assert len(request.body) \
+            == int(request.headers.get("content-length", "0")) <= 64
 
 
 def test_oversized_grid_rejected_413():
