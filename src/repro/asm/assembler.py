@@ -4,6 +4,12 @@ Pass 1 sizes every statement and binds labels to section offsets; pass 2
 resolves expressions against the final symbol table and encodes machine
 words.  Synthetic instructions expand here (``set`` may occupy one or two
 words -- the expansion size is decided deterministically in pass 1).
+
+Comments and operand lists are found by one compiled token scan in which
+double-quoted strings and ``'c'`` char literals are atoms, so ``'#'``,
+``'!'`` or ``','`` never start a comment or split an operand.  Pass 1
+keeps an instruction's operand text whole (only ``set`` is sized from
+its operands); pass 2 splits it where it encodes the instruction.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ _MEM_ADDR_RE = re.compile(r"^\s*(%\w+)\s*(?:([+-])\s*(.+?))?\s*$")
 
 _DEFAULT_ORIGIN = 0x40000000
 
+_WORD = struct.Struct(">I").pack
+
 
 @dataclass
 class _Item:
@@ -45,70 +53,52 @@ class _Item:
     kind: str  # "instr" | "data"
     mnemonic: str
     annul: bool
-    operands: list[str]
+    #: the operand text after the mnemonic (split where it is used)
+    args: str
     line_no: int
     raw: str
 
 
+#: The atoms that give a statement its structure: double-quoted strings
+#: (an unterminated one runs to the end of the line) and ``'c'`` char
+#: literals, inside which nothing is structural, and the comma, bracket,
+#: paren and comment characters outside them.  Scans search for these
+#: only, so plain operand text is never visited character by character.
+_ATOM_RE = re.compile(r"""
+    "(?:[^"\\]|\\.)*"?
+  | '(?:[^'\\]|\\.)'
+  | [,()\[\]!\#]
+""", re.VERBOSE | re.DOTALL)
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_string:
-            out.append(ch)
-            if ch == "\\" and i + 1 < len(line):
-                out.append(line[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        else:
-            if ch in "!#":
-                break
-            if ch == '"':
-                in_string = True
-            out.append(ch)
-        i += 1
-    return "".join(out).strip()
+    """``line`` without its ``!``/``#`` comment and surrounding blanks."""
+    if "!" in line or "#" in line:
+        for atom in _ATOM_RE.finditer(line):
+            if atom.group() in ("!", "#"):
+                return line[:atom.start()].strip()
+    return line.strip()
 
 
 def _split_operands(text: str) -> list[str]:
-    """Split on top-level commas (commas inside ``[]``/``()``/strings group)."""
+    """Split on top-level commas (strings, char literals and ``[]``/``()``
+    groups are atoms)."""
     if not text.strip():
         return []
     parts: list[str] = []
     depth = 0
-    in_string = False
-    current: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_string:
-            current.append(ch)
-            if ch == "\\" and i + 1 < len(text):
-                current.append(text[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-            current.append(ch)
-        elif ch in "[(":
+    start = 0
+    for atom in _ATOM_RE.finditer(text):
+        token = atom.group()
+        if token == ",":
+            if not depth:
+                parts.append(text[start:atom.start()].strip())
+                start = atom.end()
+        elif token in ("[", "("):
             depth += 1
-            current.append(ch)
-        elif ch in "])":
+        elif token in ("]", ")"):
             depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-        i += 1
-    parts.append("".join(current).strip())
+    parts.append(text[start:].strip())
     return parts
 
 
@@ -173,7 +163,7 @@ class Assembler:
 
         for line_no, raw_line in enumerate(source.splitlines(), start=1):
             line = _strip_comment(raw_line)
-            while True:
+            while ":" in line:
                 match = _LABEL_RE.match(line)
                 if not match:
                     break
@@ -200,13 +190,12 @@ class Assembler:
             if head.endswith(",a"):
                 head = head[:-2]
                 annul = True
-            operands = _split_operands(rest)
-            size = self._instr_size(head, operands, equ_defs, line_no)
+            size = self._instr_size(head, rest, equ_defs, line_no)
             if section != ".text":
                 raise AsmError(
                     f"instruction {head!r} outside .text", line_no)
             items.append(_Item(section, lc[section], size, "instr", head,
-                               annul, operands, line_no, raw_line.strip()))
+                               annul, rest, line_no, raw_line.strip()))
             lc[section] += size
 
         return self._pass2(items, label_defs, equ_defs, lc)
@@ -219,7 +208,7 @@ class Assembler:
 
         def emit(size: int) -> None:
             items.append(_Item(section, lc[section], size, "data", head,
-                               False, operands, line_no, raw.strip()))
+                               False, rest, line_no, raw.strip()))
             lc[section] += size
 
         if head in (".text", ".data", ".bss"):
@@ -277,9 +266,10 @@ class Assembler:
             return section, True
         raise AsmError(f"unknown directive {head!r}", line_no)
 
-    def _instr_size(self, mnemonic: str, operands: list[str],
+    def _instr_size(self, mnemonic: str, args: str,
                     equ_defs: dict[str, int], line_no: int) -> int:
         if mnemonic == "set":
+            operands = _split_operands(args)
             if len(operands) != 2:
                 raise AsmError("set needs `value, register`", line_no)
             expr = operands[0]
@@ -354,17 +344,18 @@ class Assembler:
                      symbols: dict[str, int]) -> bytes:
         if item.kind == "data":
             return self._encode_data(item, addr, symbols)
-        words = self._encode_instr(item.mnemonic, item.annul, item.operands,
-                                   addr, symbols)
-        return b"".join(struct.pack(">I", u32(w)) for w in words)
+        words = self._encode_instr(item.mnemonic, item.annul,
+                                   _split_operands(item.args), addr, symbols)
+        return b"".join([_WORD(u32(w)) for w in words])
 
     def _encode_data(self, item: _Item, addr: int,
                      symbols: dict[str, int]) -> bytes:
         head = item.mnemonic
+        operands = _split_operands(item.args)
         if head in (".skip", ".space"):
             fill = 0
-            if len(item.operands) == 2:
-                fill = evaluate(item.operands[1], symbols, addr) & 0xFF
+            if len(operands) == 2:
+                fill = evaluate(operands[1], symbols, addr) & 0xFF
             return bytes([fill]) * item.size
         if head == ".align":
             return bytes(item.size)
@@ -372,14 +363,14 @@ class Assembler:
             unit = {".word": 4, ".half": 2, ".byte": 1}[head]
             fmt = {4: ">I", 2: ">H", 1: ">B"}[unit]
             out = bytearray()
-            for op in item.operands:
+            for op in operands:
                 value = evaluate(op, symbols, addr) & ((1 << (unit * 8)) - 1)
                 out += struct.pack(fmt, value)
             return bytes(out)
         if head in (".ascii", ".asciz"):
-            blob = _parse_string_literal(" ".join(item.operands) if
-                                         len(item.operands) > 1 else
-                                         item.operands[0])
+            blob = _parse_string_literal(" ".join(operands) if
+                                         len(operands) > 1 else
+                                         operands[0])
             return blob + (b"\x00" if head == ".asciz" else b"")
         raise AsmError(f"internal: unsized directive {head!r}")
 

@@ -24,11 +24,14 @@ import re
 
 from repro.asm.errors import AsmError, UndefinedSymbolError
 
+#: An integer literal: hexadecimal, binary or decimal (``012`` is 12).
+_NUM = r"0[xX][0-9a-fA-F]+|0[bB][01]+|\d+"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     \s*(?:
         (?P<hi>%hi\b) | (?P<lo>%lo\b) |
-        (?P<num>0[xX][0-9a-fA-F]+|0[bB][01]+|\d+) |
+        (?P<num>{_NUM}) |
         (?P<char>'(?:\\.|[^'\\])') |
         (?P<sym>\.(?![\w])|[A-Za-z_.$][\w.$]*) |
         (?P<op><<|>>|[()+\-*/%&|^~])
@@ -37,7 +40,20 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+#: A whole expression that is one integer literal, optionally negated.
+_LITERAL_RE = re.compile(rf"\s*(?P<neg>-?)(?P<num>{_NUM})\s*")
+
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
+
+
+def _number(token: str) -> int:
+    """The value of one ``num`` token."""
+    prefix = token[:2].lower()
+    if prefix == "0x":
+        return int(token, 16)
+    if prefix == "0b":
+        return int(token, 2)
+    return int(token, 10)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -171,11 +187,7 @@ class _Parser:
                 return code
             return ord(body)
         if token[0].isdigit():
-            if token.lower().startswith("0x"):
-                return int(token, 16)
-            if token.lower().startswith("0b"):
-                return int(token, 2)
-            return int(token, 10)
+            return _number(token)
         if re.match(r"[A-Za-z_.$]", token[0]):
             if token not in self._symbols:
                 raise UndefinedSymbolError(token)
@@ -196,12 +208,18 @@ def evaluate(text: str, symbols: dict[str, int] | None = None,
     location:
         Value of the ``.`` location counter, when meaningful.
     """
+    literal = _LITERAL_RE.fullmatch(text)
+    if literal is not None:  # most operands: no tokens, no parser
+        value = _number(literal.group("num"))
+        return -value if literal.group("neg") else value
     parser = _Parser(_tokenize(text), symbols or {}, location)
     return parser.parse()
 
 
 def references_symbols(text: str) -> bool:
     """True if ``text`` mentions any symbol (i.e. is not a pure literal)."""
+    if _LITERAL_RE.fullmatch(text) is not None:
+        return False
     for token in _tokenize(text):
         if token in ("%hi", "%lo", "."):
             continue

@@ -18,8 +18,8 @@ def _addr_operand(instr: DecodedInstr) -> str:
             return f"[{base}]"
         sign = "+" if instr.imm >= 0 else "-"
         return f"[{base} {sign} {abs(instr.imm)}]"
-    if instr.rs2 == 0:
-        return f"[{base}]"
+    # `[base]` assembles to the immediate form, so an explicit %g0 index
+    # keeps the register form (and the word) through a round trip
     return f"[{base} + {reg_name(instr.rs2)}]"
 
 

@@ -34,17 +34,31 @@ The only relaxation is ``CpuState.last_value``, which inside a block is
 materialised once at block end (profile-fused blocks, which feed the
 data-dependent energy model, hash each result expression directly).
 
+Memory accesses compile to a RAM offset ``off``, one fault test and one
+access.  The 2-, 4- and 8-byte forms go through precompiled big-endian
+:class:`struct.Struct` ``unpack_from``/``pack_into`` methods; byte
+accesses index the RAM buffer.  The fault test is a single AND,
+``off & MASK`` with ``MASK = ~(P - n) | (n - 1)`` for an ``n``-byte
+access and ``P`` the smallest power of two >= the RAM size: it catches
+misalignment, offsets past ``P`` and negative offsets (addresses below
+the RAM base) at once.  Only a RAM size that is not a power of two adds
+``or off > ram_size - n`` (see :func:`_fault_test`).
+
 A store that lands inside translated text takes a slow early-exit path:
 it retires the prefix including itself, invalidates the overwritten
 translations through ``CpuState.on_code_write`` and returns to the
 dispatch loop, so self-modifying code never executes a stale closure --
 even when the overwritten instruction lives in the *currently executing*
-block.
+block.  The test compares ``off`` with block locals that the prologue of
+every block with stores computes from ``CpuState.code_lo``/``code_hi``:
+the watch range only grows when the dispatcher translates code, never
+while a block runs, so one read per dispatch is exact.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from typing import TYPE_CHECKING, Callable
 
 from repro.isa.categories import (
@@ -188,6 +202,21 @@ def _compile_source(source: str, name: str):
 
 _CODE_CACHE: dict[str, object] = {}
 _CODE_CACHE_LIMIT = 16384
+
+_U16, _U32, _U64 = (struct.Struct(fmt) for fmt in (">H", ">I", ">Q"))
+
+#: Names every generated block may call, shared by both compilers.  The
+#: ``_ld{n}``/``_st{n}`` pairs are the big-endian accessors of the 2-, 4-
+#: and 8-byte loads and stores (byte accesses index ``_ram`` directly).
+_HELPERS: dict[str, object] = {
+    "_MF": MemoryFault,
+    "_udiv": _udiv, "_sdiv": _sdiv, "_umul": _umul, "_smul": _smul,
+    "_getd": get_d, "_putd": put_d, "_getf": get_f, "_putf": put_f,
+    "_fdivh": ieee_div, "_fsqrth": ieee_sqrt, "_f2i": f64_to_i32_trunc,
+    "_ld2": _U16.unpack_from, "_st2": _U16.pack_into,
+    "_ld4": _U32.unpack_from, "_st4": _U32.pack_into,
+    "_ld8": _U64.unpack_from, "_st8": _U64.pack_into,
+}
 
 
 class Block:
@@ -377,24 +406,45 @@ def _emit_sethi(instr: DecodedInstr, ind: str, out: list) -> str:
     return "v"
 
 
+def _fault_test(size: int, msize: int) -> str:
+    """The fault condition of a ``size``-byte access at RAM offset ``off``.
+
+    One AND tests alignment and range together: with ``P`` the smallest
+    power of two >= ``msize``, ``off & (~(P - size) | (size - 1))`` is
+    zero exactly for the aligned offsets in ``[0, P - size]``, and a
+    negative ``off`` (an address below the RAM base) sets every high bit,
+    so it fails too.  RAM bases are 8-byte aligned
+    (:class:`~repro.vm.memory.Memory`), so ``off`` and the address share
+    their alignment bits.  Only when ``msize`` is not a power of two
+    does the tail ``[msize - size + 1, P)`` need the extra comparison.
+    """
+    p = 1 << (msize - 1).bit_length()
+    test = f"off & {~(p - size) | (size - 1)}"
+    if p != msize:
+        test += f" or off > {msize - size}"
+    return test
+
+
+def _emit_access(instr: DecodedInstr, pc: int, ind: str, out: list,
+                 mbase: int, msize: int, size: int, what: str) -> None:
+    """The effective RAM offset ``off`` of a load/store, fault-checked."""
+    # the absolute address is only rebuilt on the fault and SMC paths
+    out.append(f"{ind}off = ((r[{instr.rs1}] + {_operand(instr)})"
+               f" & {_M32}) - {mbase}")
+    out.append(f"{ind}if {_fault_test(size, msize)}:")
+    out.append(f"{ind}    raise _MF(off + {mbase}, {size}, "
+               f"'{what} outside RAM or misaligned', pc={pc})")
+
+
 def _emit_load(instr: DecodedInstr, pc: int, ind: str, out: list,
                mbase: int, msize: int) -> str:
     m = instr.mnemonic
     size, signed, fp, pair = _LOAD_PARAMS[m]
-    # the absolute address is only needed on the fault path (RAM bases are
-    # aligned, so off and addr share their alignment bits)
-    out.append(f"{ind}off = ((r[{instr.rs1}] + {_operand(instr)})"
-               f" & {_M32}) - {mbase}")
-    align = "" if size == 1 else (
-        f"off & {size - 1} or " if mbase % size == 0
-        else f"(off + {mbase}) & {size - 1} or ")
-    out.append(f"{ind}if {align}off < 0 or off + {size} > {msize}:")
-    out.append(f"{ind}    raise _MF(off + {mbase}, {size}, "
-               f"'load outside RAM or misaligned', pc={pc})")
+    _emit_access(instr, pc, ind, out, mbase, msize, size, "load")
     if size == 1:
         out.append(f"{ind}v = _ram[off]")
     else:
-        out.append(f"{ind}v = _ifb(_ram[off:off + {size}], 'big')")
+        out.append(f"{ind}v = _ld{size}(_ram, off)[0]")
     if signed:
         bits = size * 8
         out.append(f"{ind}if v >> {bits - 1}:")
@@ -411,7 +461,30 @@ def _emit_load(instr: DecodedInstr, pc: int, ind: str, out: list,
         out.append(f"{ind}r[{instr.rd | 1}] = v & {_M32}")
     elif instr.rd:
         out.append(f"{ind}r[{instr.rd}] = v")
-    return f"v & {_M32}"
+    # only the 64-bit pairs load more than a u32
+    return f"v & {_M32}" if pair else "v"
+
+
+def _store_sizes(instrs) -> list[int]:
+    """The distinct access sizes of the stores among ``instrs``."""
+    return sorted({_STORE_PARAMS[ins.mnemonic][0]
+                   for ins in instrs if ins.kind == "store"})
+
+
+def _emit_guard_prologue(sizes: list[int], mbase: int, out: list) -> None:
+    """Hoist the self-modifying-code watch range into block locals.
+
+    A ``size``-byte store at ``off`` overlaps ``[code_lo, code_hi)``
+    iff ``_cl{size} < off < _chi``.  The watch range only grows when the
+    dispatcher translates code, never while a block runs (every closure
+    a block calls is translated before it is compiled, and a store's
+    invalidation never moves the range), so reading it once per
+    dispatch is exact.
+    """
+    for size in sizes:
+        out.append(f"    _cl{size} = st.code_lo - {mbase + size}")
+    if sizes:
+        out.append(f"    _chi = st.code_hi - {mbase}")
 
 
 def _emit_store(instr: DecodedInstr, pc: int, k: int, ind: str, out: list,
@@ -419,15 +492,7 @@ def _emit_store(instr: DecodedInstr, pc: int, k: int, ind: str, out: list,
                 flush: list | None = None) -> str:
     m = instr.mnemonic
     size, fp, pair = _STORE_PARAMS[m]
-    # like loads, the absolute address is rebuilt only on the slow paths
-    out.append(f"{ind}off = ((r[{instr.rs1}] + {_operand(instr)})"
-               f" & {_M32}) - {mbase}")
-    align = "" if size == 1 else (
-        f"off & {size - 1} or " if mbase % size == 0
-        else f"(off + {mbase}) & {size - 1} or ")
-    out.append(f"{ind}if {align}off < 0 or off + {size} > {msize}:")
-    out.append(f"{ind}    raise _MF(off + {mbase}, {size}, "
-               f"'store outside RAM or misaligned', pc={pc})")
+    _emit_access(instr, pc, ind, out, mbase, msize, size, "store")
     if fp:
         if pair:
             out.append(f"{ind}v = (f[{instr.rd}] << 32) | f[{instr.rd + 1}]")
@@ -440,18 +505,19 @@ def _emit_store(instr: DecodedInstr, pc: int, k: int, ind: str, out: list,
     if size == 1:
         out.append(f"{ind}_ram[off] = v")
     else:
-        out.append(f"{ind}_ram[off:off + {size}] = v.to_bytes({size}, 'big')")
-    # Self-modifying code: retire the prefix including this store, drop the
-    # stale translations and bail out to the dispatch loop (slow, rare).
-    out.append(f"{ind}if st.code_lo < off + {mbase + size} "
-               f"and off + {mbase} < st.code_hi:")
-    out.append(f"{ind}    st.last_value = v & {_M32}")
+        out.append(f"{ind}_st{size}(_ram, off, v)")
+    lv = f"v & {_M32}" if pair else "v"
+    # Self-modifying code (the watch range sits in the block's prologue
+    # locals, see _emit_guard_prologue): retire the prefix including this
+    # store, drop the stale translations and bail out to the dispatch loop
+    out.append(f"{ind}if _cl{size} < off < _chi:")
+    out.append(f"{ind}    st.last_value = {lv}")
     for line in flush or ():  # flush completed self-loop iterations first
         out.append(f"{ind}    {line}")
     out.append(f"{ind}    _fix(st, {k + 1})")
     out.append(f"{ind}    st.on_code_write(off + {mbase}, {size})")
     out.append(f"{ind}    return {acc}{k + 1}")
-    return f"v & {_M32}"
+    return lv
 
 
 def _emit_fpop(instr: DecodedInstr, ind: str, out: list) -> str:
@@ -710,15 +776,11 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
         delay is not None and _uses_fregs(delay))
 
     ns: dict[str, object] = {
+        **_HELPERS,
         "_first": cpu.closure_at(entry),
         "_fix": _make_fixup(entry, meta),
         "_bget": cpu.blocks_get,
         "_ram": mem.ram,
-        "_MF": MemoryFault,
-        "_ifb": int.from_bytes,
-        "_udiv": _udiv, "_sdiv": _sdiv, "_umul": _umul, "_smul": _smul,
-        "_getd": get_d, "_putd": put_d, "_getf": get_f, "_putf": put_f,
-        "_fdivh": ieee_div, "_fsqrth": ieee_sqrt, "_f2i": f64_to_i32_trunc,
     }
     acct.fill_ns(ns)
 
@@ -742,6 +804,7 @@ def compile_block(cpu: "Cpu", entry: int) -> Block:
     if use_f:
         out.append("    f = st.fregs")
     out.append("    cc = st.cat_counts")
+    _emit_guard_prologue(_store_sizes(ins for _, ins in fused), mbase, out)
     li = "    "  # indent of the (possibly looping) block body
     if self_loop:
         out.append("    _n = 0")
@@ -1114,8 +1177,8 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
     mats = [f"\x00st.{f} = {f}_" for f in ("n", "z", "v", "c", "fcc")] \
         if self_loop else []
 
-    #: recover completed self-loop iterations: counters, the back-edge
-    #: branch-site taken count and the block execution count
+    #: recover completed self-loop iterations: counters and the back-edge
+    #: branch-site taken count
     flush_lines: list[str] = []
     if self_loop:
         flush_lines.append(f"_it = _n // {taken_count}")
@@ -1127,20 +1190,15 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
                 flush_lines.append(f"_mc{i}[0] += {scaled(count, '_it')}")
         if term_is_branch:
             flush_lines.append(f"{bs_cell}[0] += _it")
-        flush_lines.append("_bx[0] += _it")
         flush_lines.append("if _n:")
         flush_lines.append("    st.taken = 1")
 
     ns: dict[str, object] = {
+        **_HELPERS,
         "_first": cpu.closure_at(entry),
         "_fix": _make_fixup(entry, acct.meta),
         "_bget": cpu.pblocks_get,
         "_ram": mem.ram,
-        "_MF": MemoryFault,
-        "_ifb": int.from_bytes,
-        "_udiv": _udiv, "_sdiv": _sdiv, "_umul": _umul, "_smul": _smul,
-        "_getd": get_d, "_putd": put_d, "_getf": get_f, "_putf": put_f,
-        "_fdivh": ieee_div, "_fsqrth": ieee_sqrt, "_f2i": f64_to_i32_trunc,
         "_js": profiler.jsum,
         "_uc": profiler.untaken_counts,
         "_us": profiler.untaken_jsum,
@@ -1162,6 +1220,7 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
     out.append("        _first(st)")
     emit_retire_profile(first_instr.mnemonic, entry, "        ", out)
     out.append("        return 1")
+    _emit_guard_prologue(_store_sizes(ins for _, ins in fused), mbase, out)
     # the entry path always hashes st.last_value; that must not force
     # back-edge materialisation inside the loop body
     sentinel_used = False
@@ -1172,8 +1231,6 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
         out.append(f"    _limit = _rem - {taken_count}")
         out.append("    while True:")
         li = "        "
-    else:
-        out.append("    _bx[0] += 1")
     acc_prefix = "_n + " if self_loop else ""
 
     body_ind = li + "    " if guarded else li
@@ -1313,7 +1370,6 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
                 for line in flush_lines[:-2]:  # st.taken set explicitly
                     out.append(f"{ind}{line}")
                 acct.emit_batch(ind, out)
-                out.append(f"{ind}_bx[0] += 1")
             out.append(f"{ind}st.taken = 0")
             emit_profile(term.mnemonic, term_pc, ind, out, cur_prelude,
                          untaken=term_is_branch)
@@ -1360,7 +1416,6 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
 
     acct.fill_ns(ns)
     ns.update(site_cells)
-    ns["_bx"] = profiler.block_cell(entry, length, dict(acct.cat_totals))
     source = "\n".join(out) + "\n"
     code = _compile_source(source, f"<pblock 0x{entry:08x}>")
     exec(code, ns)  # noqa: S102 - the source is generated above, not input

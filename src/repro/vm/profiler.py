@@ -28,11 +28,6 @@ way (:meth:`repro.hw.board.Board.measure_raw`):
   counts and trap-energy indices for every candidate ``w`` fall out of
   the single run.
 
-Per-block execution counts (with their static category vectors) are
-still accumulated in-memory as dispatch-path diagnostics, but they are
-*not* part of :meth:`ProfileMeter.snapshot`: the evaluator never reads
-them, and they inflated every cache entry and server-held profile.
-
 The observer interface matches :class:`repro.vm.cpu.RetireObserver`; hot
 code runs on profile-fused superblocks instead
 (:func:`repro.vm.blocks.compile_profiled_block`), which update the same
@@ -73,7 +68,7 @@ class ProfileMeter:
 
     __slots__ = ("index", "flags", "jsum", "untaken_counts", "untaken_jsum",
                  "branch_sites", "div_sites", "save_depths",
-                 "restore_depths", "block_cells", "block_meta")
+                 "restore_depths")
 
     def __init__(self):
         self.index = {m: i for i, m in enumerate(PROFILE_MNEMONICS)}
@@ -91,11 +86,6 @@ class ProfileMeter:
         #: save post-depth -> [events, index sum]; restore pre-depth dito.
         self.save_depths: dict[int, list[int]] = {}
         self.restore_depths: dict[int, list[int]] = {}
-        #: block entry pc -> [executions]; meta holds (length, static
-        #: per-block category vector) -- in-memory dispatch diagnostics
-        #: only, never serialised (see the module docstring).
-        self.block_cells: dict[int, list[int]] = {}
-        self.block_meta: dict[int, tuple[int, dict[int, int]]] = {}
 
     # -- translation-time cell handout ---------------------------------------
 
@@ -104,14 +94,6 @@ class ProfileMeter:
 
     def div_cell(self, pc: int) -> list[int]:
         return self.div_sites.setdefault(pc, [0, 0])
-
-    def block_cell(self, entry: int, length: int,
-                   cats: dict[int, int]) -> list[int]:
-        cell = self.block_cells.get(entry)
-        if cell is None:
-            cell = self.block_cells[entry] = [0]
-        self.block_meta[entry] = (length, cats)
-        return cell
 
     # -- the per-instruction observer (cold code, budget edges) --------------
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.asm import AsmError, assemble
-from repro.asm.expr import evaluate, references_symbols
+from repro.asm.expr import _Parser, _tokenize, evaluate, references_symbols
 from repro.isa.decoder import decode
 from repro.isa.disasm import disassemble
+from repro.isa.encoder import encode_arith
 
 
 class TestExpressions:
@@ -26,6 +27,12 @@ class TestExpressions:
         ("'\\n'", 10),
         ("%hi(0x40000000)", 0x40000000 >> 10),
         ("%lo(0x12345)", 0x12345 & 0x3FF),
+        ("012", 12),
+        ("-0x10", -16),
+        (" 0b101 ", 5),
+        ("-7", -7),
+        ("0X1f", 31),
+        ("4095", 4095),
     ])
     def test_literals(self, text, expected):
         assert evaluate(text) == expected
@@ -52,10 +59,20 @@ class TestExpressions:
         assert references_symbols("label + 4")
         assert references_symbols("%hi(buf)")
         assert not references_symbols("0x1234 + 8")
+        for literal in ("012", "-0x10", " 0b101 ", "-7", "0X1f", "4095"):
+            assert not references_symbols(literal)
 
     def test_division_by_zero(self):
         with pytest.raises(AsmError):
             evaluate("1 / 0")
+
+    @given(st.integers(-(1 << 40), 1 << 40),
+           st.sampled_from(("{}", "{:#x}", "{:#X}", "{:#b}", "0{}")))
+    def test_literal_shortcut_matches_parser(self, value, form):
+        """A lone (negated) literal skips the parser; both agree."""
+        text = ("-" if value < 0 else "") + form.format(abs(value))
+        parsed = _Parser(_tokenize(text), {}, None).parse()
+        assert evaluate(text) == parsed == value
 
 
 class TestDirectives:
@@ -238,3 +255,27 @@ class TestInstructions:
         with pytest.raises(AsmError) as err:
             assemble("    .text\n_start:\n    nop\n    bogus %g1\n")
         assert err.value.line == 4
+
+
+def _mov_imm(rd: int, value: int) -> str:
+    """The hex word of ``or %g0, value, rd`` (``mov``/``set`` of a char)."""
+    return struct.pack(">I", encode_arith("or", rd, 0, imm=value)).hex()
+
+
+class TestCharLiteralAtoms:
+    """``'#'``, ``'!'`` and ``','`` are char literals, not a comment
+    start or an operand separator, wherever an expression is allowed."""
+
+    @pytest.mark.parametrize("body,section,expected", [
+        ("set '#', %o0", "text", _mov_imm(8, 0x23)),
+        ("set '!', %o1", "text", _mov_imm(9, 0x21)),
+        ("set ',', %o2", "text", _mov_imm(10, 0x2C)),
+        ("mov ',', %o2", "text", _mov_imm(10, 0x2C)),
+        ("mov '#', %o3  ! a trailing comment", "text", _mov_imm(11, 0x23)),
+        ("set '!', %o4  # a trailing comment", "text", _mov_imm(12, 0x21)),
+        (".data\n    .byte ',', '#'", "data", "2c23"),
+        (".data\n    .byte ',', '#'  ! a trailing comment", "data", "2c23"),
+    ])
+    def test_char_literals_with_separators(self, body, section, expected):
+        prog = assemble(f"    .text\n_start:\n    {body}\n")
+        assert getattr(prog, section).hex() == expected

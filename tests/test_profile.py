@@ -211,12 +211,10 @@ class TestLinearEvaluation:
     def test_profiled_blocks_match_stepwise_observation(self, pair):
         """Block-fused profiling == per-instruction observation, exactly.
 
-        The profile is all integers, so the equality is bitwise.  The
-        per-block execution counts stay in-memory dispatch diagnostics
-        (populated only on the block path) and never reach the payload.
+        The profile is all integers, so the equality is bitwise.
         """
         snaps = []
-        meters = []
+        translated = []
         for metered_blocks in (True, False):
             meter = ProfileMeter()
             core = profile_core(CoreConfig())
@@ -225,10 +223,10 @@ class TestLinearEvaluation:
                 core.with_metered_blocks(metered_blocks))
             sim = simulator.run_profiled(meter, max_instructions=BUDGET)
             snaps.append(meter.snapshot(sim, clean=True))
-            meters.append(meter)
+            translated.append(simulator.cpu.pblock_stats()[0])
         blocked, stepped = snaps
         assert "blocks" not in blocked and "blocks" not in stepped
-        assert meters[0].block_cells and not meters[1].block_cells
+        assert translated[0] and not translated[1]  # both paths ran
         assert blocked == stepped
 
     def test_payload_roundtrip_is_lossless(self, pair):

@@ -15,6 +15,8 @@ from repro.asm import assemble
 from repro.isa import encoder
 from repro.isa.decoder import decode
 from repro.vm import CoreConfig, Simulator, WatchdogTimeout
+from repro.vm.cpu import BLOCK_COMPILE_THRESHOLD, PROFILED_COMPILE_THRESHOLD
+from repro.vm.profiler import ProfileMeter
 
 #: the SimulationResult fields that must match bit-for-bit across modes
 #: (``translated_pcs`` legitimately differs: the block scanner may decode
@@ -362,6 +364,79 @@ new_insn:
         blocked, stepped = run_both(src)
         assert blocked.exit_code == 5
         assert_identical(blocked, stepped)
+
+    @pytest.mark.parametrize("edge", ["first", "last"])
+    def test_hot_store_into_watch_range_edges(self, edge):
+        """A compiled store into the lowest or the highest translated word
+        retranslates it: the blocks read the watch range once per
+        dispatch, and both bounds of their guard must be exact."""
+        hot = 2 * max(BLOCK_COMPILE_THRESHOLD, PROFILED_COMPILE_THRESHOLD)
+        patch = {"first": ("first", encoder.encode_arith(
+                     "or", rd=8, rs1=0, imm=2)),       # mov 2, %o0
+                 "last": ("last", encoder.encode_arith(
+                     "add", rd=8, rs1=8, imm=20))}[edge]
+        stores = "\n".join(["    .word sink, 0"] * hot)
+        program = assemble(f"""
+    .text
+_start:
+first:
+    mov 1, %o0             ! the lowest translated word
+    tst %l7
+    bne finish
+    nop
+    call tail              ! translate the highest word before the loop
+    nop
+    mov 1, %l7
+    set stores, %l2
+    set {hot + 1}, %o3
+    ba loop
+    nop
+    .skip 256              ! the loop's page holds neither target
+loop:
+    ld [%l2], %o2
+    ld [%l2 + 4], %o1
+    st %o1, [%o2]          ! hot on sink, then onto the edge word
+    add %l2, 8, %l2
+    subcc %o3, 1, %o3
+    bne loop
+    nop
+    ba first
+    nop
+finish:
+    call tail
+    nop
+    mov 0, %g1
+    ta 5
+    .skip 256
+tail:
+    retl
+last:
+    add %o0, 10, %o0       ! the highest translated word
+
+    .data
+    .align 8
+sink:
+    .word 0
+stores:
+{stores}
+    .word {patch[0]}, {patch[1]}
+""")
+        core = CoreConfig()
+        runs = {"blocks": Simulator(program, core),
+                "profiled": Simulator(program, core),
+                "stepwise": Simulator(program, core.with_blocks(False))}
+        results = {"blocks": runs["blocks"].run(),
+                   "profiled": runs["profiled"].run_profiled(ProfileMeter()),
+                   "stepwise": runs["stepwise"].run()}
+        expected = {"first": 2 + 10, "last": 1 + 20}[edge]
+        for tier, result in results.items():
+            assert result.exit_code == expected, tier
+            assert_identical(result, results["stepwise"])
+        state = runs["blocks"].state
+        assert (state.code_lo, state.code_hi - 4)[edge == "last"] == \
+            program.symbols[patch[0]]
+        assert runs["blocks"].cpu._block_info, "the loop never compiled"
+        assert runs["profiled"].cpu._pblock_info, "the loop never compiled"
 
     def test_host_write_invalidates_step_cache(self):
         """Memory pokes from the host must also drop stale translations."""
