@@ -22,6 +22,7 @@ from repro.asm.errors import AsmError
 from repro.asm.expr import evaluate, references_symbols
 from repro.asm.program import Program
 from repro.isa import encoder
+from repro.isa.errors import EncodeError
 from repro.isa.fields import fits_simm13, u32
 from repro.isa.opcodes import (
     ARITH_MNEMONIC_TO_OP3,
@@ -309,9 +310,9 @@ class Assembler:
             addr = bases[item.section] + item.offset
             try:
                 blob = self._encode_item(item, addr, symbols)
-            except (AsmError, ValueError) as exc:
-                if isinstance(exc, AsmError):
-                    raise exc.at_line(item.line_no)
+            except AsmError as exc:
+                raise exc.at_line(item.line_no)
+            except (EncodeError, ValueError) as exc:
                 raise AsmError(str(exc), item.line_no) from exc
             if len(blob) != item.size:
                 raise AsmError(

@@ -44,6 +44,13 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
                              "~/.cache/repro-nfp)")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -182,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-blocks", action="store_true",
                    help="disable superblock translation (per-instruction "
                         "dispatch, slower but step-exact tooling baseline)")
-    p.add_argument("--max-instructions", type=int, default=50_000_000)
+    p.add_argument("--max-instructions", type=_positive_int,
+                   default=50_000_000, metavar="N",
+                   help="watchdog budget of retired instructions (>= 1)")
     p = sub.add_parser("disasm")
     p.add_argument("word", help="hex instruction word, e.g. 0x82008004")
     return parser
@@ -310,6 +319,60 @@ def _run_profile_warm(scale, args) -> int:
     return 0
 
 
+def _run_toolchain(args) -> int:
+    """``asm``, ``run`` and ``disasm``: a failure is one ``error:`` line.
+
+    Input errors -- an unreadable file, bad assembly, a word outside
+    ``[0, 2**32)`` or one that does not decode -- exit 2; a guest fault
+    or the watchdog ending ``run`` exits 1.
+    """
+    from repro.asm import AsmError, assemble
+    from repro.isa import decode, disassemble
+    from repro.isa.errors import DecodeError
+    from repro.vm import CoreConfig, SimError, Simulator
+    try:
+        if args.command == "disasm":
+            try:
+                word = int(args.word, 16)
+            except ValueError:
+                word = -1
+            if not 0 <= word < 1 << 32:
+                raise ValueError(f"{args.word!r} is not a 32-bit hex word")
+            print(disassemble(decode(word)))
+            return 0
+        with open(args.file, encoding="utf-8") as handle:
+            program = assemble(handle.read())
+        if args.command == "asm":
+            print(f"entry   0x{program.entry:08x}")
+            for section in program.sections:
+                print(f"{section.name:<8} 0x{section.addr:08x}  "
+                      f"{section.size} bytes")
+            return 0
+        simulator = Simulator(program, CoreConfig(
+            has_fpu=not args.no_fpu, blocks_enabled=not args.no_blocks))
+    except (OSError, ValueError, AsmError, DecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        result = simulator.run(max_instructions=args.max_instructions)
+    except SimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if result.console:
+        sys.stdout.write(result.console)
+    print(f"exit code : {result.exit_code}")
+    print(f"retired   : {result.retired}")
+    print(f"speed     : {result.mips:.2f} MIPS")
+    if result.extras.get("block_mode"):
+        print(f"blocks    : {result.extras['translated_blocks']:.0f} "
+              f"translated, avg {result.extras['avg_block_len']:.1f} "
+              f"instrs")
+    for cid, count in result.category_counts.items():
+        if count:
+            print(f"  {cid:<10} {count}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
@@ -396,44 +459,8 @@ def main(argv: list[str] | None = None) -> int:
         print(run_figure3().render())
         return 0
 
-    if command == "asm":
-        from repro.asm import assemble
-        with open(args.file, encoding="utf-8") as handle:
-            program = assemble(handle.read())
-        print(f"entry   0x{program.entry:08x}")
-        for section in program.sections:
-            print(f"{section.name:<8} 0x{section.addr:08x}  "
-                  f"{section.size} bytes")
-        return 0
-
-    if command == "run":
-        from repro.asm import assemble
-        from repro.vm import CoreConfig, Simulator
-        with open(args.file, encoding="utf-8") as handle:
-            program = assemble(handle.read())
-        config = CoreConfig(has_fpu=not args.no_fpu,
-                            blocks_enabled=not args.no_blocks)
-        result = Simulator(program, config).run(
-            max_instructions=args.max_instructions)
-        if result.console:
-            sys.stdout.write(result.console)
-        print(f"exit code : {result.exit_code}")
-        print(f"retired   : {result.retired}")
-        print(f"speed     : {result.mips:.2f} MIPS")
-        if result.extras.get("block_mode"):
-            print(f"blocks    : {result.extras['translated_blocks']:.0f} "
-                  f"translated, avg {result.extras['avg_block_len']:.1f} "
-                  f"instrs")
-        for cid, count in result.category_counts.items():
-            if count:
-                print(f"  {cid:<10} {count}")
-        return 0
-
-    if command == "disasm":
-        from repro.isa import decode, disassemble
-        word = int(args.word, 16)
-        print(disassemble(decode(word)))
-        return 0
+    if command in ("asm", "run", "disasm"):
+        return _run_toolchain(args)
 
     raise AssertionError(command)  # pragma: no cover
 

@@ -20,18 +20,30 @@ basic-block granularity; this module does the analogue for the Python ISS:
   together with their delay-slot instruction (when the slot holds a simple
   no-fault instruction), so a typical inner loop becomes one dispatch per
   iteration;
-* blocks that fall through (maximum length reached) chain directly to the
-  successor block when it is already translated and fits the remaining
-  watchdog budget.
+* a branch back to the block's own entry makes a *self-loop* block that
+  iterates internally, keeps the condition codes in locals (a flag no
+  iteration reads is computed only at the exits) and defers its counter
+  updates to one multiply-add per counter at each exit;
+* the fall-through end and the inlined-branch exits of other blocks chain
+  directly to the successor block when it is already translated and fits
+  the remaining watchdog budget.
 
-Exactness contract (checked by ``tests/test_vm_blocks.py``): for every
-kernel, block mode and the per-instruction loop produce bit-identical
-``category_counts``, ``mnemonic_counts``, ``retired``, ``exit_code``,
-console output and window statistics.  Faults mid-block retire exactly the
+There is one emitter, :func:`compile_block`, and profiling is an
+emission option: given a :class:`~repro.vm.profiler.ProfileMeter` the
+same block also records the configuration-independent cost basis that
+the hardware testbed and the profile-once sweeps price; without one it
+emits no profile lines at all -- the functional ISS.
+
+Exactness contract (checked by ``tests/test_vm_blocks.py`` and
+``tests/test_profile.py``): for every kernel, block mode and the
+per-instruction loop produce bit-identical ``category_counts``,
+``mnemonic_counts``, ``retired``, ``exit_code``, console output and
+window statistics, and a profiled block run records the same profile as
+per-instruction observation.  Faults mid-block retire exactly the
 preceding prefix (the fix-up handler recounts it) and re-raise with the
 architectural ``pc`` of the faulting instruction, like the stepping loop.
 The only relaxation is ``CpuState.last_value``, which inside a block is
-materialised once at block end (profile-fused blocks, which feed the
+materialised at the block's exits (profiled blocks, which feed the
 data-dependent energy model, hash each result expression directly).
 
 Memory accesses compile to a RAM offset ``off``, one fault test and one
@@ -100,7 +112,7 @@ _M32 = "4294967295"
 
 #: Cost-model flags: how a mnemonic's base (cycles, energy) entry is
 #: modulated at retire time.  Defined here (not in :mod:`repro.hw`) so the
-#: profiled block compiler and the hardware meter share one vocabulary
+#: block emitter's profile lines and the hardware meter share one vocabulary
 #: without the VM layer depending on the hardware layer.
 FLAG_NORMAL = 0
 FLAG_BRANCH = 1   #: untaken branches are discounted
@@ -113,7 +125,7 @@ def cost_flags() -> dict[str, int]:
 
     The single source of the retire-cost flag classification shared by
     the hardware cost tables (:attr:`repro.hw.config.HwConfig.cost_table`),
-    the profiled block compiler and the execution profiler
+    the profile lines of :func:`compile_block` and the execution profiler
     (:class:`repro.vm.profiler.ProfileMeter`) -- all consumers must
     classify retires identically or estimated and measured NFPs drift.
     """
@@ -205,7 +217,7 @@ _CODE_CACHE_LIMIT = 16384
 
 _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in (">H", ">I", ">Q"))
 
-#: Names every generated block may call, shared by both compilers.  The
+#: Names every generated block may call.  The
 #: ``_ld{n}``/``_st{n}`` pairs are the big-endian accessors of the 2-, 4-
 #: and 8-byte loads and stores (byte accesses index ``_ram`` directly).
 _HELPERS: dict[str, object] = {
@@ -647,7 +659,7 @@ def _scan(cpu: "Cpu", entry: int):
     """Decode the straight-line run at ``entry`` plus its terminator.
 
     Returns ``(fused, term, term_pc, inline, delay, mode, expr)`` -- the
-    shared front end of both block compilers, so the fast and the
+    front end of :func:`compile_block`, so the functional and the
     profiled translation always agree on block shape.  Raises
     :class:`~repro.vm.errors.IllegalInstruction` only for the entry word.
     """
@@ -693,7 +705,7 @@ def _scan(cpu: "Cpu", entry: int):
 
 
 class _Accounting:
-    """Batched per-block counter bookkeeping shared by both compilers."""
+    """Batched per-block counter bookkeeping of :func:`compile_block`."""
 
     def __init__(self, morpher):
         self.morpher = morpher
@@ -731,264 +743,6 @@ class _Accounting:
                 out.append(f"{ind}_mc{i}[0] += {count}")
 
 
-def compile_block(cpu: "Cpu", entry: int) -> Block:
-    """Translate the superblock entered at ``entry`` for ``cpu``.
-
-    Raises :class:`~repro.vm.errors.IllegalInstruction` when the entry
-    word itself cannot be fetched or decoded (matching the per-instruction
-    translator); decode failures *past* the entry merely end the block.
-    """
-    state = cpu.state
-    mem = state.mem
-    morpher = cpu.morpher
-
-    fused, term, term_pc, inline, delay, mode, expr = _scan(cpu, entry)
-    n = len(fused)
-
-    if term is not None and not inline and n == 0:
-        # Terminator-only block: the per-instruction closure is already the
-        # best translation; wrap it so the dispatcher sees a uniform shape.
-        closure = cpu.closure_at(entry)
-
-        def single(st: "CpuState", _rem: int, _f=closure) -> int:
-            _f(st)
-            return 1
-
-        return Block(single, 1, entry, entry + 4)
-
-    # -- batched bookkeeping metadata ---------------------------------------
-    acct = _Accounting(morpher)
-    cat_totals = acct.cat_totals
-    cell_order = acct.cell_order
-    cell_index = acct.cell_index
-    meta = acct.meta
-
-    for _, ins in fused:
-        acct.account(ins)
-        meta.append((category_of(ins), morpher.mn_cells[ins.mnemonic]))
-    if term is not None and inline:
-        acct.account(term)
-    delay_cell_name = acct.account(delay, batched=False) \
-        if delay is not None else None
-
-    guarded = any(_can_raise(ins) for _, ins in fused)
-    use_f = any(_uses_fregs(ins) for _, ins in fused) or (
-        delay is not None and _uses_fregs(delay))
-
-    ns: dict[str, object] = {
-        **_HELPERS,
-        "_first": cpu.closure_at(entry),
-        "_fix": _make_fixup(entry, meta),
-        "_bget": cpu.blocks_get,
-        "_ram": mem.ram,
-    }
-    acct.fill_ns(ns)
-
-    # A branch whose target is the block's own entry lets the block iterate
-    # *internally*: one dispatch runs the whole hot loop until it exits or
-    # the watchdog budget nears, and the per-iteration counter updates are
-    # deferred -- iterations are recovered as ``_n // taken_count`` at the
-    # exits and flushed with one multiply-add per touched counter.
-    target = (term_pc + term.imm) & M32 if (term is not None and inline) \
-        else None
-    taken_count = n + (1 if delay is None else 2)
-    self_loop = (inline and mode in ("always", "cond")
-                 and target == entry and term.kind != "call")
-
-    mbase, msize = mem.base, mem.size
-    out: list[str] = [f"def _block(st, _rem):",
-                      f"    if st.npc != {entry + 4}:",
-                      f"        _first(st)",
-                      f"        return 1",
-                      f"    r = st.regs"]
-    if use_f:
-        out.append("    f = st.fregs")
-    out.append("    cc = st.cat_counts")
-    _emit_guard_prologue(_store_sizes(ins for _, ins in fused), mbase, out)
-    li = "    "  # indent of the (possibly looping) block body
-    if self_loop:
-        out.append("    _n = 0")
-        out.append("    while True:")
-        li = "        "
-
-    def scaled(count: int, factor: str) -> str:
-        return factor if count == 1 else f"{count} * {factor}"
-
-    #: deferred flush of the completed self-loop iterations (incl. delay)
-    flush_lines: list[str] = []
-    if self_loop:
-        flush_lines.append(f"_it = _n // {taken_count}")
-        iter_cats = dict(cat_totals)
-        if delay is not None:
-            dcat = category_of(delay)
-            iter_cats[dcat] = iter_cats.get(dcat, 0) + 1
-        for cat in sorted(iter_cats):
-            flush_lines.append(f"cc[{cat}] += {scaled(iter_cats[cat], '_it')}")
-        for i, (m, _, count) in enumerate(cell_order):
-            extra = 1 if (delay is not None and m == delay.mnemonic) else 0
-            if count + extra:
-                flush_lines.append(
-                    f"_mc{i}[0] += {scaled(count + extra, '_it')}")
-        if delay is not None and delay.mnemonic not in cell_index:
-            raise AssertionError("delay cell not registered")
-        # completed iterations each took the back edge: restore the exact
-        # st.taken the stepping loop would hold at this point, so fault
-        # and SMC exits stay architecturally identical across modes
-        flush_lines.append("if _n:")
-        flush_lines.append("    st.taken = 1")
-
-    def emit_flush(ind: str) -> None:
-        for line in flush_lines:
-            out.append(f"{ind}{line}")
-
-    body_ind = li + "    " if guarded else li
-    if guarded:
-        out.append(f"{li}i = 0")
-        out.append(f"{li}try:")
-
-    lv: str | None = None
-    for k, (ipc, ins) in enumerate(fused):
-        out.append(f"{body_ind}# 0x{ipc:08x} {ins.mnemonic}")
-        if _can_raise(ins):
-            out.append(f"{body_ind}i = {k}")
-        new_lv = _emit_body(ins, ipc, k, body_ind, out, mbase, msize,
-                            acc="_n + " if self_loop else "",
-                            flush=flush_lines)
-        if new_lv is not None:
-            lv = new_lv
-    if guarded:
-        out.append(f"{li}except BaseException:")
-        emit_flush(f"{li}    ")
-        out.append(f"{li}    _fix(st, i)")
-        out.append(f"{li}    raise")
-
-    def emit_delay(ind: str) -> None:
-        """Delay-slot body + its counters inside a branch arm."""
-        assert delay is not None and delay_cell_name is not None
-        out.append(f"{ind}# 0x{term_pc + 4:08x} {delay.mnemonic} (delay)")
-        dlv = _emit_body(delay, term_pc + 4, 0, ind, out, mbase, msize)
-        if not self_loop:  # self-loop iterations flush deferred counts
-            out.append(f"{ind}cc[{category_of(delay)}] += 1")
-            out.append(f"{ind}{delay_cell_name}[0] += 1")
-        if dlv is not None:
-            out.append(f"{ind}st.last_value = {dlv}")
-
-    end = entry + 4 * n
-    length = n
-
-    if self_loop:
-        # Taken back edge: count the iteration, keep looping while another
-        # full iteration fits the remaining watchdog budget.
-        arm = li
-        if mode == "cond":
-            out.append(f"{li}if {expr}:")
-            arm = li + "    "
-        if delay is not None:
-            emit_delay(arm)  # body only; its counters ride the flush
-        out.append(f"{arm}_n += {taken_count}")
-        out.append(f"{arm}if _rem - _n >= {taken_count}:")
-        out.append(f"{arm}    continue")
-        emit_flush(arm)
-        out.append(f"{arm}st.taken = 1")
-        if lv is not None and (delay is None or delay.kind == "nop"):
-            out.append(f"{arm}st.last_value = {lv}")
-        out.append(f"{arm}st.pc = {target}")
-        out.append(f"{arm}st.npc = {target + 4}")
-        out.append(f"{arm}return _n")
-        if mode == "cond":
-            # untaken exit: flush full iterations, then retire the final
-            # partial pass (fused + branch, plus delay unless annulled)
-            emit_flush(li)
-            acct.emit_batch(li, out)
-            out.append(f"{li}st.taken = 0")
-            if lv is not None:
-                out.append(f"{li}st.last_value = {lv}")
-            count = n + 1
-            if not term.annul and delay is not None:
-                out.append(f"{li}cc[{category_of(delay)}] += 1")
-                out.append(f"{li}{delay_cell_name}[0] += 1")
-                out.append(f"{li}# 0x{term_pc + 4:08x} {delay.mnemonic} "
-                           f"(delay)")
-                dlv = _emit_body(delay, term_pc + 4, 0, li, out, mbase,
-                                 msize)
-                if dlv is not None:
-                    out.append(f"{li}st.last_value = {dlv}")
-                count = taken_count
-            out.append(f"{li}st.pc = {term_pc + 8}")
-            out.append(f"{li}st.npc = {term_pc + 12}")
-            out.append(f"{li}return _n + {count}")
-        end = term_pc + 4 + (4 if delay is not None else 0)
-        length = taken_count
-    else:
-        acct.emit_batch(li, out)
-        if lv is not None:
-            out.append(f"{li}st.last_value = {lv}")
-
-        def emit_taken(ind: str) -> None:
-            out.append(f"{ind}st.taken = 1")
-            if delay is not None:
-                emit_delay(ind)
-            out.append(f"{ind}st.pc = {target}")
-            out.append(f"{ind}st.npc = {target + 4}")
-            out.append(f"{ind}return {taken_count}")
-
-        def emit_untaken(ind: str) -> None:
-            out.append(f"{ind}st.taken = 0")
-            count = n + 1 if (term.annul or delay is None) else taken_count
-            if not term.annul and delay is not None:
-                emit_delay(ind)
-            out.append(f"{ind}st.pc = {term_pc + 8}")
-            out.append(f"{ind}st.npc = {term_pc + 12}")
-            out.append(f"{ind}return {count}")
-
-        if term is None:
-            # fall-through end: chain to the successor block if translated
-            out.append(f"    st.pc = {end}")
-            out.append(f"    st.npc = {end + 4}")
-            out.append(f"    _nxt = _bget({end})")
-            out.append(f"    if _nxt is not None and _nxt[1] <= _rem - {n}:")
-            # pass the successor exactly its own length: it executes once
-            # but cannot chain further, bounding recursion depth at one
-            # frame regardless of how long the straight-line run is
-            out.append(f"        return {n} + _nxt[0](st, _nxt[1])")
-            out.append(f"    return {n}")
-        elif not inline:
-            out.append(f"    st.pc = {term_pc}")
-            out.append(f"    st.npc = {term_pc + 4}")
-            out.append(f"    _term(st)")
-            out.append(f"    return {n + 1}")
-            ns["_term"] = cpu.closure_at(term_pc)
-            end = term_pc + 4
-            length = n + 1
-        else:
-            if term.kind == "call":
-                out.append(f"    r[15] = {term_pc}")
-            if mode == "always":
-                if delay is None:  # ba,a / fba,a: delay slot annulled
-                    out.append(f"{li}st.taken = 1")
-                    out.append(f"{li}st.pc = {target}")
-                    out.append(f"{li}st.npc = {target + 4}")
-                    out.append(f"{li}return {n + 1}")
-                else:
-                    emit_taken(li)
-            elif mode == "never":
-                emit_untaken(li)
-            else:
-                out.append(f"{li}if {expr}:")
-                emit_taken(li + "    ")
-                emit_untaken(li)
-            end = term_pc + 4 + (4 if delay is not None else 0)
-            length = taken_count if delay is not None or mode != "never" \
-                else n + 1
-
-    source = "\n".join(out) + "\n"
-    code = _compile_source(source, f"<block 0x{entry:08x}>")
-    exec(code, ns)  # noqa: S102 - the source is generated above, not input
-    fn = ns["_block"]
-    fn.__block_source__ = source  # debugging aid
-    return Block(fn, length, entry, end)
-
-
 def jitter_table(amplitude: float) -> tuple[float, ...]:
     """``jit[i] == 1.0 + amplitude * (i / 32768.0 - 1.0)`` for 16-bit ``i``.
 
@@ -1021,12 +775,15 @@ _CENTERED_16BIT: tuple[float, ...] | None = None
 _JITTER_TABLES: dict[float, tuple[float, ...]] = {}
 
 
-def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
-    """Translate the superblock at ``entry`` with *fused profiling*.
+def compile_block(cpu: "Cpu", entry: int, profiler=None) -> Block:
+    """Translate the superblock entered at ``entry`` for ``cpu``.
 
-    ``profiler`` is the configuration-independent accumulator of the
-    profile-once DSE path (:class:`repro.vm.profiler.ProfileMeter`).
-    Instead of one hardware configuration's costs, the generated code
+    The one block emitter of every block-dispatching loop.  Without a
+    ``profiler`` it emits the functional ISS's translation: the
+    architectural effect plus the batched Table-I and per-mnemonic
+    counters, nothing else.  With one -- the configuration-independent
+    accumulator of the profile-once DSE path and the hardware testbed
+    (:class:`repro.vm.profiler.ProfileMeter`) -- the same block also
     records the *operands of the cost algebra*, so any configuration can
     be priced later by :mod:`repro.nfp.linear` without re-running the
     simulation:
@@ -1047,18 +804,26 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
       *depth* events, from which spill/fill counts and trap-energy
       indices for any candidate ``nwindows`` fall out of the single run.
 
-    Control flow, fault recovery, self-modifying-code bail-outs and
-    self-loop counter deferral mirror :func:`compile_block`; the
-    architectural results stay bit-identical to every other loop
-    (``tests/test_profile.py``).  One profiled run replaces one metered
-    run per configuration: the hardware testbed
-    (:meth:`repro.hw.board.Board.measure_raw`) prices it for its board,
-    and the profile-once sweeps price it for every grid point.
+    Block shape, fault recovery, self-modifying-code bail-outs, self-loop
+    counter deferral with localized condition codes, and chaining into
+    translated successors are common to both modes; the architectural
+    results stay bit-identical to the per-instruction loops
+    (``tests/test_vm_blocks.py``, ``tests/test_profile.py``).  One
+    profiled run replaces one metered run per configuration: the
+    hardware testbed (:meth:`repro.hw.board.Board.measure_raw`) prices it
+    for its board, and the profile-once sweeps price it for every grid
+    point.
+
+    Raises :class:`~repro.vm.errors.IllegalInstruction` when the entry
+    word itself cannot be fetched or decoded (matching the
+    per-instruction translator); decode failures *past* the entry merely
+    end the block.
     """
     state = cpu.state
     mem = state.mem
     morpher = cpu.morpher
-    index = profiler.index
+    profiling = profiler is not None
+    index = profiler.index if profiling else None
     flags = cost_flags()
     sentinel = "st.last_value"
 
@@ -1093,6 +858,8 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
     def emit_profile(m: str, pc: int, ind: str, out: list, val: str,
                      untaken: bool = False, fresh: bool = False) -> None:
         """Profile lines of one retire whose flag resolves at compile time."""
+        if not profiling:
+            return
         emit_hash(val, ind, out, fresh=fresh)
         idx = idx_expr(pc)
         out.append(f"{ind}_js[{index[m]}] += {idx}")
@@ -1111,6 +878,8 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
         closure (delayed-control entries and closure terminators): the
         flag behaviour is resolved at run time from ``st``.
         """
+        if not profiling:
+            return
         flag = flags[m]
         emit_hash(sentinel, ind, out, fresh=True)
         out.append(f"{ind}_ix = {idx_expr(pc)}")
@@ -1163,7 +932,8 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
     taken_count = n + (1 if delay is None else 2)
     self_loop = (inline and mode in ("always", "cond")
                  and target == entry and term.kind != "call")
-    term_is_branch = (term is not None and inline
+    #: a profiled branch terminator counts its site's taken/untaken retires
+    term_is_branch = (profiling and term is not None and inline
                       and flags[term.mnemonic] == FLAG_BRANCH)
     bs_cell = site("bs", term_pc, profiler.branch_cell(term_pc)) \
         if term_is_branch else None
@@ -1197,18 +967,18 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
         **_HELPERS,
         "_first": cpu.closure_at(entry),
         "_fix": _make_fixup(entry, acct.meta),
-        "_bget": cpu.pblocks_get,
+        "_bget": cpu.blocks_get,
         "_ram": mem.ram,
-        "_js": profiler.jsum,
-        "_uc": profiler.untaken_counts,
-        "_us": profiler.untaken_jsum,
-        "_sdep": profiler.save_depths,
-        "_rdep": profiler.restore_depths,
     }
+    if profiling:
+        ns.update(_js=profiler.jsum, _uc=profiler.untaken_counts,
+                  _us=profiler.untaken_jsum, _sdep=profiler.save_depths,
+                  _rdep=profiler.restore_depths)
 
     mbase, msize = mem.base, mem.size
     first_instr = fused[0][1] if fused else term
-    out: list[str] = ["def _pblock(st, _rem):",
+    fn_name = "_pblock" if profiling else "_block"
+    out: list[str] = [f"def {fn_name}(st, _rem):",
                       "    r = st.regs"]
     if use_f:
         out.append("    f = st.fregs")
@@ -1259,8 +1029,7 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
             # (its last_value is already set by the SMC branch), then let
             # _fix retire the prefix counters
             flush = []
-            emit_hash(sentinel, "", flush, fresh=True)
-            flush.append(f"_js[{index[ins.mnemonic]}] += {idx_expr(ipc)}")
+            emit_profile(ins.mnemonic, ipc, "", flush, sentinel, fresh=True)
             flush += flush_lines
             flush += mats
         lv = emit_body_tracked(ins, ipc, k, body_ind, flush)
@@ -1297,16 +1066,25 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
         for line in mats:
             out.append(f"{ind}{line}")
 
+    def emit_chain(ind: str, dest: int, count: int) -> None:
+        """Tail-chain into the already-translated successor block.
+
+        The successor gets exactly its own length as budget: it runs once
+        but cannot chain further, so the recursion stays one frame deep.
+        """
+        out.append(f"{ind}_nxt = _bget({dest})")
+        out.append(f"{ind}if _nxt is not None "
+                   f"and _nxt[1] <= _rem - {count}:")
+        out.append(f"{ind}    return {count} + _nxt[0](st, _nxt[1])")
+        out.append(f"{ind}return {count}")
+
     if term is None:
-        # fall-through end: chain to the successor profiled block if ready
+        # fall-through end (maximum length or undecodable next word)
         acct.emit_batch("    ", out)
         emit_materialize("    ", cur)
         out.append(f"    st.pc = {end}")
         out.append(f"    st.npc = {end + 4}")
-        out.append(f"    _nxt = _bget({end})")
-        out.append(f"    if _nxt is not None and _nxt[1] <= _rem - {n}:")
-        out.append(f"        return {n} + _nxt[0](st, _nxt[1])")
-        out.append(f"    return {n}")
+        emit_chain("    ", end, n)
     elif not inline:
         # terminator via its per-instruction closure (which retires its
         # own counters); a raise inside it profiles nothing, like stepping
@@ -1327,14 +1105,6 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
             acct.emit_batch(li, out)
         if term.kind == "call":
             out.append(f"{li}r[15] = {term_pc}")
-
-        def emit_chain(ind: str, dest: int, count: int) -> None:
-            """Tail-chain into the already-translated successor block."""
-            out.append(f"{ind}_nxt = _bget({dest})")
-            out.append(f"{ind}if _nxt is not None "
-                       f"and _nxt[1] <= _rem - {count}:")
-            out.append(f"{ind}    return {count} + _nxt[0](st, _nxt[1])")
-            out.append(f"{ind}return {count}")
 
         def emit_taken(ind: str) -> None:
             emit_profile(term.mnemonic, term_pc, ind, out, cur_prelude)
@@ -1417,9 +1187,9 @@ def compile_profiled_block(cpu: "Cpu", entry: int, profiler) -> Block:
     acct.fill_ns(ns)
     ns.update(site_cells)
     source = "\n".join(out) + "\n"
-    code = _compile_source(source, f"<pblock 0x{entry:08x}>")
+    code = _compile_source(source, f"<{fn_name[1:]} 0x{entry:08x}>")
     exec(code, ns)  # noqa: S102 - the source is generated above, not input
-    fn = ns["_pblock"]
+    fn = ns[fn_name]
     fn.__block_source__ = source  # debugging aid
     return Block(fn, max(length, 1), entry, end)
 

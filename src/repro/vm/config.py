@@ -5,6 +5,11 @@ know; timing/energy/area parameters (the non-functional side) live in
 :mod:`repro.hw.config`, which embeds a ``CoreConfig``.  This mirrors the
 paper's split between the OVP processor model (functional) and the
 measurement-derived cost model (non-functional).
+
+Two knobs pick between the one block emitter
+(:func:`repro.vm.blocks.compile_block`) and the per-instruction loops:
+``blocks_enabled`` for functional runs and ``metered_blocks_enabled``
+for profiled runs, which compile the same blocks with profiling on.
 """
 
 from __future__ import annotations
@@ -36,18 +41,19 @@ class CoreConfig:
         Bytes reserved at the top of RAM for the initial stack.
     blocks_enabled:
         When ``True`` (the default) the fast ISS loop dispatches whole
-        translated superblocks (see :mod:`repro.vm.blocks`); when
-        ``False`` it falls back to the per-instruction loop.  Both modes
-        produce bit-identical architectural results and counters -- the
-        knob exists for A/B experiments and exactness-sensitive tooling.
+        translated superblocks (:func:`repro.vm.blocks.compile_block`
+        with profiling off); when ``False`` it falls back to the
+        per-instruction loop.  Both modes produce bit-identical
+        architectural results and counters -- the knob exists for A/B
+        experiments and exactness-sensitive tooling.
     block_size:
         Maximum number of straight-line instructions fused into one
         superblock (the block terminator and a fused delay slot come on
         top of this).
     metered_blocks_enabled:
         When ``True`` (the default) the *instrumented* loop
-        (:meth:`repro.vm.cpu.Cpu.run_profiled`) dispatches profile-fused
-        superblocks, and the hardware testbed
+        (:meth:`repro.vm.cpu.Cpu.run_profiled`) dispatches the same
+        superblocks compiled with profiling on, and the hardware testbed
         (:meth:`repro.hw.board.Board.measure_raw`) prices the profiled
         run; when ``False`` both observe every retired instruction, the
         testbed through its stepwise cost meter
@@ -90,5 +96,5 @@ class CoreConfig:
                        else block_size)
 
     def with_metered_blocks(self, enabled: bool = True) -> "CoreConfig":
-        """A copy with instrumented (profile-fused) block dispatch toggled."""
+        """A copy with profiled block dispatch toggled."""
         return replace(self, metered_blocks_enabled=enabled)

@@ -7,8 +7,8 @@ Python closures at two granularities:
 * a per-PC closure cache (:attr:`Cpu._cache`), filled by the morpher --
   the translation unit of :meth:`Cpu.step` and :meth:`Cpu.run_metered`;
 * a per-entry-PC *superblock* cache (:attr:`Cpu._blocks`), filled by
-  :mod:`repro.vm.blocks` -- straight-line runs fused into one compiled
-  closure with batched NFP accounting, dispatched by :meth:`Cpu.run`.
+  :func:`repro.vm.blocks.compile_block` -- straight-line runs fused into
+  one compiled closure with batched NFP accounting.
 
 Both translators share one decoded-instruction cache per PC, so the
 decode work is paid once regardless of which loop runs first.  The run
@@ -24,18 +24,21 @@ loops are:
 * :meth:`Cpu.step` -- single-step debugging interface (per-instruction).
 * :meth:`Cpu.run_profiled` -- the instrumented loop behind the hardware
   testbed model and the profile-once DSE path.  With
-  ``metered_blocks_enabled`` (the default) it dispatches *profile-fused*
-  superblocks compiled by :func:`repro.vm.blocks.compile_profiled_block`,
-  which record the configuration-independent counts the linear NFP
-  evaluator prices (see :class:`repro.vm.profiler.ProfileMeter`);
-  otherwise it observes every retired instruction.
+  ``metered_blocks_enabled`` (the default) it dispatches the same
+  superblocks compiled with profiling on, which also record the
+  configuration-independent counts the linear NFP evaluator prices (see
+  :class:`repro.vm.profiler.ProfileMeter`); otherwise it observes every
+  retired instruction.
 * :meth:`Cpu.run_metered` -- per-instruction observation by any
   :class:`RetireObserver` (the stepwise root oracle of the testbed, see
   :class:`repro.hw.board.CostMeter`).
 
-Translations are invalidated when a store (guest or host) hits an address
-holding translated code, so self-modifying kernels never execute stale
-closures; see :meth:`Cpu.invalidate_range`.
+:meth:`Cpu.run` and :meth:`Cpu.run_profiled` share one block cache and
+one dispatch loop (:meth:`Cpu._run_blocks`); the cache holds the blocks
+of one profiler (or of none) at a time.  Translations are invalidated
+when a store (guest or host) hits an address holding translated code, so
+self-modifying kernels never execute stale closures; see
+:meth:`Cpu.invalidate_range`.
 """
 
 from __future__ import annotations
@@ -57,15 +60,10 @@ _PAGE_SHIFT = 8
 
 #: Dispatches of an entry PC before its superblock is codegen-compiled.
 #: Cold code (straight-line runs executed once) steps through the cheap
-#: per-instruction closures instead of paying compile time it can never
-#: amortise; hot entries cross the threshold within a few loop trips.
+#: per-instruction closures -- observed per retire when profiling --
+#: instead of paying compile time it can never amortise; hot entries
+#: cross the threshold within a few loop trips.
 BLOCK_COMPILE_THRESHOLD = 16
-
-#: Dispatches of an entry PC before its *profiled* superblock is
-#: compiled.  The cold profiled path observes through a Python method per
-#: retire (cold code is rare by definition), so profiled blocks pay off
-#: as quickly as fast blocks do.
-PROFILED_COMPILE_THRESHOLD = 16
 
 
 class RetireObserver(Protocol):
@@ -90,8 +88,9 @@ class Cpu:
     block_size:
         Maximum fused instructions per superblock.
     metered_blocks_enabled:
-        Dispatch profile-fused superblocks in :meth:`run_profiled`
-        (default) instead of observing per retired instruction.
+        Dispatch superblocks compiled with profiling on in
+        :meth:`run_profiled` (default) instead of observing per retired
+        instruction.
     """
 
     def __init__(self, state: CpuState, morpher: Morpher,
@@ -112,20 +111,15 @@ class Cpu:
         self._block_pages: dict[int, set[int]] = {}
         #: entry pc -> dispatch count while below the compile threshold.
         self._heat: dict[int, int] = {}
-        #: the profiled triplet of caches: profile-fused blocks are
-        #: specialised to one profiler (see :meth:`run_profiled`).
-        self._pblocks: dict[int, tuple[Callable, int]] = {}
-        self._pblock_info: dict[int, "_blocks_mod.Block"] = {}
-        self._pblock_pages: dict[int, set[int]] = {}
-        self._pheat: dict[int, int] = {}
+        #: the profiler the cached blocks were compiled against (None:
+        #: functional blocks); see :meth:`_run_blocks`.
         self._profiler = None
         #: stores/host writes that landed inside translated code (self-
         #: modifying-code events); the profile-once DSE path refuses to
         #: reuse profiles of unclean runs (see :mod:`repro.dse.evaluate`).
         self.invalidations = 0
-        #: bound methods handed to generated code for successor chaining.
+        #: bound method handed to generated code for successor chaining.
         self.blocks_get = self._blocks.get
-        self.pblocks_get = self._pblocks.get
         state.on_code_write = self.invalidate_range
         state.mem.on_write = self._host_write
 
@@ -168,29 +162,18 @@ class Cpu:
         self._watch(pc, pc + 4)
         return closure
 
-    def _register_block(self, pc: int, block: "_blocks_mod.Block",
-                        blocks: dict, info: dict,
-                        pages: dict) -> tuple[Callable, int]:
-        """File a freshly compiled block into one cache tier's triple."""
+    def _translate_block(self, pc: int) -> tuple[Callable, int]:
+        """Compile the block at ``pc`` for the current profiler and file it."""
+        block = _blocks_mod.compile_block(self, pc, self._profiler)
         entry = (block.fn, block.length)
-        blocks[pc] = entry
-        info[pc] = block
+        self._blocks[pc] = entry
+        self._block_info[pc] = block
         self._watch(block.start, block.end)
+        pages = self._block_pages
         for page in range(block.start >> _PAGE_SHIFT,
                           ((block.end - 1) >> _PAGE_SHIFT) + 1):
             pages.setdefault(page, set()).add(pc)
         return entry
-
-    def _translate_block(self, pc: int) -> tuple[Callable, int]:
-        return self._register_block(
-            pc, _blocks_mod.compile_block(self, pc),
-            self._blocks, self._block_info, self._block_pages)
-
-    def _translate_profiled_block(self, pc: int,
-                                  profiler) -> tuple[Callable, int]:
-        return self._register_block(
-            pc, _blocks_mod.compile_profiled_block(self, pc, profiler),
-            self._pblocks, self._pblock_info, self._pblock_pages)
 
     def _watch(self, lo: int, hi: int) -> None:
         state = self.state
@@ -218,22 +201,11 @@ class Cpu:
         # conservative page-granular drop: any block registered on a
         # written page is retranslated on its next dispatch
         if self._blocks:
-            self._drop_block_pages(lo, hi, self._block_pages,
-                                   self._blocks, self._block_info)
-        if self._pblocks:
-            self._drop_block_pages(lo, hi, self._pblock_pages,
-                                   self._pblocks, self._pblock_info)
-
-    @staticmethod
-    def _drop_block_pages(lo: int, hi: int, pages: dict, blocks: dict,
-                          info: dict) -> None:
-        for page in range(lo >> _PAGE_SHIFT,
-                          ((hi - 1) >> _PAGE_SHIFT) + 1):
-            entries = pages.pop(page, None)
-            if entries:
-                for entry in entries:
-                    blocks.pop(entry, None)
-                    info.pop(entry, None)
+            for page in range(lo >> _PAGE_SHIFT,
+                              ((hi - 1) >> _PAGE_SHIFT) + 1):
+                for entry in self._block_pages.pop(page, ()):
+                    self._blocks.pop(entry, None)
+                    self._block_info.pop(entry, None)
 
     def _host_write(self, addr: int, size: int) -> None:
         state = self.state
@@ -260,57 +232,7 @@ class Cpu:
         """
         if not self.blocks_enabled:
             return self._run_stepwise(max_instructions)
-        state = self.state
-        blocks_get = self.blocks_get
-        translate_block = self._translate_block
-        cache_get = self._cache.get
-        heat = self._heat
-        heat_get = heat.get
-        executed = 0
-        budget = max_instructions
-        while state.running:
-            pc = state.pc
-            entry = blocks_get(pc)
-            if entry is None:
-                count = heat_get(pc, 0) + 1
-                if count < BLOCK_COMPILE_THRESHOLD:
-                    # cold entry: walk the straight-line run with the
-                    # per-instruction closures until control transfers,
-                    # charging one heat tick per dispatch
-                    heat[pc] = count
-                    while True:
-                        f = cache_get(pc)
-                        if f is None:
-                            f = self._translate(pc)
-                        f(state)
-                        executed += 1
-                        if executed >= budget or not state.running:
-                            break
-                        if state.pc != pc + 4:
-                            break  # branch/trap redirected control
-                        pc = state.pc
-                    if executed >= budget:
-                        if state.running:
-                            raise WatchdogTimeout(budget, state.pc)
-                        break
-                    continue
-                heat.pop(pc, None)
-                entry = translate_block(pc)
-            if executed + entry[1] <= budget:
-                executed += entry[0](state, budget - executed)
-            else:
-                # the whole block no longer fits the watchdog budget:
-                # single-step to the edge for exact accounting
-                f = cache_get(pc)
-                if f is None:
-                    f = self._translate(pc)
-                f(state)
-                executed += 1
-            if executed >= budget:
-                if state.running:
-                    raise WatchdogTimeout(budget, state.pc)
-                break
-        return executed
+        return self._run_blocks(None, max_instructions)
 
     def _run_stepwise(self, max_instructions: int) -> int:
         """The per-instruction fast loop (``blocks_enabled=False``)."""
@@ -363,61 +285,62 @@ class Cpu:
 
     def run_profiled(self, profiler,
                      max_instructions: int = DEFAULT_BUDGET) -> int:
-        """Run while recording a configuration-independent profile.
+        """Run while ``profiler`` records a configuration-independent profile.
 
         ``profiler`` (:class:`repro.vm.profiler.ProfileMeter`) observes
-        every retired instruction; observers advertising
-        ``supports_block_profiling`` are dispatched on profile-fused
-        superblocks compiled by
-        :func:`repro.vm.blocks.compile_profiled_block` when
-        ``metered_blocks_enabled`` is set.  The recorded profile is
+        every retired instruction: with ``metered_blocks_enabled`` hot
+        code runs on blocks compiled with profiling on
+        (:func:`repro.vm.blocks.compile_block`), otherwise every retire
+        goes through :meth:`run_metered`.  The recorded profile is
         identical either way.
         """
-        if (self.metered_blocks_enabled
-                and getattr(profiler, "supports_block_profiling", False)):
-            return self._run_profiled_blocks(profiler, max_instructions)
+        if self.metered_blocks_enabled:
+            return self._run_blocks(profiler, max_instructions)
         return self.run_metered(profiler, max_instructions)
 
-    def _run_profiled_blocks(self, profiler, max_instructions: int) -> int:
-        """Dispatch profile-fused superblocks compiled against ``profiler``.
+    def _run_blocks(self, profiler, max_instructions: int) -> int:
+        """Dispatch superblocks, compiled with profiling iff ``profiler``.
 
-        Mirrors :meth:`run`; cold entries step through the
-        per-instruction closures observed by ``profiler.on_retire``, and
-        blocks that no longer fit the watchdog budget are single-stepped
-        (observed) to the edge for exact accounting.
+        Cold entries step through the per-instruction closures (observed
+        by ``profiler.on_retire`` when profiling) until they cross
+        :data:`BLOCK_COMPILE_THRESHOLD`, and blocks that no longer fit
+        the watchdog budget are single-stepped to the edge for exact
+        accounting.  Blocks are specialised to one profiler (or to none),
+        so the cache empties when it changes.
         """
-        if self._profiler is not profiler:
-            if self._profiler is not None:
-                # blocks are specialised to one profiler: drop stale ones
-                self._pblocks.clear()
-                self._pblock_info.clear()
-                self._pblock_pages.clear()
-                self._pheat.clear()
+        if profiler is not self._profiler:
+            self._blocks.clear()
+            self._block_info.clear()
+            self._block_pages.clear()
+            self._heat.clear()
             self._profiler = profiler
+        on_retire = profiler.on_retire if profiler is not None else None
         state = self.state
-        pblocks_get = self.pblocks_get
+        blocks_get = self.blocks_get
+        translate_block = self._translate_block
         cache_get = self._cache.get
         mnemonics = self._mnemonics
-        on_retire = profiler.on_retire
-        heat = self._pheat
+        heat = self._heat
         heat_get = heat.get
         executed = 0
         budget = max_instructions
         while state.running:
             pc = state.pc
-            entry = pblocks_get(pc)
+            entry = blocks_get(pc)
             if entry is None:
                 count = heat_get(pc, 0) + 1
-                if count < PROFILED_COMPILE_THRESHOLD:
-                    # cold entry: walk the straight-line run through the
-                    # per-instruction closures, observing every retire
+                if count < BLOCK_COMPILE_THRESHOLD:
+                    # cold entry: walk the straight-line run with the
+                    # per-instruction closures until control transfers,
+                    # charging one heat tick per dispatch
                     heat[pc] = count
                     while True:
                         f = cache_get(pc)
                         if f is None:
                             f = self._translate(pc)
                         f(state)
-                        on_retire(pc, mnemonics[pc], state)
+                        if on_retire is not None:
+                            on_retire(pc, mnemonics[pc], state)
                         executed += 1
                         if executed >= budget or not state.running:
                             break
@@ -430,17 +353,18 @@ class Cpu:
                         break
                     continue
                 heat.pop(pc, None)
-                entry = self._translate_profiled_block(pc, profiler)
+                entry = translate_block(pc)
             if executed + entry[1] <= budget:
                 executed += entry[0](state, budget - executed)
             else:
                 # the whole block no longer fits the watchdog budget:
-                # single-step (observed) to the edge for exact accounting
+                # single-step to the edge for exact accounting
                 f = cache_get(pc)
                 if f is None:
                     f = self._translate(pc)
                 f(state)
-                on_retire(pc, mnemonics[pc], state)
+                if on_retire is not None:
+                    on_retire(pc, mnemonics[pc], state)
                 executed += 1
             if executed >= budget:
                 if state.running:
@@ -454,16 +378,9 @@ class Cpu:
         """Number of distinct PCs decoded so far (code-cache footprint)."""
         return len(self._decoded)
 
-    @staticmethod
-    def _stats(info: dict) -> tuple[int, float]:
+    def block_stats(self) -> tuple[int, float]:
+        """``(translated_blocks, mean retired instructions per block)``."""
+        info = self._block_info
         if not info:
             return 0, 0.0
         return len(info), sum(b.length for b in info.values()) / len(info)
-
-    def block_stats(self) -> tuple[int, float]:
-        """``(translated_blocks, mean retired instructions per block)``."""
-        return self._stats(self._block_info)
-
-    def pblock_stats(self) -> tuple[int, float]:
-        """``(translated profiled blocks, mean retired per block)``."""
-        return self._stats(self._pblock_info)

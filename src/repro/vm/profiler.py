@@ -28,10 +28,11 @@ way (:meth:`repro.hw.board.Board.measure_raw`):
   counts and trap-energy indices for every candidate ``w`` fall out of
   the single run.
 
-The observer interface matches :class:`repro.vm.cpu.RetireObserver`; hot
-code runs on profile-fused superblocks instead
-(:func:`repro.vm.blocks.compile_profiled_block`), which update the same
-accumulators with plain integer adds.
+The observer interface matches :class:`repro.vm.cpu.RetireObserver`
+and serves cold code and the per-instruction loop; hot code runs on the
+ISS's own superblocks compiled with this profiler
+(:func:`repro.vm.blocks.compile_block`), whose profile lines update the
+same accumulators with plain integer adds.
 """
 
 from __future__ import annotations
@@ -58,13 +59,11 @@ class ProfileMeter:
     """Retire observer accumulating the config-independent cost basis.
 
     The attributes are part of the block-profiling contract consumed by
-    :func:`repro.vm.blocks.compile_profiled_block`: ``index`` maps
-    mnemonics to slots of the integer accumulator lists, the ``*_cell``
-    methods hand out per-site count cells at translation time, and the
-    depth histograms are filled keyed by raw window depth.
+    :func:`repro.vm.blocks.compile_block`: ``index`` maps mnemonics to
+    slots of the integer accumulator lists, the ``*_cell`` methods hand
+    out per-site count cells at translation time, and the depth
+    histograms are filled keyed by raw window depth.
     """
-
-    supports_block_profiling = True
 
     __slots__ = ("index", "flags", "jsum", "untaken_counts", "untaken_jsum",
                  "branch_sites", "div_sites", "save_depths",

@@ -151,9 +151,10 @@ class Simulator:
         self.cpu.run_profiled(profiler, max_instructions=max_instructions)
         elapsed = time.perf_counter() - start
         result = self._result(elapsed)
-        n_pblocks, avg_plen = self.cpu.pblock_stats()
-        result.extras["profiled_blocks"] = float(n_pblocks)
-        result.extras["avg_profiled_block_len"] = avg_plen
+        # one block cache: the profiled blocks are the translated blocks
+        result.extras["profiled_blocks"] = result.extras["translated_blocks"]
+        result.extras["avg_profiled_block_len"] = \
+            result.extras["avg_block_len"]
         result.extras["smc_invalidations"] = float(self.cpu.invalidations)
         return result
 

@@ -245,11 +245,17 @@ class TestInstructions:
         ("add %g1, 9999, %g2", "simm13"),
         ("ld [%o0 - %o1], %g1", "subtracted"),
         ("ld %o0, %g1", "brackets"),
+        # operands the encoder rejects
+        ("sll %o0, 40, %o1", "shift count out of range: 40"),
+        ("ta 300", "trap number out of range: 300"),
+        ("sethi 0x400000, %o1", "sethi immediate out of range"),
+        ("ba _start + 0x10000000", "branch displacement out of range"),
     ])
     def test_instruction_errors(self, source, fragment):
         with pytest.raises(AsmError) as err:
             assemble(f"    .text\n_start:\n    {source}\n")
         assert fragment in str(err.value)
+        assert err.value.line == 3
 
     def test_error_carries_line_number(self):
         with pytest.raises(AsmError) as err:

@@ -57,9 +57,76 @@ _start:
     mov 0, %g1
     ta 5
 """)
-    from repro.vm import FpuDisabled
-    with pytest.raises(FpuDisabled):
-        main(["run", str(source), "--no-fpu"])
+    assert main(["run", str(source), "--no-fpu"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: fp_disabled trap at pc=0x40000000: faddd executed but the "
+        "core has no FPU"]
+
+
+#: guest programs that fault or hang: ``repro run`` exits 1
+_GUEST_FAULTS = {
+    "memory-fault": ("set 0x10, %o1\n    ld [%o1], %o0", "memory fault"),
+    "illegal-instruction": (".word 0", "illegal instruction"),
+    "division-by-zero": ("udiv %o0, %g0, %o1", "division by zero"),
+    "unhandled-trap": ("ta 9", "unhandled trap 9"),
+    "watchdog": ("ba _start\n    nop", "watchdog"),
+}
+
+#: (argv, stderr fragment) of input errors: exit 2
+_INPUT_ERRORS = {
+    "run-missing-file": (["run", "{missing}"], "No such file"),
+    "asm-missing-file": (["asm", "{missing}"], "No such file"),
+    "run-bad-assembly": (["run", "{bad}"], "line 3: unknown mnemonic"),
+    "asm-bad-assembly": (["asm", "{bad}"], "line 3: unknown mnemonic"),
+    "disasm-not-hex": (["disasm", "zz"], "not a 32-bit hex word"),
+    "disasm-undecodable": (["disasm", "0xffffffff"], "cannot decode"),
+    "disasm-too-wide": (["disasm", "0x182008004"], "not a 32-bit hex word"),
+    "disasm-negative": (["disasm", "--", "-0x7dff7ffc"],
+                        "not a 32-bit hex word"),
+}
+
+
+def _one_error_line(capsys, fragment: str) -> None:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert fragment in lines[0]
+    assert "Traceback" not in captured.out
+
+
+@pytest.mark.parametrize("case", sorted(_GUEST_FAULTS))
+def test_run_guest_fault_exits_1(case, tmp_path, capsys):
+    """A guest fault or the watchdog ends ``repro run`` with one
+    ``error:`` line and exit status 1."""
+    body, fragment = _GUEST_FAULTS[case]
+    source = tmp_path / "k.s"
+    source.write_text(f"    .text\n_start:\n    {body}\n"
+                      "    mov 0, %g1\n    ta 5\n")
+    assert main(["run", str(source), "--max-instructions", "1000"]) == 1
+    _one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_toolchain_input_error_exits_2(case, tmp_path, capsys):
+    """Unreadable files, bad assembly and words that are not a
+    decodable 32-bit instruction exit 2 with one ``error:`` line."""
+    argv, fragment = _INPUT_ERRORS[case]
+    bad = tmp_path / "bad.s"
+    bad.write_text("    .text\n_start:\n    frobnicate %g1\n")
+    paths = {"missing": tmp_path / "missing.s", "bad": bad}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    _one_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_run_rejects_budget_below_one(budget, tmp_path, capsys):
+    source = tmp_path / "k.s"
+    source.write_text("    .text\n_start:\n    mov 0, %g1\n    ta 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(source), "--max-instructions", budget])
+    assert exc.value.code == 2
+    assert "--max-instructions: must be at least 1" in capsys.readouterr().err
 
 
 def test_table1_smoke(capsys):

@@ -354,7 +354,7 @@ loop:
         profiler = ProfileMeter()
         with pytest.raises(MemoryFault):
             blocked.run_profiled(profiler)
-        assert blocked.cpu.pblock_stats()[0] > 0  # faulted on the block path
+        assert blocked.cpu.block_stats()[0] > 0  # faulted on the block path
         stepped = Simulator(program, config.core)
         meter = CostMeter(config)
         with pytest.raises(MemoryFault):

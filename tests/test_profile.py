@@ -223,7 +223,7 @@ class TestLinearEvaluation:
                 core.with_metered_blocks(metered_blocks))
             sim = simulator.run_profiled(meter, max_instructions=BUDGET)
             snaps.append(meter.snapshot(sim, clean=True))
-            translated.append(simulator.cpu.pblock_stats()[0])
+            translated.append(simulator.cpu.block_stats()[0])
         blocked, stepped = snaps
         assert "blocks" not in blocked and "blocks" not in stepped
         assert translated[0] and not translated[1]  # both paths ran

@@ -3,19 +3,21 @@
 Covers the exactness contract of :mod:`repro.vm.blocks` (identical
 ``SimulationResult`` fields in both dispatch modes on every workload
 family), translation-cache invalidation for self-modifying and
-host-patched code, delay-slot entries, watchdog exactness and the
-block-statistics surface.
+host-patched code, delay-slot entries, watchdog exactness, the
+block-statistics surface, and a Hypothesis property that pins generated
+hot self-loops to the stepwise oracle on every block tier.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.isa import encoder
 from repro.isa.decoder import decode
 from repro.vm import CoreConfig, Simulator, WatchdogTimeout
-from repro.vm.cpu import BLOCK_COMPILE_THRESHOLD, PROFILED_COMPILE_THRESHOLD
+from repro.vm.cpu import BLOCK_COMPILE_THRESHOLD
 from repro.vm.profiler import ProfileMeter
 
 #: the SimulationResult fields that must match bit-for-bit across modes
@@ -370,7 +372,7 @@ new_insn:
         """A compiled store into the lowest or the highest translated word
         retranslates it: the blocks read the watch range once per
         dispatch, and both bounds of their guard must be exact."""
-        hot = 2 * max(BLOCK_COMPILE_THRESHOLD, PROFILED_COMPILE_THRESHOLD)
+        hot = 2 * BLOCK_COMPILE_THRESHOLD
         patch = {"first": ("first", encoder.encode_arith(
                      "or", rd=8, rs1=0, imm=2)),       # mov 2, %o0
                  "last": ("last", encoder.encode_arith(
@@ -435,8 +437,8 @@ stores:
         state = runs["blocks"].state
         assert (state.code_lo, state.code_hi - 4)[edge == "last"] == \
             program.symbols[patch[0]]
-        assert runs["blocks"].cpu._block_info, "the loop never compiled"
-        assert runs["profiled"].cpu._pblock_info, "the loop never compiled"
+        for tier in ("blocks", "profiled"):
+            assert runs[tier].cpu._block_info, f"{tier}: no loop compiled"
 
     def test_host_write_invalidates_step_cache(self):
         """Memory pokes from the host must also drop stale translations."""
@@ -457,6 +459,145 @@ _start:
             "or", rd=8, rs1=0, imm=99))
         assert cpu.step() == "or"
         assert state.regs[8] == 99, "stale closure executed after host patch"
+
+
+# -- differential property: counted self-loops ---------------------------------
+#
+# Hot self-loops are where the block emitter does the most: condition codes
+# held in locals, flags no iteration reads computed only at the exits, and
+# counters deferred to the exits.  An outer loop runs every inner loop past
+# the compile threshold, so the loop exits and the flag readers after each
+# loop compile too and the exits chain into them.
+
+#: data registers of the generated loops (not the buffer base %l0, the
+#: loop counters %l1/%l6 or the flag accumulators %g5/%i0-%i4)
+_DATA_REGS = ("%g2", "%g3", "%g4", "%o0", "%o1", "%o2", "%o3", "%o4",
+              "%o5", "%l2", "%l3", "%l4", "%l5")
+_ALU_OPS = ("add", "addcc", "sub", "subcc", "addx", "addxcc", "subx",
+            "subxcc", "and", "andcc", "andn", "andncc", "or", "orcc", "orn",
+            "orncc", "xor", "xorcc", "xnor", "xnorcc", "umul", "umulcc",
+            "smul", "smulcc")
+_SHIFT_OPS = ("sll", "srl", "sra")
+_BICC = ("ba", "bn", "bne", "be", "bg", "ble", "bge", "bl", "bgu", "bleu",
+         "bcc", "bcs", "bpos", "bneg", "bvc", "bvs")
+_OUTER_TRIPS = 2 * BLOCK_COMPILE_THRESHOLD
+
+_reg = st.sampled_from(_DATA_REGS)
+#: register and buffer words: a flag edge, or bits spread over the whole
+#: word (an odd multiplier permutes u32, and Hypothesis favours small
+#: integers, which rarely set bit 31)
+_u32 = st.one_of(
+    st.sampled_from((0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)),
+    st.integers(0, 2**32 - 1).map(lambda x: x * 0x9E3779B1 & 0xFFFFFFFF))
+
+
+@st.composite
+def _alu_op(draw) -> str:
+    mnemonic = draw(st.sampled_from(_ALU_OPS + _SHIFT_OPS))
+    imm = st.integers(0, 31) if mnemonic in _SHIFT_OPS \
+        else st.integers(-4096, 4095)
+    operand = draw(st.one_of(imm.map(str), _reg))
+    return f"{mnemonic} {draw(_reg)}, {operand}, {draw(_reg)}"
+
+
+@st.composite
+def _mem_op(draw) -> str:
+    offset = 4 * draw(st.integers(0, 15))  # a word of the 64-byte buffer
+    if draw(st.booleans()):
+        return f"ld [%l0 + {offset}], {draw(_reg)}"
+    return f"st {draw(_reg)}, [%l0 + {offset}]"
+
+
+@st.composite
+def _loop(draw) -> dict:
+    # half the bodies stay memory-free: loops that cannot fault are the
+    # ones whose dead flags the emitter defers to the exits, where an ALU
+    # delay slot (half the slots) may overwrite the scratch they read
+    ops = st.one_of(_alu_op(), _mem_op()) if draw(st.booleans()) \
+        else _alu_op()
+    return {"body": draw(st.lists(ops, min_size=1, max_size=8)),
+            "annul": draw(st.booleans()),
+            "delay": draw(st.one_of(_alu_op(), st.just("nop") | _mem_op())),
+            "trips": draw(st.integers(1, 12)),
+            "reader": draw(st.sampled_from(_BICC))}
+
+
+def _self_loop_source(loops: list[dict], regs: list[int],
+                      words: list[int]) -> str:
+    """Counted self-loops inside an outer loop, each followed by flag
+    readers that fold N, Z, V and C into the %i0-%i4 accumulators."""
+    lines = ["    .text", "_start:", "    set buf, %l0",
+             f"    set {_OUTER_TRIPS}, %l1"]
+    lines += [f"    set {value}, {reg}" for reg, value in zip(_DATA_REGS, regs)]
+    lines.append("outer:")
+    for k, loop in enumerate(loops):
+        lines.append(f"    set {loop['trips']}, %l6")
+        lines.append(f"loop{k}:")
+        lines += [f"    {op}" for op in loop["body"]]
+        lines += ["    subcc %l6, 1, %l6",
+                  f"    bne{',a' if loop['annul'] else ''} loop{k}",
+                  f"    {loop['delay']}",
+                  "    addx %g0, 0, %g5",        # C
+                  "    add %i0, %g5, %i0"]
+        for acc, (branch, label) in enumerate(
+                (("bvs", "v"), ("bneg", "n"), ("be", "z"),
+                 (loop["reader"], "r")), start=1):
+            lines += [f"    {branch} {label}{k}", "    nop",
+                      f"    add %i{acc}, 1, %i{acc}", f"{label}{k}:"]
+    lines += ["    subcc %l1, 1, %l1", "    bne outer", "    nop",
+              "    mov 0, %g1", "    ta 5",
+              "    .data", "    .align 8", "buf:"]
+    lines += [f"    .word {word}" for word in words]
+    return "\n".join(lines) + "\n"
+
+
+class TestSelfLoopDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(loops=st.lists(_loop(), min_size=1, max_size=2),
+           regs=st.lists(_u32, min_size=len(_DATA_REGS),
+                         max_size=len(_DATA_REGS)),
+           words=st.lists(_u32, min_size=16, max_size=16))
+    def test_counted_self_loops_agree_across_tiers(self, loops, regs, words):
+        """Stepwise, functional blocks, profiled blocks and observed
+        profiling agree on registers, Y, N/Z/V/C, pc/npc, the buffer and
+        every count; both profiling tiers record the same profile."""
+        program = assemble(_self_loop_source(loops, regs, words))
+        # a small RAM keeps shrinking cheap: every retained failing
+        # example holds four simulators
+        core = CoreConfig(ram_size=1 << 16, stack_reserve=1 << 12)
+        runs = {"stepwise": Simulator(program, core.with_blocks(False)),
+                "blocks": Simulator(program, core),
+                "profiled": Simulator(program, core),
+                "observed": Simulator(program,
+                                      core.with_metered_blocks(False))}
+        meters = {tier: ProfileMeter() for tier in ("profiled", "observed")}
+        outcomes, profiles = {}, {}
+        buf = program.symbols["buf"] - runs["blocks"].memory.base
+        for tier, sim in runs.items():
+            if tier in meters:
+                result = sim.run_profiled(meters[tier])
+                profiles[tier] = meters[tier].snapshot(result, clean=True)
+            else:
+                result = sim.run()
+            state = sim.state
+            outcomes[tier] = (
+                list(state.regs), state.y, state.icc, state.pc, state.npc,
+                bytes(state.mem.ram[buf:buf + 64]), result.exit_code,
+                result.retired, result.category_counts,
+                result.mnemonic_counts)
+        for tier in ("blocks", "profiled", "observed"):
+            assert outcomes[tier] == outcomes["stepwise"], tier
+        assert profiles["profiled"] == profiles["observed"]
+        # every hot loop whose branch fuses its delay slot ran as a
+        # self-loop block in both block tiers
+        for k, loop in enumerate(loops):
+            if loop["trips"] > 1 and not loop["delay"].startswith(
+                    ("ld", "st")):
+                entry = program.symbols[f"loop{k}"]
+                for tier in ("blocks", "profiled"):
+                    source = runs[tier].cpu._blocks[entry][0] \
+                        .__block_source__
+                    assert "while True:" in source, (tier, k)
 
 
 class TestBlockSurface:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.vm import CoreConfig, MemoryFault, Simulator
-from repro.vm.cpu import BLOCK_COMPILE_THRESHOLD, PROFILED_COMPILE_THRESHOLD
+from repro.vm.cpu import BLOCK_COMPILE_THRESHOLD
 from repro.vm.memory import DEFAULT_BASE
 from repro.vm.profiler import ProfileMeter
 from tests.helpers import run_asm, run_exit_code
@@ -152,11 +152,11 @@ class TestStorePatterns:
 #
 # The tests above run straight-line code once, so their accesses execute on
 # the cold per-instruction closures.  Here every access sits in a loop that
-# runs past both compile thresholds, so it executes inside a compiled fast
+# runs past the compile threshold, so it executes inside a compiled fast
 # block and a compiled profiled block, and then steps onto a boundary: the
 # blocks' fault test must agree with the stepwise oracle on every edge.
 
-_HOT_ITERATIONS = 2 * max(BLOCK_COMPILE_THRESHOLD, PROFILED_COMPILE_THRESHOLD)
+_HOT_ITERATIONS = 2 * BLOCK_COMPILE_THRESHOLD
 
 #: access width -> (load, store) mnemonics; the data register is %o4
 #: (the %o4/%o5 pair for the 8-byte forms)
@@ -265,10 +265,9 @@ def test_hot_loop_fault_boundaries(kind, size, edge, ram_size):
         outcome, compiled, cpu = _run_tier(program, core, tier)
         assert outcome[0] == oracle[0], tier
         assert outcome[1:] == oracle[1:], tier
-        blocks = cpu._blocks if tier == "blocks" else cpu._pblocks
         loop = program.symbols["loop"]
-        assert loop in blocks, f"{tier}: the loop never compiled"
-        source = blocks[loop][0].__block_source__
+        assert loop in cpu._blocks, f"{tier}: the loop never compiled"
+        source = cpu._blocks[loop][0].__block_source__
         # a power-of-two RAM needs only the AND; any other size adds the
         # upper-bound comparison
         pow2 = ram_size & (ram_size - 1) == 0
