@@ -113,7 +113,7 @@ def test_batch_eval_throughput_per_point(benchmark, priced_inputs, scale):
     (per workload and aggregate), then front extraction with knees --
     the same deliverable the streamed rung times end to end.
     """
-    from repro.dse.engine import AGGREGATE, DsePoint, _config_area_les
+    from repro.dse.engine import AGGREGATE, DsePoint, config_area_les
     from repro.dse.pareto import ParetoAccumulator, knee_point
 
     pairs, base, runner, profiles = priced_inputs
@@ -135,7 +135,7 @@ def test_batch_eval_throughput_per_point(benchmark, priced_inputs, scale):
         accs[AGGREGATE] = ParetoAccumulator(key=key)
         for config in space.iter_configs(base):
             engine = LinearNfpEngine(config.hw)
-            area = _config_area_les(config)
+            area = config_area_les(config)
             agg = None
             build = None
             for pair, keys in keyed:

@@ -2,11 +2,12 @@
 
 The metered rung measures the full smoke design-space exploration --
 36 candidate platforms x 6 workload pairs, one metered simulation (a
-profiled run priced for its platform) per point -- cold: a fresh
-cacheless runner per round, so
-every point is computed.  The profiled rung runs the identical grid
-through ``sweep_profiled``: one profile simulation per distinct workload
-build (12 for the smoke suite) plus a linear evaluation per point.
+profiled run priced for its platform) per point, through
+``sweep(..., metered=True)`` -- cold: a fresh cacheless runner per
+round, so every point is computed.  The profiled rung runs the
+identical grid through ``sweep``: one profile simulation per distinct
+workload build (12 for the smoke suite) plus a linear evaluation per
+point.
 
 ``benchmarks/check_floor.py`` enforces the relative floor between the
 two rungs (>= 10x); the exactness contract (bit-identical integer
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import DesignSpace, sweep, sweep_profiled
+from repro.dse import DesignSpace, sweep
 from repro.experiments.workloads import workload_pairs
 from repro.runner import ExperimentRunner
 
@@ -50,7 +51,7 @@ def test_dse_sweep_throughput_metered(benchmark, grid_inputs, scale):
 
     def run():
         return sweep(space, pairs, budget=scale.max_instructions,
-                     runner=_cold_runner())
+                     runner=_cold_runner(), metered=True)
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.points) == space.size * len(pairs)
@@ -65,8 +66,8 @@ def test_dse_sweep_throughput_profiled(benchmark, grid_inputs, scale):
     space, pairs = grid_inputs
 
     def run():
-        return sweep_profiled(space, pairs, budget=scale.max_instructions,
-                              runner=_cold_runner())
+        return sweep(space, pairs, budget=scale.max_instructions,
+                     runner=_cold_runner())
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.points) == space.size * len(pairs)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import DesignSpace, sweep, sweep_profiled
+from repro.dse import DesignSpace, sweep
 from repro.runner import ExperimentRunner
 from repro.workloads.pipeline import XFEL, pipeline_pair
 
@@ -58,7 +58,7 @@ def test_pipeline_sweep_throughput_metered(benchmark, pipeline_inputs,
 
     def run():
         return sweep(space, pairs, budget=scale.max_instructions,
-                     runner=_cold_runner())
+                     runner=_cold_runner(), metered=True)
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.points) == space.size and not grid.failures
@@ -75,8 +75,8 @@ def test_pipeline_sweep_throughput_composed(benchmark, pipeline_inputs,
     space, pairs = pipeline_inputs
 
     def run():
-        return sweep_profiled(space, pairs, budget=scale.max_instructions,
-                              runner=_cold_runner())
+        return sweep(space, pairs, budget=scale.max_instructions,
+                     runner=_cold_runner())
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.points) == space.size and not grid.failures

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import DesignSpace, sweep, sweep_profiled
+from repro.dse import DesignSpace, sweep
 from repro.runner import ExperimentRunner
 from repro.workloads import select_pairs
 
@@ -47,7 +47,7 @@ def test_imaging_sweep_throughput_metered(benchmark, imaging_inputs, scale):
 
     def run():
         return sweep(space, pairs, budget=scale.max_instructions,
-                     runner=_cold_runner())
+                     runner=_cold_runner(), metered=True)
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.points) == space.size * len(pairs)
@@ -62,8 +62,8 @@ def test_imaging_sweep_throughput_profiled(benchmark, imaging_inputs, scale):
     space, pairs = imaging_inputs
 
     def run():
-        return sweep_profiled(space, pairs, budget=scale.max_instructions,
-                              runner=_cold_runner())
+        return sweep(space, pairs, budget=scale.max_instructions,
+                     runner=_cold_runner())
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.points) == space.size * len(pairs)

@@ -72,13 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "names take their registered default values "
                         "(default: the stock clock/fpu/windows/wait-state "
                         "grid)")
-    p.add_argument("--profile", action="store_true",
-                   help="profile each workload build once and price every "
-                        "configuration with the linear NFP evaluator "
-                        "instead of one metered simulation per grid point "
-                        "(identical counters/cycles, energy to 1e-12; "
-                        "self-modifying kernels fall back to full "
-                        "simulation)")
     p.add_argument("--workloads", default=None, metavar="FILTER",
                    help="workload suite: comma-separated registry "
                         "presets, families or name globs, e.g. "
@@ -91,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-axis cost tables into online Pareto fronts "
                         "without materializing the grid (memory stays "
                         "proportional to the front; reports are "
-                        "byte-identical to the materialized --profile "
-                        "sweep at equal --front-cap)")
+                        "byte-identical to the materialized sweep at "
+                        "equal --front-cap)")
     p.add_argument("--refine", type=int, default=0, metavar="N",
                    help="run N adaptive coordinate-refinement rounds "
                         "around the streaming aggregate knee (implies "
@@ -214,7 +207,6 @@ def _run_dse(scale, args) -> int:
             for knob, value in effective_settings():
                 print(f"# {knob:<20} {value}", file=sys.stderr)
         rendered = dse_driver.run(scale, axes=args.axes,
-                                  profile=args.profile,
                                   workloads=args.workloads,
                                   resume=args.resume,
                                   run_id=args.run_id,

@@ -9,10 +9,16 @@ swept across the workload suite through the cached parallel
 is classified into Pareto fronts over (time, energy, area) and rendered
 as text, CSV or JSON (:class:`SweepReport`).
 
+The sweeps are :func:`sweep` (the materialized grid, priced from one
+profile per workload build; ``metered=True`` is the per-point oracle),
+:func:`sweep_streamed` (fronts without the grid) and
+:func:`sweep_estimated` (the paper's Eq. 1 path behind Table IV).
+
 Entry points::
 
-    python -m repro dse --scale smoke              # stock 24-config sweep
+    python -m repro dse --scale smoke              # stock 36-config sweep
     python -m repro dse --axes clock_mhz,fpu       # custom space
+    python -m repro dse --scale smoke --stream     # no grid in memory
 """
 
 from repro.dse.axes import (
@@ -35,9 +41,7 @@ from repro.dse.engine import (
     SweepInterrupted,
     WorkloadFront,
     sweep,
-    sweep_checkpointed,
     sweep_estimated,
-    sweep_profiled,
     sweep_streamed,
 )
 from repro.dse.pareto import (
@@ -47,7 +51,6 @@ from repro.dse.pareto import (
     knee_point,
     pareto_front,
 )
-from repro.dse.presets import explore_fpu_grid, fpu_design_space
 from repro.dse.report import StreamReport, SweepReport
 from repro.dse.workload import WorkloadPair, resolve_pairs
 
@@ -72,16 +75,12 @@ __all__ = [
     "WorkloadPair",
     "classify",
     "dominates",
-    "explore_fpu_grid",
-    "fpu_design_space",
     "get_axis",
     "knee_point",
     "pareto_front",
     "register_axis",
     "resolve_pairs",
     "sweep",
-    "sweep_checkpointed",
     "sweep_estimated",
-    "sweep_profiled",
     "sweep_streamed",
 ]

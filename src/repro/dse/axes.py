@@ -292,12 +292,24 @@ class DesignSpace:
     def __post_init__(self) -> None:
         seen = set()
         for name, values in self.axes:
-            get_axis(name)  # must exist
+            axis = get_axis(name)  # must exist
             if not values:
                 raise ValueError(f"axis {name!r} has no values")
             if name in seen:
                 raise ValueError(f"axis {name!r} listed twice")
             seen.add(name)
+            if len(values) < 2:     # e.g. every /v1/price request's space
+                continue
+            # configurations are named by their labels, so two values
+            # sharing one would collide in every grid and report
+            labelled: dict[str, object] = {}
+            for value in values:
+                label = axis.label(value)
+                if label in labelled:
+                    raise ValueError(
+                        f"axis {name!r} values {labelled[label]!r} and "
+                        f"{value!r} share the label {label!r}")
+                labelled[label] = value
 
     @classmethod
     def default(cls) -> "DesignSpace":

@@ -1,23 +1,29 @@
 """The sweep engine: design space x workload suite -> objective grid.
 
-Every ``(candidate platform, workload)`` point is one deterministic
-metered simulation, expressed as a :class:`~repro.runner.tasks.SimTask`
-and submitted to the PR-2 :class:`~repro.runner.ExperimentRunner` in a
-single batch -- so a sweep is parallel across worker processes, content-
-addressed in the on-disk result cache (a re-run or an overlapping later
-sweep only computes what it has never seen), and bit-reproducible: the
-grid is built purely from the deterministic ``true_*`` accumulator
-totals, never from the stateful instrument model, so warm, cold, serial
-and parallel sweeps produce identical floats.
+Three public sweeps share this module:
 
-The estimation-based variant (:func:`sweep_estimated`) runs the paper's
-fast Eq.-1 path instead of the metered testbed; it exists for presets
-such as the Table IV FPU exploration (:mod:`repro.dse.presets`).
+- :func:`sweep` materializes the grid.  Each distinct workload build is
+  profiled once and every (candidate platform, workload) point is
+  priced from that profile; ``metered=True`` runs one metered
+  simulation per point instead, the oracle the priced grid is tested
+  against.  Either way every simulation is a
+  :class:`~repro.runner.tasks.SimTask` submitted to the
+  :class:`~repro.runner.ExperimentRunner`, so a sweep is parallel
+  across worker processes, content-addressed in the on-disk result
+  cache, and bit-reproducible: the grid is built purely from the
+  deterministic ``true_*`` totals, never from the stateful instrument
+  model, so warm, cold, serial and parallel sweeps produce identical
+  floats.
+- :func:`sweep_streamed` prices the same space without materializing
+  it and keeps only fronts, knees and per-objective winners.
+- :func:`sweep_estimated` runs the paper's fast Eq.-1 path instead of
+  the testbed; the Table IV FPU exploration
+  (:func:`repro.nfp.dse.explore_fpu`) is built on it.
 
-Sweeps are fault-tolerant: a grid cell whose task retries ran out
-becomes a :class:`FailedCell` on :attr:`DseGrid.failures` (excluded
-from Pareto structure, marked in reports) instead of aborting the
-campaign, and :func:`sweep_checkpointed` persists completed cells
+Materialized sweeps are fault-tolerant: a grid cell whose task retries
+ran out becomes a :class:`FailedCell` on :attr:`DseGrid.failures`
+(excluded from Pareto structure, marked in reports) instead of
+aborting the campaign.  :func:`sweep` can persist completed cells
 through a :class:`~repro.runner.resilience.SweepCheckpoint` after every
 chunk, so an interrupted ``repro dse`` resumes from its last checkpoint
 (:class:`SweepInterrupted` carries the partial grid out of a
@@ -26,7 +32,7 @@ chunk, so an interrupted ``repro dse`` resumes from its last checkpoint
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.dse.axes import DesignSpace, SweepConfig
@@ -45,7 +51,6 @@ from repro.runner.resilience import (
     is_failure,
     log_event,
 )
-from repro.runner.tasks import SimTask
 
 #: Objective names, in the order :attr:`DsePoint.objectives` reports them.
 OBJECTIVES = ("time_s", "energy_j", "area_les")
@@ -202,13 +207,11 @@ def config_area_les(config: SweepConfig) -> int:
     return core_les + memctrl_les(int(config.value("wait_states", 0)))
 
 
-#: Historical private name (pre-serving-layer callers import it).
-_config_area_les = config_area_les
-
-
-def _grid_jobs(configs: Sequence[SweepConfig],
-               pairs: Sequence[WorkloadPair]
+def _grid_jobs(space: DesignSpace | Sequence[SweepConfig],
+               pairs: Sequence[WorkloadPair], base: HwConfig | None
                ) -> list[tuple[SweepConfig, WorkloadPair, str, object]]:
+    configs = (space.configs(base) if isinstance(space, DesignSpace)
+               else tuple(space))
     jobs = []
     for config in configs:
         for pair in pairs:
@@ -219,25 +222,27 @@ def _grid_jobs(configs: Sequence[SweepConfig],
 
 def _grid_from_jobs(jobs: Sequence[tuple[SweepConfig, WorkloadPair, str,
                                          object]],
-                    nfps: Sequence[tuple[float, float, int, int | None]
-                                   | TaskFailure]
-                    ) -> DseGrid:
-    """Assemble the grid from per-job ``(time, energy, retired, cycles)``.
+                    cells: Sequence[list | dict]) -> DseGrid:
+    """Assemble the grid from per-job cells.
 
-    The single construction point shared by the metered, profiled and
-    checkpointed sweeps, so the paths cannot drift apart structurally --
-    only the NFP source differs.  A :class:`TaskFailure` in an NFP slot
-    becomes a :class:`FailedCell` instead of a point.
+    A cell is ``[time_s, energy_j, retired, cycles]`` or, for a task
+    whose retries ran out, ``{"failed": {...}}`` (a :class:`TaskFailure`
+    as a dict), which becomes a :class:`FailedCell` instead of a point
+    -- the form checkpoints store, in which JSON round-trips floats
+    exactly.  The single construction point of every materialized grid
+    (priced, metered, resumed or estimated), so the paths cannot drift
+    apart structurally -- only the NFP source differs.
     """
     points = []
     failures = []
-    for (config, pair, build, _), nfp in zip(jobs, nfps):
-        if isinstance(nfp, TaskFailure):
+    for (config, pair, build, _), cell in zip(jobs, cells):
+        if isinstance(cell, dict):
+            failed = cell["failed"]
             failures.append(FailedCell(
                 config=config.name, workload=pair.name, build=build,
-                attempts=nfp.attempts, error=nfp.error))
+                attempts=failed["attempts"], error=failed["error"]))
             continue
-        time_s, energy_j, retired, cycles = nfp
+        time_s, energy_j, retired, cycles = cell
         points.append(DsePoint(
             config=config.name,
             axis_values=config.axis_values,
@@ -254,167 +259,78 @@ def _grid_from_jobs(jobs: Sequence[tuple[SweepConfig, WorkloadPair, str,
 
 def _job_nfps(jobs: Sequence[tuple[SweepConfig, WorkloadPair, str, object]],
               *, budget: int, runner: ExperimentRunner,
-              profile: bool) -> list[tuple[float, float, int, int | None]
-                                    | TaskFailure]:
-    """Per-job deterministic NFPs -- the one place both sweep paths
-    actually execute anything.  Failed tasks surface as
-    :class:`TaskFailure` records in their slots, never as exceptions."""
-    if profile:
-        # deferred: repro.dse.evaluate reaches repro.nfp, whose package
-        # import reaches back into this module through the presets
-        from repro.dse.evaluate import profiled_points
-        out: list[tuple[float, float, int, int | None] | TaskFailure] = []
-        for nfp in profiled_points(
-                [(config.hw, program) for config, _, _, program in jobs],
-                budget=budget, runner=runner):
-            if isinstance(nfp, TaskFailure):
-                out.append(nfp)
-            else:
-                out.append((nfp.time_s, nfp.energy_j, nfp.retired,
-                            nfp.cycles))
-        return out
-    # the metered path prices a job part by part: a plain program is
-    # one part, a composed pipeline one metered run per invocation,
-    # combined exactly (weighted integer cycle sums; see
-    # :func:`repro.dse.evaluate.metered_parts_nfp`) -- the oracle the
-    # composed profile path is tested bit-identical against
-    from repro.dse.evaluate import metered_parts_nfp   # deferred, as above
-    tasks = []
-    slices = []
-    for config, _, _, program in jobs:
-        parts = pipeline_parts(program)
-        start = len(tasks)
-        for part_program, _ in parts:
-            tasks.append(SimTask(mode="metered", program=part_program,
-                                 budget=budget, hw=config.hw))
-        slices.append((config.hw, parts, start, len(tasks)))
-    payloads = runner.run_tasks(tasks)
-    out = []
-    for hw, parts, start, stop in slices:
-        nfp = metered_parts_nfp(hw, parts, payloads[start:stop])
-        if isinstance(nfp, TaskFailure):
-            out.append(nfp)
-        else:
-            out.append((nfp.time_s, nfp.energy_j, nfp.retired, nfp.cycles))
-    return out
+              metered: bool) -> list[list | dict]:
+    """Per-job cells (see :func:`_grid_from_jobs`) -- the one place a
+    materialized sweep executes anything.  Failed tasks surface as
+    failure cells, never as exceptions."""
+    # deferred: repro.dse.evaluate reaches repro.nfp, whose package
+    # import reaches back into this module through repro.nfp.dse
+    from repro.dse.evaluate import metered_points, profiled_points
+    price = metered_points if metered else profiled_points
+    return [{"failed": asdict(nfp)} if isinstance(nfp, TaskFailure)
+            else [nfp.time_s, nfp.energy_j, nfp.retired, nfp.cycles]
+            for nfp in price([(config.hw, program)
+                              for config, _, _, program in jobs],
+                             budget=budget, runner=runner)]
 
 
 def sweep(space: DesignSpace | Sequence[SweepConfig],
           pairs: Sequence[WorkloadPair], *,
           budget: int,
           runner: ExperimentRunner | None = None,
-          base: HwConfig | None = None) -> DseGrid:
-    """Measure every (configuration, workload) point on the metered testbed.
+          base: HwConfig | None = None,
+          metered: bool = False,
+          checkpoint: SweepCheckpoint | None = None,
+          chunk: int | None = None) -> DseGrid:
+    """Price every (configuration, workload) point into a grid.
 
-    All points are submitted to ``runner`` as one batch of metered
-    :class:`SimTask`s: duplicates dedupe, cached results are read back,
-    and the misses fan out across the worker pool.  The grid holds the
-    deterministic accumulator totals only, so two sweeps of the same
-    space are bit-identical regardless of cache state or parallelism.
-    """
-    configs = (space.configs(base) if isinstance(space, DesignSpace)
-               else tuple(space))
-    runner = runner if runner is not None else ExperimentRunner()
-    jobs = _grid_jobs(configs, pairs)
-    return _grid_from_jobs(jobs, _job_nfps(jobs, budget=budget,
-                                           runner=runner, profile=False))
-
-
-def sweep_profiled(space: DesignSpace | Sequence[SweepConfig],
-                   pairs: Sequence[WorkloadPair], *,
-                   budget: int,
-                   runner: ExperimentRunner | None = None,
-                   base: HwConfig | None = None) -> DseGrid:
-    """Profile once per workload build, evaluate every config linearly.
-
-    The profile-once twin of :func:`sweep`: instead of one metered
-    simulation per grid point, each distinct workload build is profiled
-    once (parallel, content-cached) and every candidate platform is then
-    priced by the linear evaluator (:mod:`repro.dse.evaluate`) -- the
-    sweep's cost drops from ``O(configs x workloads)`` simulations to
+    By default each distinct workload build is profiled once (parallel,
+    content-cached) and every candidate platform is priced from that
+    profile (:func:`repro.dse.evaluate.profiled_points`): the cost is
     ``O(workloads)`` simulations plus ``O(configs x workloads)`` dot
-    products.  Retired counts and cycles are bit-identical to
-    :func:`sweep`; times are bit-identical (same integer cycles, same
-    conversion) and energies agree to the metered accumulator's own
-    float-rounding drift (<= 1e-12 relative across the smoke suite; the
-    drift grows as the square root of the retired count, see
-    :mod:`repro.nfp.linear`).  Self-modifying workloads fall back to
-    metered simulation per point, so the grid is always exact.
+    products.  ``metered=True`` runs one metered simulation per point
+    instead (:func:`repro.dse.evaluate.metered_points`) -- the oracle
+    the profile-once grid is tested against.  Retired counts, cycles
+    and times are bit-identical between the two; energies agree to the
+    metered accumulator's own float-rounding drift (<= 1e-12 relative
+    across the smoke suite, see :mod:`repro.nfp.linear`).
+    Self-modifying workloads fall back to metering per point, so the
+    grid is always exact.  The grid holds deterministic totals only, so
+    two sweeps of one space are bit-identical regardless of cache state
+    or parallelism.
+
+    Points are priced in chunks of ``chunk`` cells (``None``: one
+    batch).  With a ``checkpoint`` the completed cells' NFPs are flushed
+    into it after every chunk (atomic JSON; floats round-trip exactly),
+    and cells it already holds are not priced again, so a resumed sweep
+    is byte-identical to an uninterrupted one.  A ``KeyboardInterrupt``
+    flushes the checkpoint and re-raises as :class:`SweepInterrupted`
+    carrying the partial grid, with no cell half-recorded.
     """
-    configs = (space.configs(base) if isinstance(space, DesignSpace)
-               else tuple(space))
     runner = runner if runner is not None else ExperimentRunner()
-    jobs = _grid_jobs(configs, pairs)
-    return _grid_from_jobs(jobs, _job_nfps(jobs, budget=budget,
-                                           runner=runner, profile=True))
-
-
-def _cell_key(config: SweepConfig, pair: WorkloadPair) -> str:
-    return f"{config.name}\t{pair.name}"
-
-
-def _cell_to_json(nfp) -> list | dict:
-    if isinstance(nfp, TaskFailure):
-        return {"failed": {"key": nfp.key, "mode": nfp.mode,
-                           "attempts": nfp.attempts, "error": nfp.error}}
-    return list(nfp)
-
-
-def _cell_from_json(cell) -> tuple | TaskFailure:
-    if isinstance(cell, dict):
-        return TaskFailure(**cell["failed"])
-    time_s, energy_j, retired, cycles = cell
-    return (time_s, energy_j, retired, cycles)
-
-
-def sweep_checkpointed(space: DesignSpace | Sequence[SweepConfig],
-                       pairs: Sequence[WorkloadPair], *,
-                       budget: int,
-                       runner: ExperimentRunner | None = None,
-                       base: HwConfig | None = None,
-                       profile: bool = False,
-                       checkpoint: SweepCheckpoint | None = None,
-                       chunk: int = 32) -> DseGrid:
-    """:func:`sweep`/:func:`sweep_profiled` with periodic checkpoints.
-
-    The grid is computed in chunks of ``chunk`` cells; after each chunk
-    the completed cells' deterministic NFPs are flushed into
-    ``checkpoint`` (atomic JSON; floats round-trip exactly), so a
-    re-opened checkpoint resumes with only the missing cells and the
-    resumed report is byte-identical to an uninterrupted run.  A
-    ``KeyboardInterrupt`` flushes the checkpoint and re-raises as
-    :class:`SweepInterrupted` carrying the partial grid, with no cell
-    half-recorded.  With ``checkpoint=None`` the chunked execution (and
-    the partial grid on interrupt) remains; only persistence is off.
-    """
-    configs = (space.configs(base) if isinstance(space, DesignSpace)
-               else tuple(space))
-    runner = runner if runner is not None else ExperimentRunner()
-    jobs = _grid_jobs(configs, pairs)
+    jobs = _grid_jobs(space, pairs, base)
     cells = checkpoint.cells if checkpoint is not None else {}
-    keys = [_cell_key(config, pair) for config, pair, _, _ in jobs]
+    keys = [f"{config.name}\t{pair.name}" for config, pair, _, _ in jobs]
     missing = [i for i, key in enumerate(keys) if key not in cells]
+    step = max(1, chunk or len(missing))
     try:
-        for start in range(0, len(missing), max(1, chunk)):
-            ids = missing[start:start + max(1, chunk)]
-            nfps = _job_nfps([jobs[i] for i in ids], budget=budget,
-                             runner=runner, profile=profile)
-            for i, nfp in zip(ids, nfps):
-                cells[keys[i]] = _cell_to_json(nfp)
+        for start in range(0, len(missing), step):
+            ids = missing[start:start + step]
+            cells.update(zip([keys[i] for i in ids], _job_nfps(
+                [jobs[i] for i in ids], budget=budget, runner=runner,
+                metered=metered)))
             if checkpoint is not None:
                 checkpoint.flush(total=len(jobs))
     except KeyboardInterrupt:
         if checkpoint is not None:
             checkpoint.flush(total=len(jobs))
         done = [i for i, key in enumerate(keys) if key in cells]
-        grid = _grid_from_jobs(
-            [jobs[i] for i in done],
-            [_cell_from_json(cells[keys[i]]) for i in done])
         log_event("interrupted", completed=len(done), total=len(jobs))
-        raise SweepInterrupted(grid, completed=len(done),
-                               total=len(jobs)) from None
-    return _grid_from_jobs(jobs, [_cell_from_json(cells[key])
-                                  for key in keys])
+        raise SweepInterrupted(
+            _grid_from_jobs([jobs[i] for i in done],
+                            [cells[keys[i]] for i in done]),
+            completed=len(done), total=len(jobs)) from None
+    return _grid_from_jobs(jobs, [cells[key] for key in keys])
 
 
 # -- streaming sweeps --------------------------------------------------------
@@ -512,8 +428,8 @@ def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
     The streamed path has no per-cell failure slots: a profile whose
     retries ran out raises, and an unclean (self-modifying) profile has
     no linear pricing at all, so it raises a :class:`UsageError`
-    pointing at the materialized ``--profile`` sweep, whose per-point
-    metered fallback handles it exactly.
+    pointing at the materialized sweep, whose per-point metered
+    fallback handles it exactly.
 
     Also the evaluation server's cold-fill entry point: one (workload,
     build) pair profiled through the resilient cached runner yields the
@@ -550,7 +466,7 @@ def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
             raise UsageError(
                 f"workload {name!r} ({build}) is self-modifying; the "
                 f"streamed sweep has no metered fallback -- run the "
-                f"materialized profiled sweep instead")
+                f"materialized sweep (drop --stream) instead")
         flat_profiles.append(profile)
     vectors: dict[tuple[str, str], ProfileVectors] = {}
     for name, build, part_ids in entries:
@@ -570,7 +486,7 @@ def sweep_streamed(space: DesignSpace,
                    shards: int | None = None) -> StreamSummary:
     """Generate-price-reduce: sweep a space without materializing it.
 
-    The streaming counterpart of :func:`sweep_profiled`: each distinct
+    The streaming counterpart of :func:`sweep`: each distinct
     workload build is profiled once, then one
     :class:`~repro.dse.stream._FastSweep` prices the cartesian product
     from factored per-axis cost tables in bounded-memory chunks and
@@ -578,7 +494,7 @@ def sweep_streamed(space: DesignSpace,
     minima and knees -- the full grid never exists, so million-config
     spaces fit in memory proportional to the front plus one chunk.
     Results are byte-identical to
-    ``StreamSummary.from_grid(sweep_profiled(...))`` at equal
+    ``StreamSummary.from_grid(sweep(...))`` at equal
     ``front_cap`` (the property tests and the CI check enforce it).
     Every axis needs a lowering hook (``Axis.lower``; all stock axes
     have one); a space the engine cannot price exactly raises a
@@ -658,32 +574,20 @@ def sweep_estimated(space: DesignSpace | Sequence[SweepConfig],
     ``estimator_for`` maps a candidate configuration to the
     :class:`~repro.nfp.estimator.NFPEstimator` calibrated for it; the
     estimator's own functional core runs the simulation, exactly as the
-    pre-engine Table IV code path did, so presets built on this function
-    reproduce their historical numbers bit-for-bit.
+    pre-engine Table IV code path did, so :func:`repro.nfp.dse.explore_fpu`
+    reproduces its historical numbers bit-for-bit.  Estimated points
+    carry no cycle count.
     """
-    configs = (space.configs(base) if isinstance(space, DesignSpace)
-               else tuple(space))
-    points = []
-    for config in configs:
-        estimator = estimator_for(config)
-        for pair in pairs:
-            build, program = pair.build_for(config.hw.core)
-            if isinstance(program, PipelineProgram):
-                raise UsageError(
-                    f"pipeline workload {pair.name!r} has no estimation "
-                    f"path; use the profiled, streamed or metered sweep")
-            report = estimator.estimate_program(
-                program, kernel_name=f"{pair.name}-{build}",
-                max_instructions=budget)
-            points.append(DsePoint(
-                config=config.name,
-                axis_values=config.axis_values,
-                workload=pair.name,
-                build=build,
-                time_s=report.time_s,
-                energy_j=report.energy_j,
-                area_les=config_area_les(config),
-                retired=report.sim.retired,
-                cycles=None,
-            ))
-    return DseGrid(points=tuple(points))
+    jobs = _grid_jobs(space, pairs, base)
+    cells = []
+    for config, pair, build, program in jobs:
+        if isinstance(program, PipelineProgram):
+            raise UsageError(
+                f"pipeline workload {pair.name!r} has no estimation "
+                f"path; use the profiled, streamed or metered sweep")
+        report = estimator_for(config).estimate_program(
+            program, kernel_name=f"{pair.name}-{build}",
+            max_instructions=budget)
+        cells.append([report.time_s, report.energy_j, report.sim.retired,
+                      None])
+    return _grid_from_jobs(jobs, cells)

@@ -1,8 +1,9 @@
-"""Profile-once evaluation of sweep grids.
+"""Pricing of materialized sweep grids: profile once, or meter per point.
 
-The metered sweep pays one instrumented simulation per (configuration,
-workload) point even though every configuration executes the same
-instruction stream; this module implements the profile-once alternative:
+The metered oracle (:func:`metered_points`) pays one instrumented
+simulation per (configuration, workload) point even though every
+configuration executes the same instruction stream.  The default
+pricer (:func:`profiled_points`) is the profile-once alternative:
 
 1. every distinct ``(program, functional-core essentials)`` of the grid
    is profiled exactly once (``profile`` :class:`~repro.runner.tasks.SimTask`
@@ -16,13 +17,13 @@ instruction stream; this module implements the profile-once alternative:
    produces, which is what makes streamed and materialized reports
    byte-identical.
 
-Integer counters and cycles are bit-identical to the metered sweep
+Integer counters and cycles are bit-identical to the metered oracle
 (which profiles every point and prices it for its own board, see
 :meth:`repro.hw.board.Board.measure_raw`); dynamic energy agrees within
 ``1e-12`` relative, the batch combine regrouping the same exact sums.
 Profiles of runs that wrote into their own code (self-modifying
 kernels) are flagged unclean and their grid points transparently fall
-back to full metered simulation, point by point.
+back to the metered oracle, point by point.
 """
 
 from __future__ import annotations
@@ -99,43 +100,59 @@ def composed_vectors(parts: Sequence[tuple[ExecutionProfile, int]]
     return lower_profile(compose_profiles(parts))
 
 
-def metered_parts_nfp(hw: HwConfig,
-                      parts: Sequence[tuple[Program, int]],
-                      payloads: Sequence[dict]) -> PointNfp | TaskFailure:
-    """Combine per-part metered payloads into one exact point.
+def metered_points(items: Sequence[tuple[HwConfig, object]], *,
+                   budget: int,
+                   runner: ExperimentRunner
+                   ) -> list[PointNfp | TaskFailure]:
+    """Meter every ``(configuration, program)`` grid point: the oracle.
 
-    The metered twin of profile composition, and the reason metered and
-    composed pipeline sweeps stay *bit-identical* in cycles and time:
-    total cycles are the exact integer sum of weighted per-invocation
-    cycles, and total time is ``cycles * cycle_seconds`` -- the very
-    expression the linear evaluator (and :class:`~repro.hw.board.Board`
-    itself) applies to the same integer.  Dynamic energy sums the
-    weighted per-invocation nanojoule totals through ``math.fsum``
-    (exact summation; <= 1e-12 relative of the composed-profile
-    energy), and static energy is priced over the total time.  The
-    single-part unweighted case reproduces the raw payload unchanged.
-    A failed part payload surfaces as its :class:`TaskFailure`.
+    One batch of metered :class:`~repro.runner.tasks.SimTask`s, one per
+    part of each point (a plain program is one part, a composed
+    pipeline one run per invocation).  A pipeline point combines its
+    parts exactly, which is what keeps metered and composed-profile
+    sweeps *bit-identical* in cycles and time: total cycles are the
+    exact integer sum of weighted per-invocation cycles, and total time
+    is ``cycles * cycle_seconds`` -- the very expression the linear
+    evaluator (and :class:`~repro.hw.board.Board` itself) applies to the
+    same integer.  Dynamic energy sums the weighted per-invocation
+    nanojoule totals through ``math.fsum`` (<= 1e-12 relative of the
+    composed-profile energy), and static energy is priced over the
+    total time.  A one-part point reproduces its raw payload unchanged.
+    A failed part surfaces as its :class:`TaskFailure` in the point's
+    slot; nothing here raises for a failed task.
     """
-    for payload in payloads:
-        if is_failure(payload):
-            return TaskFailure.from_payload(payload)
-    raws = [raw_from_payload(payload) for payload in payloads]
-    if len(parts) == 1 and parts[0][1] == 1:
-        raw = raws[0]
-        return PointNfp(
-            time_s=raw.true_time_s, energy_j=raw.true_energy_j,
-            cycles=raw.cycles, retired=raw.sim.retired, profiled=False)
-    cycles = sum(count * raw.cycles
-                 for (_, count), raw in zip(parts, raws))
-    retired = sum(count * raw.sim.retired
-                  for (_, count), raw in zip(parts, raws))
-    time_s = cycles * hw.cycle_seconds
-    dyn_nj = math.fsum(count * raw.dyn_energy_nj
-                       for (_, count), raw in zip(parts, raws))
-    return PointNfp(
-        time_s=time_s,
-        energy_j=dyn_nj * 1e-9 + hw.static_power_w * time_s,
-        cycles=cycles, retired=retired, profiled=False)
+    parts_per_item = [pipeline_parts(program) for _, program in items]
+    tasks = [SimTask(mode="metered", program=program, budget=budget, hw=hw)
+             for (hw, _), parts in zip(items, parts_per_item)
+             for program, _ in parts]
+    payloads = iter(runner.run_tasks(tasks))
+    out: list[PointNfp | TaskFailure] = []
+    for (hw, _), parts in zip(items, parts_per_item):
+        mine = [next(payloads) for _ in parts]
+        failed = next((p for p in mine if is_failure(p)), None)
+        if failed is not None:
+            out.append(TaskFailure.from_payload(failed))
+            continue
+        raws = [raw_from_payload(payload) for payload in mine]
+        if len(parts) == 1 and parts[0][1] == 1:
+            raw = raws[0]
+            out.append(PointNfp(
+                time_s=raw.true_time_s, energy_j=raw.true_energy_j,
+                cycles=raw.cycles, retired=raw.sim.retired,
+                profiled=False))
+            continue
+        cycles = sum(count * raw.cycles
+                     for (_, count), raw in zip(parts, raws))
+        retired = sum(count * raw.sim.retired
+                      for (_, count), raw in zip(parts, raws))
+        time_s = cycles * hw.cycle_seconds
+        dyn_nj = math.fsum(count * raw.dyn_energy_nj
+                           for (_, count), raw in zip(parts, raws))
+        out.append(PointNfp(
+            time_s=time_s,
+            energy_j=dyn_nj * 1e-9 + hw.static_power_w * time_s,
+            cycles=cycles, retired=retired, profiled=False))
+    return out
 
 
 def profiled_points(items: Sequence[tuple[HwConfig, object]], *,
@@ -153,12 +170,11 @@ def profiled_points(items: Sequence[tuple[HwConfig, object]], *,
     runner's content addressing collapses the grid onto its distinct
     invocation builds), one linear evaluation per point over its
     composed vectors, and -- only where a part profile came back
-    unclean *or never came back at all* -- one batch of exact metered
-    fallback simulations, combined per point by
-    :func:`metered_parts_nfp`.  A grid point whose profile *and*
-    metered fallback both exhausted their retries surfaces as the
-    fallback's :class:`~repro.runner.resilience.TaskFailure` in its
-    slot; nothing here raises for a failed task.
+    unclean *or never came back at all* -- :func:`metered_points` for
+    those points.  A grid point whose profile *and* metered fallback
+    both exhausted their retries surfaces as the fallback's
+    :class:`~repro.runner.resilience.TaskFailure` in its slot; nothing
+    here raises for a failed task.
     """
     parts_per_item = [pipeline_parts(program) for _, program in items]
     tasks = []
@@ -182,10 +198,8 @@ def profiled_points(items: Sequence[tuple[HwConfig, object]], *,
         pos += len(parts)
 
     # fallback: self-modifying workloads (unclean profiles) and points
-    # whose profile task failed outright are re-simulated on the
-    # metered path (bit-identical to the plain metered sweep, and
-    # shared with it through the result cache); a pipeline point
-    # re-simulates its invocations and combines them exactly
+    # whose profile task failed outright are priced by the metered
+    # oracle (shared with it through the result cache)
     dirty = [i for i, ikeys in enumerate(item_keys)
              if any(key not in profiles or not profiles[key].clean
                     for key, _ in ikeys)]
@@ -195,18 +209,8 @@ def profiled_points(items: Sequence[tuple[HwConfig, object]], *,
                   points=sum(1 for key in keys if key not in profiles))
     fallback: dict[int, PointNfp | TaskFailure] = {}
     if dirty:
-        mtasks = []
-        slices = []
-        for i in dirty:
-            start = len(mtasks)
-            for program, _ in parts_per_item[i]:
-                mtasks.append(SimTask(mode="metered", program=program,
-                                      budget=budget, hw=items[i][0]))
-            slices.append((i, start, len(mtasks)))
-        mpayloads = runner.run_tasks(mtasks)
-        for i, start, stop in slices:
-            fallback[i] = metered_parts_nfp(
-                items[i][0], parts_per_item[i], mpayloads[start:stop])
+        fallback = dict(zip(dirty, metered_points(
+            [items[i] for i in dirty], budget=budget, runner=runner)))
 
     # clean points are priced in one batch per distinct composition:
     # the configurations lower to a deduplicated cost-row matrix and

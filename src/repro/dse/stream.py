@@ -77,7 +77,7 @@ _INT64_MAX = 2 ** 63 - 1
 
 def _unstreamable(what: str) -> UsageError:
     return UsageError(f"{what}; a streamed sweep cannot price it -- run the "
-                      f"materialized sweep with --profile instead")
+                      f"materialized sweep (drop --stream) instead")
 
 
 def _merge(held, cand):

@@ -3,18 +3,21 @@
 The generalized counterpart of Table IV: instead of one FPU bit, a
 multi-dimensional grid of candidate platforms (clock frequency, FPU,
 register windows, memory wait states, ... -- see :mod:`repro.dse.axes`)
-is measured on the metered testbed across a workload suite resolved
-from the registry (default: the paper's Table III preset; the
-``--workloads`` flag selects any preset/family/glob combination),
-through the shared cached parallel runner.  The result is the Pareto
-structure over (time, energy, area): which configurations are worth
-building, and which are dominated.
+is priced across a workload suite resolved from the registry (default:
+the paper's Table III preset; the ``--workloads`` flag selects any
+preset/family/glob combination).  Each workload build is profiled once
+on the testbed, through the shared cached parallel runner, and every
+candidate platform is priced from that profile
+(:func:`repro.dse.engine.sweep`).  The result is the Pareto structure
+over (time, energy, area): which configurations are worth building, and
+which are dominated.
 
 Long sweeps are fault-tolerant: completed cells are checkpointed
 periodically under ``<cache root>/runs/<run id>.json``, an interrupted
 sweep raises :class:`DseInterrupted` carrying the partial result, and
 ``repro dse --resume RUN_ID`` continues from the last checkpoint with a
-byte-identical final report.  Checkpointing is on whenever the result
+byte-identical final report (the sweep parameters must match the ones
+the checkpoint was taken under).  Checkpointing is on whenever the result
 cache is (or when a run id is named explicitly), so ``REPRO_CACHE=off``
 runs stay fully stateless by default.
 """
@@ -31,7 +34,7 @@ from repro.dse.engine import (
     DseGrid,
     StreamSummary,
     SweepInterrupted,
-    sweep_checkpointed,
+    sweep,
     sweep_streamed,
 )
 from repro.dse.report import StreamReport, SweepReport
@@ -57,9 +60,8 @@ def default_run_id(spec: dict) -> str:
     """The content-derived run id of a sweep: same sweep, same id.
 
     Hashed over the checkpoint spec (scale, axes with their values,
-    profile mode, workload filter), so re-invoking an
-    interrupted command line resumes its own checkpoint without the
-    user naming anything.
+    workload filter), so re-invoking an interrupted command line
+    resumes its own checkpoint without the user naming anything.
     """
     blob = json.dumps(spec, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -112,7 +114,6 @@ class DseStreamResult:
 
 def run(scale: Scale | str | None = None,
         axes: str | None = None,
-        profile: bool = False,
         workloads: str | None = None,
         resume: str | None = None,
         run_id: str | None = None,
@@ -122,34 +123,36 @@ def run(scale: Scale | str | None = None,
         front_cap: int | None = None,
         shards: int | None = None) -> DseResult | DseStreamResult:
     """Sweep ``axes`` (a ``DesignSpace.from_spec`` string, or the stock
-    space) across a workload suite on the metered testbed.
+    space) across a workload suite, profiling each workload build once.
 
     ``workloads`` is a registry filter (``repro dse --workloads``):
     preset names, families or globs over workload names, comma-combined
     (``img:*,fse:00``); ``None`` runs the paper's Table III preset,
     rendering exactly as before the registry existed.
 
-    With ``profile`` (the ``repro dse --profile`` flag) each workload
-    build is simulated once in profile mode and every candidate platform
-    is priced by the linear evaluator instead -- same grid, same Pareto
-    structure, a fraction of the simulations (see
-    :func:`repro.dse.engine.sweep_profiled` for the exactness contract).
+    Every candidate platform is priced by the linear evaluator from
+    those profiles, with the metered fallback for self-modifying
+    workloads (see :func:`repro.dse.engine.sweep` for the exactness
+    contract).
 
-    ``resume`` continues a previous run's checkpoint by id (it must
-    exist, and the current sweep parameters must match the ones it was
-    taken under); ``run_id`` names a fresh run explicitly.  An
-    interruption (Ctrl-C) flushes the checkpoint and raises
-    :class:`DseInterrupted` with the partial result attached.
+    ``resume`` continues a previous run's checkpoint by id: it must
+    exist, and a checkpoint taken under other sweep parameters raises
+    :class:`~repro.runner.resilience.UsageError` naming the differing
+    keys, leaving the checkpoint untouched.  ``run_id`` names a run
+    explicitly; a stored checkpoint under that id whose parameters
+    differ is started afresh.  An interruption (Ctrl-C) flushes the
+    checkpoint and raises :class:`DseInterrupted` with the partial
+    result attached.
 
     ``stream`` (the ``repro dse --stream`` flag; ``refine > 0`` implies
     it) runs the generate-price-reduce path instead
     (:func:`repro.dse.engine.sweep_streamed`): the grid is never
     materialized, so million-config spaces sweep in bounded memory, and
-    the report renders byte-identically to the materialized ``--profile``
-    sweep at equal ``front_cap`` (a positive count, streamed sweeps
-    only).  Streamed sweeps keep no checkpoint
-    (pricing restarts in seconds; the profile simulations are already
-    content-cached), so they are incompatible with ``resume``/``run_id``.
+    the report renders byte-identically to the materialized sweep at
+    equal ``front_cap`` (a positive count, streamed sweeps only).
+    Streamed sweeps keep no checkpoint (pricing restarts in seconds; the
+    profile simulations are already content-cached), so they are
+    incompatible with ``resume``/``run_id``.
 
     ``shards`` (the ``repro dse --shards`` flag, streamed only) prices
     the flat config space across that many parallel worker processes
@@ -195,7 +198,6 @@ def run(scale: Scale | str | None = None,
     spec = {
         "scale": scale.name,
         "axes": [[name, list(values)] for name, values in space.axes],
-        "profile": profile,
         "workloads": workloads or "",
     }
     checkpoint = None
@@ -204,23 +206,31 @@ def run(scale: Scale | str | None = None,
         store = CheckpointStore(checkpoint_root())
         if resume is not None:
             rid = resume
-            if store.load(rid) is None:
+            manifest = store.load(rid)
+            if manifest is None:
                 raise UsageError(
                     f"no checkpoint {rid!r} under {store.root} -- "
                     f"run ids are printed when a sweep is interrupted")
+            stored = manifest.get("spec")
+            stored = stored if isinstance(stored, dict) else {}
+            differ = sorted(key for key in stored.keys() | spec.keys()
+                            if stored.get(key) != spec.get(key))
+            if differ:
+                raise UsageError(
+                    f"checkpoint {rid!r} was taken with other sweep "
+                    f"parameters (differing: {', '.join(differ)}); rerun "
+                    f"with the original parameters to resume it")
         else:
             rid = run_id or default_run_id(spec)
         checkpoint = SweepCheckpoint.open(store, rid, spec)
 
-    mode = ", profile-once" if profile else ""
     suite = f", workloads {workloads}" if workloads else ""
-    title = f"design-space exploration ({scale.name} scale{mode}{suite})"
+    title = f"design-space exploration ({scale.name} scale{suite})"
     try:
-        grid = sweep_checkpointed(
+        grid = sweep(
             space, resolve_pairs(workloads, scale),
             budget=scale.max_instructions, runner=runner, base=base,
-            profile=profile, checkpoint=checkpoint,
-            chunk=checkpoint_every)
+            checkpoint=checkpoint, chunk=checkpoint_every)
     except SweepInterrupted as exc:
         partial = DseResult(
             report=SweepReport(exc.grid, title=f"{title} [partial]"),

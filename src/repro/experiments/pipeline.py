@@ -9,7 +9,7 @@ build plus dot products -- no additional simulation per variant.
 
 ``run`` sweeps the selected pipelines (optionally augmented with their
 one-change structural variants) across a hardware design space on the
-composed profile path (:func:`repro.dse.engine.sweep_profiled`); each
+composed profile path (:func:`repro.dse.engine.sweep`); each
 variant rides through the engine as its own workload, so the report's
 Pareto structure compares chains and platforms in one grid.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dse.axes import DesignSpace
-from repro.dse.engine import DseGrid, sweep_profiled
+from repro.dse.engine import DseGrid, sweep
 from repro.dse.report import SweepReport
 from repro.experiments.scale import Scale, get_scale
 from repro.experiments.setup import runner_from_env
@@ -116,7 +116,7 @@ def run(scale: Scale | str | None = None,
         if variants:
             chains.extend(structural_variants(spec, repeat=repeat))
     base = HwConfig(name="leon3", core=CoreConfig())
-    grid = sweep_profiled(
+    grid = sweep(
         space, [pipeline_pair(chain, scale) for chain in chains],
         budget=scale.max_instructions, runner=runner_from_env(), base=base)
     mode = ", structural variants" if variants else ""

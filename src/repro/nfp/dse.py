@@ -8,7 +8,7 @@ the synthesis area increase (Table IV).
 Since the generalized exploration engine landed (:mod:`repro.dse`), this
 module is a thin preset over it: :func:`explore_fpu` sweeps the one-axis
 FPU design space on the estimation path
-(:func:`repro.dse.presets.explore_fpu_grid`) and reshapes the grid into
+(:func:`repro.dse.engine.sweep_estimated`) and reshapes the grid into
 the classic Table IV report.  The numbers are bit-identical to the
 pre-engine implementation.
 """
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.dse.presets import FPU_CONFIG, NOFPU_CONFIG, explore_fpu_grid
+from repro.dse.axes import DesignSpace
+from repro.dse.engine import sweep_estimated
 from repro.dse.workload import WorkloadPair
 from repro.hw.area import fpu_area_increase
 from repro.nfp.estimator import NFPEstimator
@@ -26,6 +27,10 @@ from repro.vm.config import CoreConfig
 from repro.vm.cpu import DEFAULT_BUDGET
 
 __all__ = ["WorkloadPair", "DseRow", "DseReport", "explore_fpu"]
+
+#: Configuration names of the Table IV space (the fpu axis labels).
+FPU_CONFIG = "fpu"
+NOFPU_CONFIG = "nofpu"
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,11 @@ def explore_fpu(estimator_fpu: NFPEstimator, estimator_nofpu: NFPEstimator,
     its ``fixed`` build on the FPU-less platform; the reported change is
     ``(float - fixed) / fixed``, i.e. what introducing an FPU changes.
     """
-    grid = explore_fpu_grid(estimator_fpu, estimator_nofpu, workloads,
-                            budget=max_instructions)
+    grid = sweep_estimated(
+        DesignSpace.single("fpu", (True, False)), workloads,
+        budget=max_instructions,
+        estimator_for=lambda config: (estimator_fpu if config.hw.core.has_fpu
+                                      else estimator_nofpu))
     rows = []
     for pair in workloads:
         with_fpu = grid.point(FPU_CONFIG, pair.name)

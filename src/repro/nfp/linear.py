@@ -612,19 +612,15 @@ class BatchNfpEngine:
       exactly instead of one per clock value.  The combine (and the
       scale factoring) regroups the per-point engine's single fsum, so
       energy agrees to a few ulp (well inside the documented 1e-12
-      relative envelope); results are independent of how a batch is
-      composed and identical between the scalar and the numpy combine
-      (same expressions, same IEEE-754 double semantics).
+      relative envelope), and each config's result is independent of
+      how a batch is composed.
 
-    The per-config combine picks its implementation by batch size: the
-    evaluation server's coalesced price batches are small and run the
-    scalar loop (numpy is never imported for them), batches of
-    :attr:`_VECTOR_MIN` or more configs run the numpy combine.  Both
-    return the same bits.
+    The combine is one scalar loop over the configs: it prices every
+    batch of explicit configurations (materialized grids, the
+    evaluation server's coalesced price batches, refinement) without
+    importing numpy.  Streamed sweeps price whole axis products in the
+    vectorized twin, :class:`repro.dse.stream._FastSweep`.
     """
-
-    #: below this batch size the scalar combine wins over array set-up
-    _VECTOR_MIN = 64
 
     __slots__ = ("hws", "basis", "_rows")
 
@@ -681,21 +677,10 @@ class BatchNfpEngine:
         dots = [base_dots[di] if scale == 1.0
                 else tuple(scale * d for d in base_dots[di])
                 for di, scale in dyn_specs]
-        if len(self.hws) >= self._VECTOR_MIN:
-            try:
-                return self._evaluate_vector(vectors, cyc_dots, dots)
-            except OverflowError:
-                # a cycle dot outside int64 (astronomical budgets):
-                # python's arbitrary-precision path still prices it
-                pass
-        return self._evaluate_scalar(vectors, cyc_dots, dots)
-
-    def _evaluate_scalar(self, vectors, cyc_dots, dots) -> list[LinearNfp]:
         out = []
         tu = vectors.total_untaken
         refund = vectors.div_refund
         retired = vectors.retired
-        cyc_rows, dyn_rows, dyn_specs, per_hw = self._rows
         for hw, (ci, di) in zip(self.hws, per_hw):
             amp = hw.jitter_amplitude
             spills, fills, trapjc = vectors.window_at(hw.core.nwindows)
@@ -715,47 +700,3 @@ class BatchNfpEngine:
                 true_time_s=true_time_s, true_energy_j=true_energy_j,
                 spills=spills, fills=fills, retired=retired))
         return out
-
-    def _evaluate_vector(self, vectors, cyc_dots, dots) -> list[LinearNfp]:
-        import numpy as np
-        cyc_rows, dyn_rows, dyn_specs, per_hw = self._rows
-        hws = self.hws
-        n = len(hws)
-        ci = np.fromiter((c for c, _ in per_hw), dtype=np.intp, count=n)
-        di = np.fromiter((d for _, d in per_hw), dtype=np.intp, count=n)
-        # raises OverflowError past int64, caught by evaluate()
-        cdot = np.array(cyc_dots, dtype=np.int64)[ci]
-        edots = np.array(dots, dtype=np.float64)[di]
-        amp = np.fromiter((hw.jitter_amplitude for hw in hws),
-                          dtype=np.float64, count=n)
-        ud = np.fromiter((hw.untaken_branch_discount for hw in hws),
-                         dtype=np.int64, count=n)
-        extra = np.fromiter(
-            (hw.untaken_branch_energy_factor - 1.0 for hw in hws),
-            dtype=np.float64, count=n)
-        trap_cyc = np.fromiter((hw.window_trap_cycles for hw in hws),
-                               dtype=np.int64, count=n)
-        trap_nj = np.fromiter((hw.window_trap_energy_nj for hw in hws),
-                              dtype=np.float64, count=n)
-        cycsec = np.fromiter((hw.cycle_seconds for hw in hws),
-                             dtype=np.float64, count=n)
-        static = np.fromiter((hw.static_power_w for hw in hws),
-                             dtype=np.float64, count=n)
-        win = [vectors.window_at(hw.core.nwindows) for hw in hws]
-        spills = np.fromiter((w[0] for w in win), dtype=np.int64, count=n)
-        fills = np.fromiter((w[1] for w in win), dtype=np.int64, count=n)
-        trapjc = np.fromiter((w[2] for w in win), dtype=np.float64, count=n)
-        traps = spills + fills
-        cycles = (cdot - ud * vectors.total_untaken - vectors.div_refund
-                  + traps * trap_cyc)
-        e1, e2, e3, e4 = (edots[:, 0], edots[:, 1], edots[:, 2], edots[:, 3])
-        dyn = ((e1 + amp * e2) + extra * (e3 + amp * e4)
-               + trap_nj * (traps + amp * trapjc))
-        time_s = cycles.astype(np.float64) * cycsec
-        energy = dyn * 1e-9 + static * time_s
-        retired = vectors.retired
-        return [LinearNfp(
-            cycles=int(cycles[i]), dyn_energy_nj=float(dyn[i]),
-            true_time_s=float(time_s[i]), true_energy_j=float(energy[i]),
-            spills=int(spills[i]), fills=int(fills[i]), retired=retired)
-            for i in range(n)]

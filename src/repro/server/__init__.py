@@ -21,9 +21,10 @@ runtime dependencies):
 
 ``POST /v1/sweep``
     a whole design-space spec, run through the same sweep drivers the
-    ``repro dse`` CLI uses; a materialized sweep response is
-    byte-identical to ``repro dse --profile --format json`` for the
-    same spec (the service-smoke CI job compares the bytes).
+    ``repro dse`` CLI uses; a materialized sweep response
+    (``"mode": "profile"``, the default) is byte-identical to
+    ``repro dse --format json`` for the same spec (the service-smoke
+    CI job compares the bytes).
 
 ``GET /v1/healthz`` / ``GET /v1/stats``
     liveness and operational metrics (uptime, profile cache hit rate,

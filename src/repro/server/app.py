@@ -16,7 +16,7 @@ into a service:
 - ``/v1/sweep`` delegates to the ``repro dse`` driver in a worker
   thread of its own, so a long sweep never queues a cold fill behind
   it, and a materialized sweep's response body is *byte-identical*
-  to ``repro dse --profile --format json`` for the same spec.
+  to ``repro dse --format json`` for the same spec.
 - ``/v1/healthz`` and ``/v1/stats`` render liveness and the
   :class:`~repro.server.stats.ServerStats` snapshot.
 
@@ -342,11 +342,10 @@ class EvalServer:
 
     def _sweep_sync(self, spec: SweepRequest) -> str:
         # the CLI's own driver end to end, so a materialized sweep body
-        # is byte-identical to `repro dse --profile --format json`
+        # is byte-identical to `repro dse --format json`
         from repro.experiments import dse as dse_driver
         return dse_driver.run(
             self.scale, axes=spec.axes,
-            profile=(spec.mode == "profile"),
             workloads=spec.workloads,
             stream=(spec.mode == "stream"),
             refine=spec.refine,

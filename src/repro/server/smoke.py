@@ -9,7 +9,7 @@
    the single-flight contract: every response 200 and byte-identical,
    exactly **one** profiling fill on ``/v1/stats``;
 4. run a materialized ``/v1/sweep`` and compare its body byte-for-byte
-   against ``repro dse --profile --format json`` for the same spec
+   against ``repro dse --format json`` for the same spec
    (``--ref FILE`` supplies a pre-rendered reference instead);
 5. poke the error paths (malformed JSON, unknown workload, wrong
    method, unknown route) and require the intended statuses;
@@ -116,7 +116,7 @@ def reference_sweep(scale: str, env: dict, ref_path: str | None) -> bytes:
             return handle.read()
     done = subprocess.run(
         [sys.executable, "-m", "repro", "dse", "--scale", scale,
-         "--profile", "--axes", SWEEP_AXES, "--format", "json"],
+         "--axes", SWEEP_AXES, "--format", "json"],
         capture_output=True, env=env)
     check(done.returncode == 0,
           f"reference `repro dse` exited {done.returncode}: "
@@ -140,9 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="smoke")
     parser.add_argument("--ref", default=None, metavar="FILE",
-                        help="pre-rendered `repro dse --profile --format "
-                             "json` report to compare the sweep body "
-                             "against (default: render one now)")
+                        help="pre-rendered `repro dse --format json` "
+                             "report to compare the sweep body against "
+                             "(default: render one now)")
     args = parser.parse_args(argv)
 
     env = dict(os.environ)

@@ -167,8 +167,9 @@ def test_report_command_exits_1_when_retries_run_out(
 
 
 def test_simulation_path_never_imports_numpy(tmp_path):
-    """numpy is a pricing dependency only: the Table III and workload
-    paths (simulation, runner, report rendering) never load it."""
+    """numpy is a dependency of streamed pricing only: the Table III and
+    workload paths (simulation, runner, report rendering) never load
+    it, and neither does batch pricing of explicit configurations."""
     import os
     import subprocess
     import sys
@@ -180,6 +181,19 @@ def test_simulation_path_never_imports_numpy(tmp_path):
         "import repro.cli, repro.experiments.table3, repro.hw.board\n"
         "import repro.runner.tasks, repro.dse\n"
         "assert repro.cli.main(['workloads', 'list', '--scale', 'smoke']) == 0\n"
+        "from repro.dse import DesignSpace\n"
+        "from repro.nfp.linear import (BatchNfpEngine, ExecutionProfile,\n"
+        "                              lower_profile)\n"
+        "clocks = ':'.join(str(10 + i) for i in range(25))\n"
+        "space = DesignSpace.from_spec(\n"
+        "    f'clock_mhz={clocks},fpu,nwindows=4:8')\n"
+        "profile = ExecutionProfile(\n"
+        "    retired=3, clean=True, mnemonics={'add': (3, 0, 0, 0)},\n"
+        "    branch_sites={}, div_sites={}, save_depths={},\n"
+        "    restore_depths={})\n"
+        "hws = [config.hw for config in space.iter_configs()]\n"
+        "prices = BatchNfpEngine(hws).evaluate(lower_profile(profile))\n"
+        "assert len(prices) == 100\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
@@ -189,17 +203,26 @@ def test_simulation_path_never_imports_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("mode", ["--stream", "--profile"])
+@pytest.mark.parametrize("mode", [
+    pytest.param(["--stream"], id="--stream"),
+    pytest.param([], id="materialized"),
+])
 @pytest.mark.parametrize("axes, message", [
     ("clock_mhz=-5", "clock_hz must be positive and finite"),
     ("clock_mhz=0", "clock_hz must be positive and finite"),
     ("clock_mhz=nan", "clock_hz must be positive and finite"),
     ("nwindows=1", "SPARC V8 allows 2..32 register windows"),
+    ("clock_mhz=50:50:80",
+     "axis 'clock_mhz' values 50.0 and 50.0 share the label 'clk50'"),
+    ("clock_mhz=50:50.00001",
+     "axis 'clock_mhz' values 50.0 and 50.00001 share the label 'clk50'"),
+    ("fpu=1:1", "axis 'fpu' values True and True share the label 'fpu'"),
 ])
 def test_dse_rejects_bad_axis_values(mode, axes, message, capsys):
-    """Values the platform config rejects exit 2 with one error line on
-    the streamed and the materialized path alike."""
-    argv = ["dse", "--scale", "smoke", mode, "--workloads", "fse:00",
+    """Values the platform config rejects, and values that would name
+    two configurations alike, exit 2 with one error line on the
+    streamed and the materialized path alike."""
+    argv = ["dse", "--scale", "smoke", *mode, "--workloads", "fse:00",
             "--axes", axes]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -212,9 +235,8 @@ def test_dse_rejects_bad_axis_values(mode, axes, message, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--stream", "--front-cap", "0"], "positive"),
     (["--stream", "--front-cap", "-1"], "positive"),
-    (["--profile", "--front-cap", "8"], "--stream"),
     (["--front-cap", "8"], "--stream"),
-])
+], ids=["argv0-positive", "argv1-positive", "argv3---stream"])
 def test_dse_front_cap_validation(argv, message, capsys):
     assert main(["dse", "--scale", "smoke", "--workloads", "fse:00",
                  *argv]) == 2

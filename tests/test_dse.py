@@ -21,12 +21,11 @@ from repro.dse import (
     sweep,
     sweep_estimated,
 )
-from repro.dse.presets import FPU_CONFIG, NOFPU_CONFIG
 from repro.hw.area import MEMCTRL_LES, memctrl_les, synthesize
 from repro.hw.config import HwConfig, leon3_fpu, leon3_nofpu
 from repro.hw.timing import cycle_table_with_wait_states
 from repro.nfp import Calibrator, NFPEstimator
-from repro.nfp.dse import explore_fpu
+from repro.nfp.dse import FPU_CONFIG, NOFPU_CONFIG, explore_fpu
 from repro.runner import ExperimentRunner
 from repro.fse.kernel import build_fse_kernel
 from repro.fse.params import FseParams
@@ -176,7 +175,8 @@ def small_grid_setup(tiny_pair, tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("dse-cache")
     space = DesignSpace.from_spec("fpu,wait_states=0:2")
     runner = ExperimentRunner(cache_dir=cache_dir, workers=1)
-    grid = sweep(space, [tiny_pair], budget=BUDGET, runner=runner)
+    grid = sweep(space, [tiny_pair], budget=BUDGET, runner=runner,
+                 metered=True)
     return space, runner, grid, cache_dir
 
 
@@ -216,12 +216,14 @@ def test_wait_states_cost_time_but_save_area(small_grid_setup, tiny_pair):
 def test_sweep_warm_rerun_is_bit_identical(small_grid_setup, tiny_pair):
     space, runner, grid, cache_dir = small_grid_setup
     # second run through the same runner: memory/disk cache hits only
-    warm = sweep(space, [tiny_pair], budget=BUDGET, runner=runner)
+    warm = sweep(space, [tiny_pair], budget=BUDGET, runner=runner,
+                 metered=True)
     assert warm == grid
     # a fresh runner over the same cache directory (fresh process-level
     # state, disk hits): still bit-identical
     fresh = sweep(space, [tiny_pair], budget=BUDGET,
-                  runner=ExperimentRunner(cache_dir=cache_dir, workers=1))
+                  runner=ExperimentRunner(cache_dir=cache_dir, workers=1),
+                  metered=True)
     assert fresh == grid
     # and the rendered reports are byte-identical
     assert SweepReport(fresh).render("json") == \

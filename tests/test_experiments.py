@@ -189,3 +189,25 @@ class TestReportDigests:
                               "Maximum absolute error": ["5.82 %", "5.71 %"]}
         assert hashlib.sha256(out.encode()).hexdigest() == \
             REPORT_DIGESTS[command]
+
+
+#: SHA-256 of the stdout of ``repro dse --scale smoke --format <fmt>``:
+#: the stock 36-config grid over the Table III preset, priced from one
+#: profile per workload build.
+DSE_DIGESTS = {
+    "text":
+        "0784ff560a8cffb231ec4f96df445163425c6bc4b54c0ce989fcd4733f7c81c2",
+    "csv":
+        "5764ab32bce8734e93ac295a189c0c74f8d3e7f8afad471f2155d535fff738bd",
+}
+
+
+class TestDseReportDigests:
+    """Every digit of the stock design-space sweep report is pinned."""
+
+    @pytest.mark.parametrize("fmt", sorted(DSE_DIGESTS))
+    def test_dse_stdout_is_byte_identical(self, fmt, capsys):
+        from repro.cli import main
+        assert main(["dse", "--scale", "smoke", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DSE_DIGESTS[fmt]

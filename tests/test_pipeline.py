@@ -18,7 +18,7 @@ import math
 import pytest
 
 from repro.cli import main
-from repro.dse import DesignSpace, sweep_profiled
+from repro.dse import DesignSpace, sweep
 from repro.dse.engine import StreamSummary, stream_profiles, sweep_streamed
 from repro.experiments.pipeline import registered_pipelines, structural_variants
 from repro.experiments.scale import SMOKE
@@ -212,8 +212,7 @@ class TestComposedOracle:
     @pytest.fixture(scope="class")
     def grids(self, runner):
         pairs = [pipeline_pair(spec, SMOKE) for spec in PIPELINES]
-        profiled = sweep_profiled(self.SPACE, pairs, budget=BUDGET,
-                                  runner=runner)
+        profiled = sweep(self.SPACE, pairs, budget=BUDGET, runner=runner)
         streamed = sweep_streamed(self.SPACE, pairs, budget=BUDGET,
                                   runner=runner)
         return profiled, streamed
@@ -224,8 +223,8 @@ class TestComposedOracle:
         for name in ("fpu", "nwindows", "wait_states", "clock_mhz"):
             assert {c.value(name) for c in configs} == \
                 set(dict(self.SPACE.axes)[name])
-        grid = sweep_profiled(configs, [pipeline_pair(TINY, SMOKE)],
-                              budget=BUDGET, runner=runner)
+        grid = sweep(configs, [pipeline_pair(TINY, SMOKE)],
+                     budget=BUDGET, runner=runner)
         assert not grid.failures and len(grid.points) == len(configs)
         for config in configs:
             point = grid.point(config.name, TINY.name)

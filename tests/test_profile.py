@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble
-from repro.dse import DesignSpace, WorkloadPair, get_axis, sweep, sweep_profiled
+from repro.dse import DesignSpace, WorkloadPair, get_axis, sweep
 from repro.dse.evaluate import profile_core, profile_task
 from repro.hw import Board
 from repro.hw.config import leon3_fpu, leon3_nofpu
@@ -260,18 +260,18 @@ class TestProfiledSweep:
             (name, (value,)) for name, value in
             zip(("clock_mhz", "fpu", "nwindows", "wait_states",
                  "block_size"), values)))
-        metered = sweep(space, [pair], budget=BUDGET, runner=shared_runner)
-        profiled = sweep_profiled(space, [pair], budget=BUDGET,
-                                  runner=shared_runner)
+        metered = sweep(space, [pair], budget=BUDGET, runner=shared_runner,
+                        metered=True)
+        profiled = sweep(space, [pair], budget=BUDGET, runner=shared_runner)
         assert_grids_match(metered, profiled)
 
     def test_all_five_axes_grid(self, pair, shared_runner):
         space = DesignSpace.from_spec(
             "clock_mhz=25:80,fpu,nwindows=4:8,wait_states=0:2,"
             "block_size=8:32")
-        metered = sweep(space, [pair], budget=BUDGET, runner=shared_runner)
-        profiled = sweep_profiled(space, [pair], budget=BUDGET,
-                                  runner=shared_runner)
+        metered = sweep(space, [pair], budget=BUDGET, runner=shared_runner,
+                        metered=True)
+        profiled = sweep(space, [pair], budget=BUDGET, runner=shared_runner)
         assert_grids_match(metered, profiled)
         # 32 configurations, sharing two profiled runs (one per build)
         assert len(profiled.points) == 32
@@ -281,14 +281,12 @@ class TestProfiledSweep:
     def test_profiled_sweep_is_deterministic_warm_and_fresh(
             self, pair, shared_runner, tmp_path):
         space = DesignSpace.from_spec("fpu,nwindows=4:8")
-        first = sweep_profiled(space, [pair], budget=BUDGET,
-                               runner=shared_runner)
-        warm = sweep_profiled(space, [pair], budget=BUDGET,
-                              runner=shared_runner)
+        first = sweep(space, [pair], budget=BUDGET, runner=shared_runner)
+        warm = sweep(space, [pair], budget=BUDGET, runner=shared_runner)
         assert warm == first
-        fresh = sweep_profiled(space, [pair], budget=BUDGET,
-                               runner=ExperimentRunner(cache_dir=tmp_path,
-                                                       workers=1))
+        fresh = sweep(space, [pair], budget=BUDGET,
+                      runner=ExperimentRunner(cache_dir=tmp_path,
+                                              workers=1))
         assert fresh == first
 
 
@@ -346,9 +344,9 @@ class TestEdgeRules:
                                 fixed_program=program)
         space = DesignSpace.from_spec("fpu,wait_states=0:2")
         metered = sweep(space, [smc_pair], budget=BUDGET,
-                        runner=shared_runner)
-        profiled = sweep_profiled(space, [smc_pair], budget=BUDGET,
-                                  runner=shared_runner)
+                        runner=shared_runner, metered=True)
+        profiled = sweep(space, [smc_pair], budget=BUDGET,
+                         runner=shared_runner)
         # the fallback runs the identical metered tasks: exact equality,
         # energy included
         assert profiled == metered

@@ -22,7 +22,6 @@ from repro.dse import (
     SweepReport,
     WorkloadPair,
     sweep,
-    sweep_checkpointed,
 )
 from repro.dse import engine as dse_engine
 from repro.fse.kernel import build_fse_kernel
@@ -331,7 +330,7 @@ def test_repeated_pool_failures_downgrade_to_serial(tasks, baseline,
 @pytest.fixture(scope="module")
 def fault_free_render(tiny_pair):
     grid = sweep(DesignSpace.single("fpu"), [tiny_pair], budget=BUDGET,
-                 runner=ExperimentRunner(workers=1))
+                 runner=ExperimentRunner(workers=1), metered=True)
     return SweepReport(grid).render("json")
 
 
@@ -346,7 +345,7 @@ def test_any_chaos_seed_converges_byte_identically(seed, tiny_pair,
         workers=1, chaos=chaos,
         retry=RetryPolicy(max_attempts=4, base_delay_s=0.001))
     grid = sweep(DesignSpace.single("fpu"), [tiny_pair], budget=BUDGET,
-                 runner=runner)
+                 runner=runner, metered=True)
     assert SweepReport(grid).render("json") == fault_free_render
 
 
@@ -358,7 +357,7 @@ def test_sweep_tolerates_terminal_failures(tiny_pair, fault_free_render):
         workers=1, chaos=chaos,
         retry=RetryPolicy(max_attempts=2, base_delay_s=0.001))
     grid = sweep(DesignSpace.single("fpu"), [tiny_pair], budget=BUDGET,
-                 runner=runner)
+                 runner=runner, metered=True)
     assert not grid.points
     assert len(grid.failures) == 2  # fpu on/off, one workload
     report = SweepReport(grid)
@@ -412,8 +411,8 @@ def test_interrupted_sweep_checkpoints_and_resumes_byte_identically(
     checkpoint = SweepCheckpoint.open(store, "r1", spec)
     with caplog.at_level(logging.INFO, logger="repro.runner"), \
             pytest.raises(SweepInterrupted) as excinfo:
-        sweep_checkpointed(space, [tiny_pair], budget=BUDGET,
-                           runner=runner, checkpoint=checkpoint, chunk=1)
+        sweep(space, [tiny_pair], budget=BUDGET, runner=runner,
+              metered=True, checkpoint=checkpoint, chunk=1)
     assert excinfo.value.completed == 1
     assert excinfo.value.total == 2
     assert len(excinfo.value.grid.points) == 1  # the partial grid
@@ -428,9 +427,8 @@ def test_interrupted_sweep_checkpoints_and_resumes_byte_identically(
     with caplog.at_level(logging.INFO, logger="repro.runner"):
         resumed = SweepCheckpoint.open(store, "r1", spec)
         assert len(resumed.cells) == 1
-        grid = sweep_checkpointed(space, [tiny_pair], budget=BUDGET,
-                                  runner=runner, checkpoint=resumed,
-                                  chunk=1)
+        grid = sweep(space, [tiny_pair], budget=BUDGET, runner=runner,
+                     metered=True, checkpoint=resumed, chunk=1)
     assert any("event=resume" in r.message for r in caplog.records)
     assert SweepReport(grid).render("json") == fault_free_render
     assert len(store.load("r1")["cells"]) == 2
@@ -451,6 +449,33 @@ def test_driver_resume_matches_uninterrupted_run(tmp_path, monkeypatch):
     with pytest.raises(UsageError):
         dse_driver.run("smoke", axes="fpu", workloads="fse:00",
                        resume="no-such-run")
+
+
+def test_driver_resume_refuses_other_parameters(tmp_path, monkeypatch):
+    """Resuming under other sweep parameters names the differing keys
+    and leaves the checkpoint byte-identical, instead of sweeping the
+    new parameters over it."""
+    from repro.experiments import dse as dse_driver
+    from repro.experiments.setup import reset_benches
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    reset_benches()
+    first = dse_driver.run("smoke", axes="fpu", workloads="fse:00")
+    manifest = tmp_path / "runs" / f"{first.run_id}.json"
+    before = manifest.read_bytes()
+    with pytest.raises(UsageError, match=r"differing: axes\)"):
+        dse_driver.run("smoke", axes="nwindows=4:8", workloads="fse:00",
+                       resume=first.run_id)
+    assert manifest.read_bytes() == before
+    # a manifest whose spec carries a key the sweep no longer has
+    stale = json.loads(before)
+    stale["spec"]["profile"] = True
+    manifest.write_text(json.dumps(stale))
+    before = manifest.read_bytes()
+    with pytest.raises(UsageError, match=r"differing: profile\)"):
+        dse_driver.run("smoke", axes="fpu", workloads="fse:00",
+                       resume=first.run_id)
+    assert manifest.read_bytes() == before
 
 
 # -- CLI surface -------------------------------------------------------------
@@ -479,6 +504,26 @@ def test_cli_unknown_resume_exits_2(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["dse", "--scale", "smoke", "--resume", "nope"]) == 2
     assert "no checkpoint" in capsys.readouterr().err
+
+
+def test_cli_resume_with_other_parameters_exits_2(monkeypatch, tmp_path,
+                                                  capsys):
+    from repro.cli import main
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    base = ["dse", "--scale", "smoke", "--workloads", "fse:00"]
+    assert main([*base, "--axes", "fpu", "--run-id", "r1"]) == 0
+    manifest = tmp_path / "runs" / "r1.json"
+    before = manifest.read_bytes()
+    capsys.readouterr()
+    assert main([*base, "--axes", "nwindows=4:8", "--resume", "r1"]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1 and "differing: axes" in errors[0]
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert manifest.read_bytes() == before
 
 
 def test_cli_interrupt_writes_partial_report_and_exits_130(

@@ -3,7 +3,7 @@
 The contracts under test (ISSUE 8):
 
 - a materialized ``/v1/sweep`` body is byte-identical to the
-  ``repro dse --profile`` CLI rendering of the same spec;
+  ``repro dse`` CLI rendering of the same spec;
 - N identical concurrent cold ``/v1/price`` requests run exactly one
   profiling simulation (single-flight), fault-free *and* under
   injected chaos;
@@ -640,10 +640,12 @@ def test_sweep_error_paths():
                 HOST, port, "/v1/sweep", {"mode": "metered"})
             assert status == 400
             assert raw["error"]["code"] == "bad-mode"
-            # values the platform config rejects, in both modes
+            # values the platform config rejects, and values sharing a
+            # configuration label, in both modes
             for mode in ("stream", "profile"):
                 for axes in ("clock_mhz=-5", "clock_mhz=0", "clock_mhz=nan",
-                             "nwindows=1"):
+                             "nwindows=1", "clock_mhz=50:50:80",
+                             "clock_mhz=50:50.00001", "fpu=1:1"):
                     status, raw = await fetch_json(
                         HOST, port, "/v1/sweep",
                         {"mode": mode, "workloads": "fse:00", "axes": axes})
@@ -676,7 +678,6 @@ def test_sweep_schema_validates_front_cap():
 def reference_render(fmt: str, mode: str = "profile") -> bytes:
     from repro.experiments import dse as dse_driver
     result = dse_driver.run(SCALE, axes=SWEEP["axes"],
-                            profile=(mode == "profile"),
                             workloads=SWEEP["workloads"],
                             stream=(mode == "stream"))
     return result.render(fmt).encode()

@@ -9,7 +9,7 @@ Two layers of guarantees:
 * :func:`repro.dse.engine.sweep_streamed` -- the streamed summary (and
   every :class:`repro.dse.report.StreamReport` format rendered from it)
   is byte-identical to ``StreamSummary.from_grid`` over the
-  materialized :func:`repro.dse.engine.sweep_profiled` grid at any
+  materialized :func:`repro.dse.engine.sweep` grid at any
   chunk size; refined sweeps, which have no materialized twin, are
   pinned by report digest.
 """
@@ -29,7 +29,7 @@ from repro.dse import (
     WorkloadPair,
     knee_point,
     pareto_front,
-    sweep_profiled,
+    sweep,
     sweep_streamed,
 )
 from repro.dse.report import StreamReport
@@ -119,8 +119,7 @@ def streamed(setup, **kwargs):
 
 def test_streamed_equals_materialized_summary(sweep_setup):
     pair, runner, base = sweep_setup
-    grid = sweep_profiled(SPACE, [pair], budget=BUDGET, runner=runner,
-                          base=base)
+    grid = sweep(SPACE, [pair], budget=BUDGET, runner=runner, base=base)
     assert streamed(sweep_setup) == StreamSummary.from_grid(grid)
     assert (streamed(sweep_setup, front_cap=3)
             == StreamSummary.from_grid(grid, front_cap=3))
@@ -128,8 +127,7 @@ def test_streamed_equals_materialized_summary(sweep_setup):
 
 def test_streamed_report_is_byte_identical_to_materialized(sweep_setup):
     pair, runner, base = sweep_setup
-    grid = sweep_profiled(SPACE, [pair], budget=BUDGET, runner=runner,
-                          base=base)
+    grid = sweep(SPACE, [pair], budget=BUDGET, runner=runner, base=base)
     summary = streamed(sweep_setup, front_cap=4)
     twin = StreamSummary.from_grid(grid, front_cap=4)
     for fmt in ("text", "csv", "json"):
@@ -174,7 +172,8 @@ def test_streamed_never_materializes_the_grid(sweep_setup):
 
 
 def test_streamed_refuses_axis_without_lowering(sweep_setup, monkeypatch):
-    """No silent fallback: the axis is named and --profile suggested."""
+    """No silent fallback: the axis is named and the materialized sweep
+    suggested."""
     from repro.dse.axes import AXES, Axis, get_axis
     clock = get_axis("clock_mhz")
     monkeypatch.setitem(AXES, "clock_copy", Axis(
@@ -182,7 +181,7 @@ def test_streamed_refuses_axis_without_lowering(sweep_setup, monkeypatch):
         label=clock.label, parse=float))
     space = DesignSpace((("clock_copy", (25.0, 50.0)), ("fpu", (False,))))
     pair, runner, base = sweep_setup
-    with pytest.raises(UsageError, match="'clock_copy'.*--profile"):
+    with pytest.raises(UsageError, match="'clock_copy'.*drop --stream"):
         sweep_streamed(space, [pair], budget=BUDGET, runner=runner,
                        base=base)
 
@@ -195,7 +194,7 @@ def test_streamed_refuses_cycle_counts_past_int64(sweep_setup):
     vectors = stream_profiles([pair], [False, True], budget=BUDGET,
                               runner=runner, base=base)
     huge = {key: scale_vectors(v, 2 ** 50) for key, v in vectors.items()}
-    with pytest.raises(UsageError, match="'fse:00'.*int64.*--profile"):
+    with pytest.raises(UsageError, match="'fse:00'.*int64.*drop --stream"):
         _FastSweep(SPACE, [pair], huge, base)
 
 

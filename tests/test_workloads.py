@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.cli import main
-from repro.dse import DesignSpace, sweep, sweep_profiled
+from repro.dse import DesignSpace, sweep
 from repro.experiments.scale import DEFAULT, FULL, SMOKE
 from repro.experiments.workloads import kernel_set, workload_pairs
 from repro.runner import ExperimentRunner
@@ -148,8 +148,9 @@ class TestSweepEquivalence:
         space = DesignSpace.from_spec("clock_mhz=80")
         pairs = [spec.pair(SMOKE) for spec in SMOKE_SPECS]
         budget = SMOKE.max_instructions
-        metered = sweep(space, pairs, budget=budget, runner=runner)
-        profiled = sweep_profiled(space, pairs, budget=budget, runner=runner)
+        metered = sweep(space, pairs, budget=budget, runner=runner,
+                        metered=True)
+        profiled = sweep(space, pairs, budget=budget, runner=runner)
         return metered, profiled
 
     def test_profiled_sweep_matches_metered(self, grids):
