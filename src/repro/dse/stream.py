@@ -7,7 +7,7 @@ tables (its :class:`~repro.dse.axes.AxisLowering`, which a streamed
 sweep requires of every axis), a chunk of configurations is just
 ``arange(start, stop)`` decomposed into per-axis indices, and the NFP
 combine is a handful of table gathers plus the exact expressions of
-:meth:`repro.nfp.linear.BatchNfpEngine._evaluate_scalar` -- so a
+:meth:`repro.nfp.linear.BatchNfpEngine.evaluate` -- so a
 million-config space never materializes a single ``HwConfig``.
 
 Bit-compatibility is the design constraint, not an afterthought:
@@ -15,7 +15,7 @@ Bit-compatibility is the design constraint, not an afterthought:
 - cycle dot products are computed per distinct cycle table with
   :func:`repro.nfp.linear.cycle_dot` (exact integers) and combined in
   int64, so cycles and times are bit-identical to the per-point path;
-- energy dot products reduce each build's *base* dynamic-energy row
+- energy dot products reduce each build's *base* dynamic-energy table
   exactly once (:func:`repro.nfp.linear.energy_dots`) and rescale the
   four dots per DVFS value -- the same ``scale * dot`` the batch engine
   computes for a :class:`~repro.hw.config.ScaledDynTable` -- and the
@@ -469,22 +469,19 @@ class _FastSweep:
             for f in self.builds:
                 key = (pair.name, "float" if f else "fixed")
                 pv = vectors[key]
-                basis = pv.basis
                 agg = (AGGREGATE, key[1])
                 self.retired[key] = pv.retired
                 self.retired[agg] = self.retired.get(agg, 0) + pv.retired
-                # one exact base-row reduction per build, rescaled per
+                # one exact base-table reduction per build, rescaled per
                 # DVFS value: the same ``scale * dot`` a BatchNfpEngine
                 # computes for a ScaledDynTable, so every float matches
                 # the materialized path bit for bit (a 1.0 scale
                 # multiplies through unchanged under IEEE-754)
-                base_dots = np.asarray(energy_dots(
-                    tuple(base.dyn_energy_nj[m] for m in basis), pv),
-                    dtype=np.float64)
+                base_dots = np.asarray(energy_dots(base.dyn_energy_nj, pv),
+                                       dtype=np.float64)
                 self.E[key] = (np.asarray(scales, dtype=np.float64)[:, None]
                                * base_dots[None, :])
-                dots = [cycle_dot(tuple(table[m] for m in basis), pv)
-                        for table in cycle_tables]
+                dots = [cycle_dot(table, pv) for table in cycle_tables]
                 win = [pv.window_at(int(nw)) for nw in nw_values]
                 traps = [spills + fills for spills, fills, _ in win]
                 peaks[pair.name] = max(peaks.get(pair.name, 0),
@@ -546,7 +543,7 @@ class _FastSweep:
     def _evaluate_build(self, key, idx):
         """One (workload, build) NFP combine over a batch, in index space.
 
-        The expressions mirror BatchNfpEngine._evaluate_scalar exactly
+        The expressions mirror BatchNfpEngine.evaluate exactly
         (same grouping, same operand order), so every float matches the
         materialized path bit for bit.
         """
@@ -622,11 +619,15 @@ class _FastSweep:
         midpoint between the knee's value and its nearest known
         neighbours on every refinable axis (``Axis.refine``), prices the
         off-grid candidates through :func:`_priced_points`, and offers
-        them into the stores with seqs from ``N`` up.  Stops early when
-        no axis can refine further or the knee configuration is
-        unchanged by a round, so the pass is deterministic: same space,
-        same workloads, same rounds -> same candidates in the same
-        order.  Returns the number of refinement configs priced.
+        them into the stores with seqs from ``N`` up.  A midpoint whose
+        configuration name a grid config or an earlier midpoint already
+        holds is skipped, so every priced configuration keeps a name of
+        its own (the rule :class:`~repro.dse.axes.DesignSpace` applies
+        to the grid).  Stops early when no axis can refine further or
+        the knee configuration is unchanged by a round, so the pass is
+        deterministic: same space, same workloads, same rounds -> same
+        candidates in the same order.  Returns the number of refinement
+        configs priced.
         """
         space = self.space
         refinable = [i for i, (name, _) in enumerate(space.axes)
@@ -635,14 +636,16 @@ class _FastSweep:
             return 0
         known: dict[int, list] = {
             i: sorted(set(space.axes[i][1])) for i in refinable}
-        seen_combos = set()
+        axes = [get_axis(name) for name, _ in space.axes]
+        grid_labels = [set(labels) for labels in self.labels]
+        taken: set[str] = set()     # names of the midpoints so far
         seq = self.size
         for _ in range(rounds):
             knee = self._knee(AGGREGATE)
             candidates = []
             knee_combo = tuple(knee.value(name) for name, _ in space.axes)
             for i in refinable:
-                axis = get_axis(space.axes[i][0])
+                axis = axes[i]
                 values = known[i]
                 value = knee_combo[i]
                 pos = bisect_left(values, value)
@@ -658,9 +661,14 @@ class _FastSweep:
                     if mid is None or mid in values:
                         continue
                     combo = knee_combo[:i] + (mid,) + knee_combo[i + 1:]
-                    if combo not in seen_combos:
-                        seen_combos.add(combo)
-                        candidates.append((i, mid, combo))
+                    labels = [a.label(v) for a, v in zip(axes, combo)]
+                    name = "-".join(labels)
+                    if name in taken or all(
+                            label in grid for label, grid
+                            in zip(labels, grid_labels)):
+                        continue
+                    taken.add(name)
+                    candidates.append((i, mid, combo))
             if not candidates:
                 break
             self._offer_configs([space.config_for(combo, self.base)

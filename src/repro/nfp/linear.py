@@ -37,7 +37,9 @@ evaluations of the same profile are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 from typing import Mapping, Sequence
 
 from repro.hw.config import HwConfig, ScaledDynTable
@@ -277,11 +279,10 @@ def _jit_sum(amp: float, count: int, jsum: int) -> float:
 def canonical_basis() -> tuple[str, ...]:
     """The canonical mnemonic basis of the batch evaluator.
 
-    Every implemented instruction, sorted -- the flat index space both
-    profile count vectors (:func:`lower_profile`) and config cost rows
-    (:class:`BatchNfpEngine`) are expressed in.  Mnemonics a profile
-    never retired carry zero counts and contribute exact zeros to every
-    dot product, so the dense basis changes no result.
+    Every implemented instruction, sorted -- the flat index space
+    profile count vectors (:func:`lower_profile`) are expressed in.
+    Mnemonics a profile never retired carry zero counts and lie outside
+    its support, so the dot products never visit them.
     """
     global _BASIS
     if _BASIS is None:
@@ -305,6 +306,14 @@ class ProfileVectors:
     tables are suffix sums of the depth histograms indexed by the trap
     threshold ``t = nwindows - 1`` (clipped), so any window count is a
     table lookup.
+
+    Instances are immutable, so each derives its *support* once on
+    construction: the slots it retired, which are all the dot products
+    (:func:`cycle_dot`, :func:`energy_dots`) visit.  ``support`` is
+    ``(mnemonics, counts, fcounts, jcent)`` over the slots whose count
+    or centred jitter is nonzero, and ``untaken`` is ``(mnemonics,
+    ucounts, ujcent)`` over the slots with untaken retires.  Both are
+    views of the vectors above and take no part in equality.
     """
 
     basis: tuple[str, ...]
@@ -320,6 +329,19 @@ class ProfileVectors:
     spills_at: tuple[int, ...]
     fills_at: tuple[int, ...]
     trapjc_at: tuple[float, ...]   #: centred trap jitter sum per threshold
+    support: tuple = field(init=False, repr=False, compare=False)
+    untaken: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        on = [c or j for c, j in zip(self.counts, self.jcent)]
+        un = [c or j for c, j in zip(self.ucounts, self.ujcent)]
+        object.__setattr__(self, "support", tuple(
+            tuple(compress(vector, on))
+            for vector in (self.basis, self.counts, self.fcounts,
+                           self.jcent)))
+        object.__setattr__(self, "untaken", tuple(
+            tuple(compress(vector, un))
+            for vector in (self.basis, self.ucounts, self.ujcent)))
 
     def window_at(self, nwindows: int) -> tuple[int, int, float]:
         """``(spills, fills, centred trap jitter)`` under ``nwindows``."""
@@ -488,29 +510,38 @@ def scale_vectors(vectors: ProfileVectors, n: int) -> ProfileVectors:
     )
 
 
-def cycle_dot(cycle_row: Sequence[int], vectors: ProfileVectors) -> int:
-    """Exact integer base-cycle dot product of one config row."""
-    total = 0
-    for base, count in zip(cycle_row, vectors.counts):
-        if count:
-            total += base * count
-    return total
+def cycle_dot(table: Mapping[str, int], vectors: ProfileVectors) -> int:
+    """Exact integer base-cycle dot product of one cycle table.
+
+    Visits only the profile's support: every other slot has a zero
+    count and would add an exact integer zero.
+    """
+    names, counts, _, _ = vectors.support
+    return sum(map(mul, map(table.__getitem__, names), counts))
 
 
-def energy_dots(dyn_row: Sequence[float],
+def energy_dots(table: Mapping[str, float],
                 vectors: ProfileVectors) -> tuple[float, float, float, float]:
-    """The four exact energy dot products of one dynamic-energy row.
+    """The four exact energy dot products of one dynamic-energy table.
 
     ``(sum dyn*count, sum dyn*jcent, sum dyn*ucount, sum dyn*ujcent)``,
-    each a correctly-rounded :func:`math.fsum` -- independent of batch
-    composition and shared by the batch engine and the streamed sweep,
-    which is what makes streamed and materialized sweeps byte-identical.
+    each a correctly-rounded :func:`math.fsum` over the profile's
+    support (:attr:`ProfileVectors.support`, and its ``untaken`` slots
+    for the last two).  A slot outside the support would add an exact
+    zero product, and ``fsum`` rounds the same exact sum either way, so
+    the result is bit-identical to the dense dot over the whole basis.
+    Independent of batch composition and shared by the batch engine
+    and the streamed sweep, which is what makes streamed and
+    materialized sweeps byte-identical.
     """
-    e1 = math.fsum(map(lambda d, c: d * c, dyn_row, vectors.fcounts))
-    e2 = math.fsum(map(lambda d, c: d * c, dyn_row, vectors.jcent))
-    e3 = math.fsum(map(lambda d, c: d * c, dyn_row, vectors.ucounts))
-    e4 = math.fsum(map(lambda d, c: d * c, dyn_row, vectors.ujcent))
-    return e1, e2, e3, e4
+    names, _, fcounts, jcent = vectors.support
+    dyn = tuple(map(table.__getitem__, names))
+    unames, ucounts, ujcent = vectors.untaken
+    udyn = tuple(map(table.__getitem__, unames))
+    return (math.fsum(map(mul, dyn, fcounts)),
+            math.fsum(map(mul, dyn, jcent)),
+            math.fsum(map(mul, udyn, ucounts)),
+            math.fsum(map(mul, udyn, ujcent)))
 
 
 class LinearNfpEngine:
@@ -594,48 +625,53 @@ def evaluate_batch(hws: Sequence[HwConfig], vectors: ProfileVectors,
 class BatchNfpEngine:
     """Price N configurations against one profile in a single pass.
 
-    The batch counterpart of :class:`LinearNfpEngine`: the configs lower
-    to an (N x K) cost-table structure over :func:`canonical_basis` with
-    *rows deduplicated by table identity* -- a sweep whose axes derive
-    tables from shared bases (the stock clock/wait-state axes memoize
-    them) prices each distinct row once and each config is then a
-    constant-size combine.  Worst case (every table distinct) the row
-    pass is the full matrix product, computed with exact reductions:
+    The batch counterpart of :class:`LinearNfpEngine`: the configs'
+    cost tables are *deduplicated by identity* -- a sweep whose axes
+    derive tables from shared bases (the stock clock/wait-state axes
+    memoize them) reduces each distinct table once and each config is
+    then a constant-size combine.  Every reduction visits only the
+    slots the profile retired (:attr:`ProfileVectors.support`), with
+    exact arithmetic:
 
-    - cycle rows: pure-integer dot products, so ``cycles``/``time`` are
-      bit-identical to :class:`LinearNfpEngine` and the metered run;
-    - energy rows: four correctly-rounded ``fsum`` dots per row
+    - cycle tables: pure-integer dot products (:func:`cycle_dot`), so
+      ``cycles``/``time`` are bit-identical to
+      :class:`LinearNfpEngine` and the metered run;
+    - energy tables: four correctly-rounded ``fsum`` dots per table
       (:func:`energy_dots`), combined per config in a fixed expression
       order.  A :class:`~repro.hw.config.ScaledDynTable` (the DVFS
-      axis' derived tables) contributes its *base* row's dots rescaled
-      by one IEEE multiply, so a dense clock sweep reduces one row
-      exactly instead of one per clock value.  The combine (and the
-      scale factoring) regroups the per-point engine's single fsum, so
-      energy agrees to a few ulp (well inside the documented 1e-12
-      relative envelope), and each config's result is independent of
-      how a batch is composed.
+      axis' derived tables) contributes its *base* table's dots
+      rescaled by one IEEE multiply, so a dense clock sweep reduces one
+      table exactly instead of one per clock value.  The combine (and
+      the scale factoring) regroups the per-point engine's single
+      fsum, so energy agrees to a few ulp (well inside the documented
+      1e-12 relative envelope), and each config's result is
+      independent of how a batch is composed.
 
-    The combine is one scalar loop over the configs: it prices every
-    batch of explicit configurations (materialized grids, the
-    evaluation server's coalesced price batches, refinement) without
-    importing numpy.  Streamed sweeps price whole axis products in the
-    vectorized twin, :class:`repro.dse.stream._FastSweep`.
+    ``basis`` names the mnemonic basis its callers lower profiles onto
+    (the canonical one by default); a profile's support names its own
+    mnemonics, so the tables are read directly and no per-basis cost
+    row is built.  The combine is one scalar loop over the configs: it
+    prices every batch of explicit configurations (materialized grids,
+    the evaluation server's coalesced price batches, refinement)
+    without importing numpy.  Streamed sweeps price whole axis products
+    in the vectorized twin, :class:`repro.dse.stream._FastSweep`.
     """
 
-    __slots__ = ("hws", "basis", "_rows")
+    __slots__ = ("hws", "basis", "_tables")
 
     def __init__(self, hws: Sequence[HwConfig],
                  basis: tuple[str, ...] | None = None):
         self.hws = tuple(hws)
         self.basis = basis or canonical_basis()
-        # dedupe cost rows by table identity; the tuples keep the source
-        # mappings alive so ids cannot be recycled mid-batch.  A
-        # ScaledDynTable contributes its *base* row plus a (row, scale)
-        # spec -- a dense DVFS sweep reduces one base row exactly and
-        # rescales the dots per distinct scale
-        cyc_rows: list[tuple] = []      # (source table, row)
-        dyn_rows: list[tuple] = []
-        dyn_specs: list[tuple] = []     # (source table, row index, scale)
+        # dedupe tables by identity; ``self.hws`` keeps every table (and
+        # a ScaledDynTable its base) alive, so no id is recycled while
+        # the engine lives.  A ScaledDynTable contributes its *base*
+        # table plus a (table index, scale) spec -- a dense DVFS sweep
+        # reduces one base table exactly and rescales the dots per
+        # distinct scale
+        cyc_tables: list = []
+        dyn_tables: list = []
+        dyn_specs: list[tuple[int, float]] = []
         cyc_index: dict[int, int] = {}
         dyn_index: dict[int, int] = {}
         spec_index: dict[int, int] = {}
@@ -643,36 +679,30 @@ class BatchNfpEngine:
         for hw in self.hws:
             ct, dt = hw.cycle_table, hw.dyn_energy_nj
             ci = cyc_index.get(id(ct))
-            if ci is None or cyc_rows[ci][0] is not ct:
-                ci = len(cyc_rows)
-                cyc_rows.append((ct, tuple(ct[m] for m in self.basis)))
-                cyc_index[id(ct)] = ci
+            if ci is None:
+                ci = cyc_index[id(ct)] = len(cyc_tables)
+                cyc_tables.append(ct)
             si = spec_index.get(id(dt))
-            if si is None or dyn_specs[si][0] is not dt:
+            if si is None:
                 if isinstance(dt, ScaledDynTable):
                     base, scale = dt.base, dt.scale
                 else:
                     base, scale = dt, 1.0
                 di = dyn_index.get(id(base))
-                if di is None or dyn_rows[di][0] is not base:
-                    di = len(dyn_rows)
-                    dyn_rows.append((base, tuple(base[m]
-                                                 for m in self.basis)))
-                    dyn_index[id(base)] = di
-                si = len(dyn_specs)
-                dyn_specs.append((dt, di, scale))
-                spec_index[id(dt)] = si
+                if di is None:
+                    di = dyn_index[id(base)] = len(dyn_tables)
+                    dyn_tables.append(base)
+                si = spec_index[id(dt)] = len(dyn_specs)
+                dyn_specs.append((di, scale))
             per_hw.append((ci, si))
-        self._rows = (tuple(r for _, r in cyc_rows),
-                      tuple(r for _, r in dyn_rows),
-                      tuple((di, scale) for _, di, scale in dyn_specs),
-                      tuple(per_hw))
+        self._tables = (tuple(cyc_tables), tuple(dyn_tables),
+                        tuple(dyn_specs), tuple(per_hw))
 
     def evaluate(self, vectors: ProfileVectors) -> list[LinearNfp]:
         """Price ``vectors`` under every config, in construction order."""
-        cyc_rows, dyn_rows, dyn_specs, per_hw = self._rows
-        cyc_dots = [cycle_dot(row, vectors) for row in cyc_rows]
-        base_dots = [energy_dots(row, vectors) for row in dyn_rows]
+        cyc_tables, dyn_tables, dyn_specs, per_hw = self._tables
+        cyc_dots = [cycle_dot(table, vectors) for table in cyc_tables]
+        base_dots = [energy_dots(table, vectors) for table in dyn_tables]
         # one IEEE multiply per dot: bit-equal to the streamed tables
         dots = [base_dots[di] if scale == 1.0
                 else tuple(scale * d for d in base_dots[di])

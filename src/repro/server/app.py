@@ -70,7 +70,17 @@ _CONTENT_TYPES = {
 
 
 class EvalServer:
-    """One serving process: hot profiles + coalesced linear pricing."""
+    """One serving process: hot profiles + coalesced linear pricing.
+
+    A warm ``/v1/price`` is resolved by lookup, not rebuilt: the
+    workload name is one probe into an index of exact registered names
+    (:meth:`_workload_spec`), the validated axis values key a bounded
+    memo of built configurations (:func:`~repro.server.schemas.price_request`),
+    and the profile is a probe into the hot tier.  Pricing then visits
+    only the mnemonics the profile retired (its support), so a warm
+    request costs a few dozen multiply-adds and the response bytes are
+    those a fresh server would send.
+    """
 
     def __init__(self, settings: ServerSettings | None = None,
                  scale=None, runner=None, base: HwConfig | None = None):
@@ -86,6 +96,12 @@ class EvalServer:
             latency_window=self.settings.latency_window)
         #: the hot tier: (workload name, build tag) -> lowered profile
         self.profiles: dict[tuple[str, str], object] = {}
+        #: exact workload name -> spec, built on first use
+        #: (:meth:`_name_index`)
+        self._specs: dict[str, object] | None = None
+        #: resolved axis values -> built configuration over ``self.base``
+        #: (bounded; see :func:`repro.server.schemas.price_request`)
+        self._configs: dict = {}
         self.flights = SingleFlight()
         #: cold fills, one at a time on one long-lived thread (the
         #: runner serializes them anyway): the default executor may
@@ -240,7 +256,7 @@ class EvalServer:
 
     async def _price(self, request: Request) -> tuple[str, int, bytes, str]:
         config, workload, axes = price_request(parse_json(request.body),
-                                               self.base)
+                                               self.base, self._configs)
         spec = self._workload_spec(workload)
         build = "float" if config.hw.core.has_fpu else "fixed"
         key = (spec.name, build)
@@ -270,6 +286,19 @@ class EvalServer:
         self.stats.profile_waits += 1
 
     def _workload_spec(self, workload: str):
+        """The one spec ``workload`` names, exactly as ``select`` finds it.
+
+        An exact registered name is one dict probe into an index built
+        on first use from ``select(name)`` for every registered name, so
+        it answers what ``select`` answers.  Anything else -- a glob, a
+        family, a preset, an unknown name or a workload registered after
+        the index was built -- goes through ``select``.
+        """
+        if self._specs is None:
+            self._specs = self._name_index()
+        spec = self._specs.get(workload)
+        if spec is not None:
+            return spec
         from repro.workloads import select
         try:
             specs = select(workload, self.scale)
@@ -281,6 +310,19 @@ class EvalServer:
                            f"{len(specs)} workloads; /v1/price prices "
                            f"exactly one (try 'repro workloads list')")
         return specs[0]
+
+    def _name_index(self) -> dict:
+        """Registered name -> the one spec ``select(name)`` returns."""
+        from repro.workloads import select, specs
+        index = {}
+        for spec in specs():
+            try:
+                found = select(spec.name, self.scale)
+            except ValueError:      # outside this server's scale
+                continue
+            if len(found) == 1:
+                index[spec.name] = found[0]
+        return index
 
     async def _fill_profile(self, spec, key: tuple[str, str]):
         """The single-flight fill: one profiling simulation, then hot."""

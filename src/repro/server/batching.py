@@ -4,8 +4,8 @@
 :func:`price_batch` pass: the first :meth:`PriceBatcher.submit` of a
 tick schedules a flush with ``loop.call_soon``, every later submit of
 that tick appends to it, and the flush prices up to
-``REPRO_SERVER_MAX_BATCH`` members in a single matrix-product
-evaluation per distinct hot profile.  A remainder rides the next tick,
+``REPRO_SERVER_MAX_BATCH`` members in a single batch evaluation per
+distinct hot profile.  A remainder rides the next tick,
 so one tick never prices more than that many rows.  No request waits
 for others to join: an idle server prices a lone request on the tick
 after it arrives, while requests that arrived as the loop was busy are

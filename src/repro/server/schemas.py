@@ -6,12 +6,16 @@ stable machine-readable ``code``, which the connection handler renders
 as ``{"error": {"code", "message"}}``.  Axis names and values go
 through the design-space registry itself (:mod:`repro.dse.axes`), so
 the API accepts exactly what ``repro dse --axes`` accepts -- no second
-vocabulary to drift.
+vocabulary to drift: every axis value, a JSON string or any other JSON
+scalar, resolves through the axis' own parser, a scalar on its JSON
+text (``{"nwindows": 8}`` as ``nwindows=8``; ``8.5`` or ``16.0`` is
+refused as ``nwindows=8.5`` is).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro.dse.axes import AXES, SweepConfig, DesignSpace
@@ -37,7 +41,10 @@ def parse_json(body: bytes) -> dict:
     """The request body as a JSON object, or a 400."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, malformed JSON and an
+        # integer past the interpreter's digit limit; RecursionError
+        # arrays or objects nested too deep to decode
         raise ApiError(400, "bad-json",
                        f"request body is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -54,15 +61,38 @@ def _check_fields(payload: dict, allowed: tuple[str, ...]) -> None:
                        f"expected a subset of {sorted(allowed)}")
 
 
-def price_request(payload: dict,
-                  base: HwConfig) -> tuple[SweepConfig, str,
-                                           tuple[tuple[str, object], ...]]:
+#: Bound on a server's memo of built configurations
+#: (:func:`price_request`); a full memo is cleared, not evicted piecemeal.
+CONFIG_MEMO_MAX = 1024
+
+
+def _json_text(value: int | float) -> str:
+    """The JSON text of a decoded scalar: what ``--axes`` would be given."""
+    if type(value) is bool:
+        return "true" if value else "false"
+    if type(value) is float and not math.isfinite(value):
+        return json.dumps(value)        # NaN, Infinity, -Infinity
+    return repr(value)
+
+
+def price_request(payload: dict, base: HwConfig,
+                  memo: dict | None = None) -> tuple[
+                      SweepConfig, str, tuple[tuple[str, object], ...]]:
     """Validate a ``/v1/price`` payload into a single candidate platform.
 
     Returns ``(config, workload, axes)`` where ``axes`` echoes the
-    resolved (name, value) pairs in canonical registry order.  String
-    axis values go through the axis' own CLI parser, so
-    ``{"fpu": "on"}`` and ``{"fpu": true}`` price identically.
+    (name, value) pairs in canonical registry order: a string value as
+    its axis parses it (``{"fpu": "on"}`` echoes ``true``), any other
+    scalar exactly as sent.  Every value resolves through the axis' own
+    parser, a non-string scalar on its JSON text, so ``{"fpu": "on"}``,
+    ``{"fpu": true}`` and ``{"fpu": 1}`` price identically and a value
+    ``repro dse --axes`` refuses answers 400 ``bad-axis-value``.
+
+    Every payload is validated; ``memo`` (one dict per ``base``, kept by
+    the caller) then maps the resolved ``(axis, type, value)`` triples
+    to the configuration built for them, so a repeated combination is
+    one dict probe instead of a :meth:`DesignSpace.config_for`.  It
+    holds at most :data:`CONFIG_MEMO_MAX` entries.
     """
     _check_fields(payload, ("workload", "axes"))
     workload = payload.get("workload")
@@ -82,33 +112,46 @@ def price_request(payload: dict,
                        f"unknown axis(es) {unknown}; "
                        f"available: {sorted(AXES)}")
     resolved: list[tuple[str, object]] = []
+    echoed: list[tuple[str, object]] = []
     for name, axis in AXES.items():     # canonical registry order
         if name not in axes:
             continue
-        value = axes[name]
-        if isinstance(value, str):
-            try:
-                value = axis.parse(value)
-            except ValueError as exc:
-                raise ApiError(400, "bad-axis-value",
-                               f"axis {name!r}: {exc}") from None
-        elif not isinstance(value, (int, float, bool)):
+        sent = axes[name]
+        if isinstance(sent, str):
+            text = sent
+        elif isinstance(sent, (int, float)):    # bool is an int
+            text = _json_text(sent)
+        else:
             raise ApiError(400, "bad-axis-value",
                            f"axis {name!r}: expected a scalar or string, "
-                           f"got {type(value).__name__}")
-        resolved.append((name, value))
-    if not resolved:
-        config = SweepConfig(name=base.name or "base", axis_values=(),
-                             hw=base)
-    else:
-        space = DesignSpace(tuple((name, (value,))
-                                  for name, value in resolved))
+                           f"got {type(sent).__name__}")
         try:
-            config = space.config_for([value for _, value in resolved],
-                                      base)
-        except (ValueError, TypeError) as exc:
-            raise ApiError(400, "bad-axis-value", str(exc)) from None
-    return config, workload, tuple(resolved)
+            value = axis.parse(text)
+        except ValueError as exc:
+            raise ApiError(400, "bad-axis-value",
+                           f"axis {name!r}: {exc}") from None
+        resolved.append((name, value))
+        echoed.append((name, value if isinstance(sent, str) else sent))
+    key = tuple((name, type(value), value) for name, value in resolved)
+    config = memo.get(key) if memo is not None else None
+    if config is None:
+        config = _build_config(resolved, base)
+        if memo is not None:
+            if len(memo) >= CONFIG_MEMO_MAX:
+                memo.clear()
+            memo[key] = config
+    return config, workload, tuple(echoed)
+
+
+def _build_config(resolved: list[tuple[str, object]],
+                  base: HwConfig) -> SweepConfig:
+    if not resolved:
+        return SweepConfig(name=base.name or "base", axis_values=(), hw=base)
+    space = DesignSpace(tuple((name, (value,)) for name, value in resolved))
+    try:
+        return space.config_for([value for _, value in resolved], base)
+    except (ValueError, TypeError) as exc:
+        raise ApiError(400, "bad-axis-value", str(exc)) from None
 
 
 @dataclass(frozen=True)

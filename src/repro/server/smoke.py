@@ -4,15 +4,18 @@
 ``service-smoke`` job runs against a real ``repro serve`` subprocess:
 
 1. boot the server on an ephemeral port and wait on ``/v1/healthz``;
-2. price one configuration (2xx, sane payload);
+2. price one configuration (2xx, sane payload), then price it again
+   and require a byte-identical body (the second one is resolved from
+   the server's memo of built configurations);
 3. fire a stampede of identical cold ``/v1/price`` requests and assert
    the single-flight contract: every response 200 and byte-identical,
    exactly **one** profiling fill on ``/v1/stats``;
 4. run a materialized ``/v1/sweep`` and compare its body byte-for-byte
    against ``repro dse --format json`` for the same spec
    (``--ref FILE`` supplies a pre-rendered reference instead);
-5. poke the error paths (malformed JSON, unknown workload, wrong
-   method, unknown route) and require the intended statuses;
+5. poke the error paths (malformed JSON, unknown workload, axis
+   values ``repro dse --axes`` refuses, wrong method, unknown route)
+   and require the intended statuses;
 6. SIGTERM the server and require a graceful exit 0 with no process
    left behind.
 
@@ -44,6 +47,9 @@ PRICE_PAYLOAD = {"workload": "img:sobel3x3",
 STAMPEDE_PAYLOAD = {"workload": "img:sharpen3x3",
                     "axes": {"nwindows": 8, "fpu": True}}
 SWEEP_AXES = "clock_mhz=25:50,fpu"
+#: axis values ``repro dse --axes`` refuses: each must answer 400
+#: ``bad-axis-value``, never a truncated price or a 500
+REFUSED_AXES = ({"nwindows": 8.5}, {"clock_mhz": 10 ** 400})
 
 
 class SmokeFailure(Exception):
@@ -130,6 +136,14 @@ def check_errors(client: ServerClient) -> None:
     status, _ = client.post_json("/v1/price",
                                  {"workload": "img:no-such-kernel"})
     check(status == 404, f"unknown workload -> {status}, wanted 404")
+    for axes in REFUSED_AXES:
+        status, body = client.post_json(
+            "/v1/price", {"workload": PRICE_PAYLOAD["workload"],
+                          "axes": axes})
+        code = json.loads(body)["error"]["code"] if status == 400 else None
+        check(code == "bad-axis-value",
+              f"axes {str(axes)[:40]} -> {status} {code}, wanted 400 "
+              f"bad-axis-value")
     status, _ = client.get("/v1/price")
     check(status == 405, f"GET /v1/price -> {status}, wanted 405")
     status, _ = client.get("/v1/nope")
@@ -165,6 +179,12 @@ def main(argv: list[str] | None = None) -> int:
               f"degenerate price payload: {payload}")
         print(f"smoke: priced {payload['workload']} on "
               f"{payload['config']}")
+        status, again = client.post_json("/v1/price", PRICE_PAYLOAD)
+        check(status == 200 and again == priced,
+              f"repeated /v1/price -> {status}, body "
+              f"{'identical' if again == priced else 'differs'}; wanted "
+              f"200 and the first body byte for byte")
+        print("smoke: repeated price byte-identical")
 
         check_stampede("127.0.0.1", port)
         print(f"smoke: {STAMPEDE}-way stampede -> single-flight held")

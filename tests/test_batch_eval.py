@@ -5,12 +5,14 @@ for *any* configuration batch and *any* execution profile, batch pricing
 returns bit-identical integer cycles and times versus one
 :class:`~repro.nfp.linear.LinearNfpEngine` per configuration, and
 energies within 1e-12 relative, independently of how a batch is
-composed.
+composed.  The dot products visit only a profile's support, and equal
+the dense dots over the whole basis bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -24,6 +26,8 @@ from repro.nfp.linear import (
     ExecutionProfile,
     LinearNfpEngine,
     canonical_basis,
+    cycle_dot,
+    energy_dots,
     lower_profile,
 )
 from repro.vm.blocks import FLAG_BRANCH, cost_flags
@@ -172,3 +176,66 @@ def test_scaled_table_prices_like_its_plain_copy(profile):
     assert factored.true_time_s == exact.true_time_s
     assert factored.true_energy_j == pytest.approx(
         exact.true_energy_j, rel=1e-12)
+
+
+# -- support dot products vs the dense basis ---------------------------------
+
+@st.composite
+def sparse_profiles(draw) -> ExecutionProfile:
+    """Profiles with zero counts, centred jitter of either sign and
+    branches whose every retire was untaken."""
+    mnemonics = {}
+    for m in draw(st.lists(st.sampled_from(BASIS), max_size=16,
+                           unique=True)):
+        count = draw(st.integers(min_value=0, max_value=10**6))
+        # below count * 2**15 the centred jitter is negative
+        jsum = draw(st.integers(min_value=0, max_value=count * 65535))
+        uc = uj = 0
+        if FLAGS.get(m) == FLAG_BRANCH:
+            uc = draw(st.just(count) | st.integers(0, count))
+            uj = draw(st.integers(min_value=0, max_value=uc * 65535))
+        mnemonics[m] = (count, jsum, uc, uj)
+    return ExecutionProfile(
+        retired=sum(cell[0] for cell in mnemonics.values()), clean=True,
+        mnemonics=mnemonics, branch_sites={}, div_sites={},
+        save_depths={}, restore_depths={})
+
+
+def stock_tables() -> tuple[list, list]:
+    """The base platform's cost tables and every distinct one of the
+    stock grid derived from them."""
+    base = HwConfig(name="leon3", core=CoreConfig())
+    cycles = {id(base.cycle_table): base.cycle_table}
+    energies = {id(base.dyn_energy_nj): base.dyn_energy_nj}
+    for config in DesignSpace.default().iter_configs(base):
+        cycles.setdefault(id(config.hw.cycle_table), config.hw.cycle_table)
+        energies.setdefault(id(config.hw.dyn_energy_nj),
+                            config.hw.dyn_energy_nj)
+    return list(cycles.values()), list(energies.values())
+
+
+def dense_cycle_dot(table, vectors) -> int:
+    return sum(table[m] * count
+               for m, count in zip(vectors.basis, vectors.counts))
+
+
+def dense_energy_dots(table, vectors) -> tuple[float, ...]:
+    row = [table[m] for m in vectors.basis]
+    return tuple(math.fsum(d * x for d, x in zip(row, column))
+                 for column in (vectors.fcounts, vectors.jcent,
+                                vectors.ucounts, vectors.ujcent))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_profiles())
+def test_support_dots_equal_the_dense_basis(profile):
+    """Skipping the slots a profile never retired changes no bit."""
+    vectors = lower_profile(profile)
+    cycle_tables, energy_tables = stock_tables()
+    assert len(cycle_tables) == 3 and len(energy_tables) == 4
+    for table in cycle_tables:
+        assert cycle_dot(table, vectors) == dense_cycle_dot(table, vectors)
+    for table in energy_tables:
+        got = energy_dots(table, vectors)
+        want = dense_energy_dots(table, vectors)
+        assert [x.hex() for x in got] == [x.hex() for x in want]

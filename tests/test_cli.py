@@ -232,6 +232,20 @@ def test_dse_rejects_bad_axis_values(mode, axes, message, capsys):
     assert captured.out == ""
 
 
+def test_dse_refinement_never_repeats_a_configuration_name(capsys):
+    """Midpoints 50.00005 and 50.00015 would print as clk50.0001 and
+    clk50.0002, names 50.0001 and the grid's 50.0002 already hold:
+    refinement skips them, so every row and the knee are unambiguous."""
+    argv = ["dse", "--scale", "smoke", "--stream", "--workloads", "fse:00",
+            "--axes", "clock_mhz=50:50.0002,fpu=1", "--refine", "6"]
+    assert main(argv) == 0
+    rows = [line.split("|") for line in capsys.readouterr().out.splitlines()
+            if line.startswith(" clk")]
+    assert [row[0].strip() for row in rows] \
+        == ["clk50-fpu", "clk50.0002-fpu", "clk50.0001-fpu"]
+    assert [row[-1].strip() for row in rows].count("front+knee") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--stream", "--front-cap", "0"], "positive"),
     (["--stream", "--front-cap", "-1"], "positive"),

@@ -11,6 +11,9 @@ The contracts under test (ISSUE 8):
   ``max_batch`` rows a tick) and return the same bits as solo
   evaluations; a failed or cancelled member harms nobody else;
 - cold fills run one at a time on one thread that is not the loop's;
+- resolving a warm price by lookup changes no byte: the stock grid's
+  bodies are pinned by digest, axis values that resolve alike answer
+  as a fresh server does, and workload names answer as ``select`` does;
 - error paths answer with the intended statuses and never wedge the
   connection, a framing the server cannot follow gets one 400 and a
   close, and a client disconnect mid-request leaves the server's
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -465,6 +469,21 @@ def test_price_error_paths():
                  400, "bad-axis-value"),
                 (b'{"workload": "fse:00", "axes": {"clock_mhz": Infinity}}',
                  400, "bad-axis-value"),
+                # scalars resolve through the axis parser on their JSON
+                # text, so what `repro dse --axes` refuses is refused
+                # here too, never truncated into a price or a 500
+                *((json.dumps({"workload": "fse:00",
+                               "axes": axes}).encode(),
+                   400, "bad-axis-value")
+                  for axes in ({"nwindows": 8.5}, {"nwindows": 16.0},
+                               {"wait_states": 1.5}, {"fpu": 2},
+                               {"fpu": 0.5}, {"clock_mhz": True},
+                               {"clock_mhz": 10 ** 400})),
+                # an integer past the interpreter's digit limit, and
+                # nesting too deep to decode, are malformed bodies
+                (b'{"workload": "fse:00", "axes": {"nwindows": 1'
+                 + b"0" * 5000 + b"}}", 400, "bad-json"),
+                (b"[" * 100000 + b"]" * 100000, 400, "bad-json"),
             ]
             for body, want_status, want_code in cases:
                 status, raw = await fetch(HOST, port, "POST", "/v1/price",
@@ -479,6 +498,88 @@ def test_price_error_paths():
             assert server.stats.responses_err == len(cases) + 2
 
     asyncio.run(main())
+
+
+#: SHA-256 of the 36 ``/v1/price`` bodies of ``img:sobel3x3`` over the
+#: stock grid, concatenated in grid order (recorded before the name
+#: index, the configuration memo and support pricing existed).
+STOCK_PRICE_DIGEST = \
+    "9058522898538a94747f1094b44dce313db8105957aaee2cfd01262abe0cffa7"
+
+
+def stock_price_bodies() -> list[bytes]:
+    from repro.dse.axes import DesignSpace
+    return [json.dumps({"workload": "img:sobel3x3",
+                        "axes": dict(config.axis_values)}).encode()
+            for config in DesignSpace.default().configs()]
+
+
+def test_price_bodies_pinned_over_the_stock_grid():
+    """Every response byte of the stock grid is pinned; the second pass
+    resolves each configuration from the server's memo."""
+    async def main():
+        async with server_ctx() as (server, port):
+            passes = []
+            for _ in range(2):
+                bodies = []
+                for body in stock_price_bodies():
+                    status, raw = await fetch(HOST, port, "POST",
+                                              "/v1/price", body)
+                    assert status == 200, raw
+                    bodies.append(raw)
+                passes.append(bodies)
+            assert len(server._configs) == 36
+            return passes
+
+    first, second = asyncio.run(main())
+    assert len(first) == 36
+    assert second == first
+    assert hashlib.sha256(b"".join(first)).hexdigest() \
+        == STOCK_PRICE_DIGEST
+
+
+async def price_bodies(payloads) -> list[tuple[int, bytes]]:
+    """``payloads`` posted in order to one server."""
+    async with server_ctx() as (_, port):
+        return [await fetch(HOST, port, "POST", "/v1/price",
+                            json.dumps(payload).encode())
+                for payload in payloads]
+
+
+def test_price_memo_keys_answer_like_a_fresh_server():
+    """Values that resolve alike share a configuration, never a body:
+    each answer equals the one a fresh server gives the same request."""
+    payloads = [{"workload": "img:sobel3x3", "axes": axes}
+                for axes in ({"fpu": True}, {"fpu": 1}, {"fpu": "on"},
+                             {"clock_mhz": 50}, {"clock_mhz": 50.0})]
+    shared = asyncio.run(price_bodies(payloads))
+    for payload, got in zip(payloads, shared):
+        assert got[0] == 200
+        assert [got] == asyncio.run(price_bodies([payload])), payload
+    echoed = [json.loads(body)["axes"] for _, body in shared]
+    assert echoed == [{"fpu": True}, {"fpu": 1}, {"fpu": True},
+                      {"clock_mhz": 50}, {"clock_mhz": 50.0}]
+    assert [type(axes.get("clock_mhz")) for axes in echoed[3:]] \
+        == [int, float]
+
+
+#: SHA-256 over ``status + body`` of the five workload names below
+#: (recorded before the name index existed).
+WORKLOAD_NAMES_DIGEST = \
+    "3bd828cf723eb32a2042f076a0063aab02358c06f84f83d94b81c941186a0d91"
+
+
+def test_workload_names_answer_as_select_does():
+    """An exact name, a glob matching one workload, a family, a preset
+    and an unknown name: the index changes no status and no byte."""
+    names = ("img:sobel3x3", "img:sob*", "img", "table3", "img:nope")
+    answers = asyncio.run(price_bodies(
+        [{"workload": name, "axes": {"fpu": True}} for name in names]))
+    assert [status for status, _ in answers] == [200, 200, 400, 400, 404]
+    assert answers[0] == answers[1]
+    digest = hashlib.sha256(b"".join(
+        b"%d " % status + body for status, body in answers)).hexdigest()
+    assert digest == WORKLOAD_NAMES_DIGEST
 
 
 def test_oversized_body_rejected_413():
