@@ -304,7 +304,6 @@ class Assembler:
 
         text = bytearray(lc[".text"])
         data = bytearray(lc[".data"])
-        source_map: dict[int, tuple[int, str]] = {}
 
         for item in items:
             addr = bases[item.section] + item.offset
@@ -322,9 +321,6 @@ class Assembler:
             if item.section == ".bss":
                 continue
             buf[item.offset:item.offset + len(blob)] = blob
-            if item.kind == "instr":
-                for word_idx in range(len(blob) // 4):
-                    source_map[addr + 4 * word_idx] = (item.line_no, item.raw)
 
         entry = symbols.get(self.entry_symbol, text_base)
         return Program(
@@ -336,7 +332,6 @@ class Assembler:
             bss_size=lc[".bss"],
             entry=entry,
             symbols=symbols,
-            source_map=source_map,
         )
 
     # -- statement encoding --------------------------------------------------

@@ -34,9 +34,6 @@ class Program:
         Address execution starts at.
     symbols:
         Label -> absolute address (or ``.equ`` value).
-    source_map:
-        Instruction address -> (source line number, source text); used for
-        listings and simulator diagnostics.
     """
 
     origin: int
@@ -47,7 +44,6 @@ class Program:
     bss_size: int
     entry: int
     symbols: dict[str, int] = field(default_factory=dict)
-    source_map: dict[int, tuple[int, str]] = field(default_factory=dict)
 
     @property
     def sections(self) -> tuple[Section, ...]:

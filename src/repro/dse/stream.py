@@ -369,7 +369,9 @@ class _FastSweep:
     space it cannot price exactly -- an axis without a lowering hook,
     two axes claiming one cost-model field, or cycle counts past int64
     -- raises a :class:`~repro.runner.resilience.UsageError` naming the
-    cause.  There is no fallback path.
+    cause.  There is no fallback path.  Cycle counts no sweep can price
+    (a time or energy past the float range) raise the materialized
+    sweep's ``ValueError`` instead.
     """
 
     def __init__(self, space: DesignSpace,
@@ -487,6 +489,7 @@ class _FastSweep:
                 peaks[pair.name] = max(peaks.get(pair.name, 0),
                                        max(dots) + max(traps) * self.TRAP_CYC)
                 if peaks[pair.name] > _INT64_MAX:
+                    self._price_slowest(key, dots, traps)
                     raise _unstreamable(
                         f"workload {pair.name!r} reaches "
                         f"{peaks[pair.name]} cycles, past int64")
@@ -499,6 +502,26 @@ class _FastSweep:
                 f"the aggregate of {len(peaks)} workloads reaches "
                 f"{sum(peaks.values())} cycles, past int64")
         self.reset()
+
+    def _price_slowest(self, key: tuple[str, str], dots: list,
+                       traps: list) -> None:
+        """Price ``key``'s slowest point the way the materialized sweep does.
+
+        The point with the most cycles at the slowest clock has the
+        longest run time.  When its time overflows a float, this raises
+        the materialized sweep's own ``ValueError``, so the caller
+        advises dropping ``--stream`` only when that would help.
+        """
+        combo = [values[0] for values in self.values]
+        for role, index in (("ws", dots.index(max(dots))),
+                            ("nw", traps.index(max(traps))),
+                            ("chz", int(self.CYCSEC.argmax())),
+                            ("fpu", self.fpu_values.index(key[1] == "float"))):
+            j = self.axis_of[role]
+            if j is not None:
+                combo[j] = self.values[j][index]
+        config = self.space.config_for(combo, self.base)
+        BatchNfpEngine([config.hw]).evaluate(self.vectors[key])
 
     def reset(self) -> None:
         """Empty stores and side table; the cost tables stay.

@@ -50,9 +50,13 @@ class ScaledDynTable(dict):
 
 
 def check_clock_hz(clock_hz: float) -> None:
-    """Raise ``ValueError`` unless ``clock_hz`` is a positive finite rate."""
+    """Raise ``ValueError`` unless ``clock_hz`` is a finite rate of at
+    least 1 Hz (a slower clock's cycle time, ``1 / clock_hz``, can
+    overflow to infinity)."""
     if not (math.isfinite(clock_hz) and clock_hz > 0):
         raise ValueError("clock_hz must be positive and finite")
+    if clock_hz < 1.0:
+        raise ValueError("clock_hz must be at least 1 Hz")
 
 
 @dataclass(frozen=True)

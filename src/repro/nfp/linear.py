@@ -699,7 +699,12 @@ class BatchNfpEngine:
                         tuple(dyn_specs), tuple(per_hw))
 
     def evaluate(self, vectors: ProfileVectors) -> list[LinearNfp]:
-        """Price ``vectors`` under every config, in construction order."""
+        """Price ``vectors`` under every config, in construction order.
+
+        Raises ``ValueError`` for a config whose time or energy is not a
+        finite float (say, wait states so many that the cycle count
+        overflows one): such a config has no price to report.
+        """
         cyc_tables, dyn_tables, dyn_specs, per_hw = self._tables
         cyc_dots = [cycle_dot(table, vectors) for table in cyc_tables]
         base_dots = [energy_dots(table, vectors) for table in dyn_tables]
@@ -722,9 +727,17 @@ class BatchNfpEngine:
             dyn_energy_nj = ((e1 + amp * e2) + extra * (e3 + amp * e4)
                              + hw.window_trap_energy_nj
                              * (traps + amp * trapjc))
-            true_time_s = cycles * hw.cycle_seconds
+            try:
+                true_time_s = cycles * hw.cycle_seconds
+            except OverflowError:   # cycles past the float range
+                true_time_s = math.inf
             true_energy_j = (dyn_energy_nj * 1e-9
                              + hw.static_power_w * true_time_s)
+            if not (math.isfinite(true_time_s)
+                    and math.isfinite(true_energy_j)):
+                raise ValueError(
+                    f"configuration {hw.name!r} has no finite price: its "
+                    f"time or energy overflows a float")
             out.append(LinearNfp(
                 cycles=cycles, dyn_energy_nj=dyn_energy_nj,
                 true_time_s=true_time_s, true_energy_j=true_energy_j,

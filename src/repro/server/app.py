@@ -268,7 +268,10 @@ class EvalServer:
             vectors = await self.flights.do(
                 key, lambda: self._fill_profile(spec, key),
                 on_wait=self._count_wait)
-        nfp = await self.batcher.submit(config.hw, vectors)
+        try:
+            nfp = await self.batcher.submit(config.hw, vectors)
+        except ValueError as exc:   # no finite price under these axes
+            raise ApiError(400, "bad-axis-value", str(exc)) from None
         body = json.dumps({
             "workload": spec.name,
             "build": build,
@@ -279,7 +282,7 @@ class EvalServer:
             "cycles": nfp.cycles,
             "retired": nfp.retired,
             "area_les": config_area_les(config),
-        }, sort_keys=True).encode() + b"\n"
+        }, sort_keys=True, allow_nan=False).encode() + b"\n"
         return "/v1/price", 200, body, "application/json"
 
     def _count_wait(self) -> None:
@@ -374,7 +377,7 @@ class EvalServer:
         async with self.sweep_lock:
             try:
                 rendered = await asyncio.to_thread(self._sweep_sync, spec)
-            except UsageError as exc:
+            except ValueError as exc:   # a UsageError, or no finite price
                 raise ApiError(400, "bad-sweep", str(exc)) from None
             except RuntimeError as exc:
                 raise ApiError(502, "profiling-failed", str(exc)) from None

@@ -12,7 +12,8 @@ after it arrives, while requests that arrived as the loop was busy are
 read in one iteration and share a batch.  Each request still receives
 exactly the bits a solo evaluation would produce -- the batch engine is
 bit-identical per row regardless of batch composition -- so coalescing
-changes throughput, never results.
+changes throughput, never results.  A batch that fails to price is
+priced again member by member, so one unpriceable request fails alone.
 
 Everything runs on the event-loop thread, pricing included: pricing a
 few rows holds the interpreter lock either way, so a worker-thread hop
@@ -62,8 +63,9 @@ class PriceBatcher:
     async def submit(self, hw, vectors):
         """Price one configuration in this tick's batch.
 
-        Returns the entry's :class:`~repro.nfp.linear.LinearNfp`; a
-        pricing failure propagates to every member of the batch.
+        Returns the entry's :class:`~repro.nfp.linear.LinearNfp`.  When
+        the batch fails to price, every member is priced alone, so only
+        a member whose own pricing fails receives the exception.
         """
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -84,9 +86,15 @@ class PriceBatcher:
         self._stats.record_batch(len(chunk))
         try:
             priced = price_batch([(hw, vectors) for hw, vectors, _ in chunk])
-        except Exception as exc:
-            for _, _, future in chunk:
-                future.set_exception(exc)
+        except Exception:
+            # price each member alone, so a failure stays with its member
+            for hw, vectors, future in chunk:
+                try:
+                    nfp = price_batch([(hw, vectors)])[0]
+                except Exception as exc:
+                    future.set_exception(exc)
+                else:
+                    future.set_result(nfp)
             return
         for (_, _, future), nfp in zip(chunk, priced):
             future.set_result(nfp)

@@ -8,6 +8,7 @@ disabled.  Accesses outside RAM or with insufficient alignment raise
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.vm.errors import MemoryFault
@@ -19,9 +20,12 @@ DEFAULT_SIZE = 8 * 1024 * 1024
 class Memory:
     """Byte-addressable big-endian RAM (SPARC is big-endian).
 
-    The backing :class:`bytearray` is exposed as :attr:`ram` so the morpher
-    can generate closures that access it directly; all bounds/alignment
-    invariants those closures rely on are established here.
+    The backing store is an anonymous, private :class:`mmap.mmap`, exposed
+    as :attr:`ram` so the morpher can generate closures that access it
+    directly; all bounds/alignment invariants those closures rely on are
+    established here.  The mapping reads as zeros and is backed lazily, so
+    a simulation holds only the pages its program touches, not the whole
+    RAM, and a forked process shares those pages copy-on-write.
     """
 
     __slots__ = ("base", "ram", "on_write")
@@ -32,7 +36,7 @@ class Memory:
         if base % 8:
             raise ValueError(f"RAM base must be 8-byte aligned: {base:#x}")
         self.base = base
-        self.ram = bytearray(size)
+        self.ram = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
         #: host-write observer ``(addr, size) -> None``; the CPU installs
         #: one so writes through these accessors (tests, syscalls, debug
         #: pokes) invalidate stale code translations.  Guest stores go

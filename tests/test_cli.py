@@ -217,11 +217,17 @@ def test_simulation_path_never_imports_numpy(tmp_path):
     ("clock_mhz=50:50.00001",
      "axis 'clock_mhz' values 50.0 and 50.00001 share the label 'clk50'"),
     ("fpu=1:1", "axis 'fpu' values True and True share the label 'fpu'"),
+    ("clock_mhz=1e-320", "clock_hz must be at least 1 Hz"),
+    pytest.param(f"wait_states={10 ** 400},fpu=1",
+                 f"configuration 'ws{10 ** 400}-fpu' has no finite price: "
+                 f"its time or energy overflows a float",
+                 id="wait_states=1e400-no finite price"),
 ])
 def test_dse_rejects_bad_axis_values(mode, axes, message, capsys):
-    """Values the platform config rejects, and values that would name
-    two configurations alike, exit 2 with one error line on the
-    streamed and the materialized path alike."""
+    """Values the platform config rejects, values that would name two
+    configurations alike, and a point whose price overflows a float
+    exit 2 with one error line on the streamed and the materialized
+    path alike."""
     argv = ["dse", "--scale", "smoke", *mode, "--workloads", "fse:00",
             "--axes", axes]
     assert main(argv) == 2

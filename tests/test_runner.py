@@ -8,12 +8,13 @@ so name collisions can never alias results.
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.asm import assemble
 from repro.hw.board import Board
-from repro.hw.config import leon3_fpu
+from repro.hw.config import leon3_fpu, leon3_nofpu
 from repro.hw.powermeter import PerfectInstruments
 from repro.nfp.calibration import Calibrator
 from repro.runner import (
@@ -94,6 +95,20 @@ class TestKeys:
 
 
 class TestSerialization:
+    def test_table3_tasks_pickle_to_about_their_image(self):
+        """A task ships its program image and little else: each Table-III
+        kernel's task pickles to under twice its text and data, plus
+        32 KiB for the cost tables."""
+        from repro.experiments.scale import get_scale
+        from repro.experiments.workloads import kernel_set
+        scale = get_scale("smoke")
+        for name, abi, program in kernel_set(scale):
+            hw = leon3_fpu() if abi == "hard" else leon3_nofpu()
+            task = SimTask(mode="metered", program=program,
+                           budget=scale.max_instructions, hw=hw)
+            image = len(program.text) + len(program.data)
+            assert len(pickle.dumps(task)) < 2 * image + (32 << 10), name
+
     def test_sim_result_roundtrip(self):
         sim = Simulator(assemble(KERNEL_A)).run()
         data = json.loads(json.dumps(sim_to_dict(sim)))

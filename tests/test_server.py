@@ -389,18 +389,20 @@ def test_batcher_prices_max_batch_rows_per_tick_in_order(sobel_vectors,
                        for hw in hws]
 
 
-def test_batcher_failure_fails_only_its_chunk(sobel_vectors, monkeypatch):
-    sizes = []
+def test_batcher_failure_fails_only_its_member(sobel_vectors, monkeypatch):
+    """A batch that raises is priced again member by member: only the
+    member whose own pricing fails receives the exception."""
+    calls = []
     price_batch = batching.price_batch
+    hws = clock_hws((25.0, 40.0, 50.0, 80.0))
 
     def flaky(entries):
-        sizes.append(len(entries))
-        if len(sizes) == 1:
+        calls.append([hw for hw, _ in entries])
+        if any(hw is hws[1] for hw, _ in entries):
             raise RuntimeError("pricing failed")
         return price_batch(entries)
 
     monkeypatch.setattr(batching, "price_batch", flaky)
-    hws = clock_hws((25.0, 40.0, 50.0, 80.0))
 
     async def main():
         batcher = PriceBatcher(ServerSettings(max_batch=2), ServerStats())
@@ -410,12 +412,13 @@ def test_batcher_failure_fails_only_its_chunk(sobel_vectors, monkeypatch):
         return first, again
 
     first, again = asyncio.run(main())
-    assert sizes == [2, 2, 1]
-    assert all(isinstance(r, RuntimeError) for r in first[:2])
-    assert first[2:] == [evaluate_batch([hw], sobel_vectors)[0]
-                         for hw in hws[2:]]
+    # chunk [0, 1] fails, then prices alone; chunk [2, 3] prices at once
+    assert calls == [hws[:2], [hws[0]], [hws[1]], hws[2:], [hws[0]]]
+    assert isinstance(first[1], RuntimeError)
+    solo = [evaluate_batch([hw], sobel_vectors)[0] for hw in hws]
+    assert [first[0], *first[2:]] == [solo[0], *solo[2:]]
     # the failure was not sticky: the next submit still prices
-    assert again == evaluate_batch([hws[0]], sobel_vectors)[0]
+    assert again == solo[0]
 
 
 def test_batcher_skips_cancelled_submitter(sobel_vectors, priced):
@@ -445,6 +448,11 @@ def test_batcher_skips_cancelled_submitter(sobel_vectors, priced):
 
 # -- error paths -------------------------------------------------------------
 
+#: so many wait states that no price is a finite float
+UNPRICEABLE = {"workload": "fse:00",
+               "axes": {"fpu": True, "wait_states": 10 ** 400}}
+
+
 def test_price_error_paths():
     async def main():
         async with server_ctx() as (server, port):
@@ -469,6 +477,11 @@ def test_price_error_paths():
                  400, "bad-axis-value"),
                 (b'{"workload": "fse:00", "axes": {"clock_mhz": Infinity}}',
                  400, "bad-axis-value"),
+                # a clock below 1 Hz: its cycle time overflows, and the
+                # 200 would carry Infinity
+                (b'{"workload": "fse:00", "axes": {"clock_mhz": 1e-320}}',
+                 400, "bad-axis-value"),
+                (json.dumps(UNPRICEABLE).encode(), 400, "bad-axis-value"),
                 # scalars resolve through the axis parser on their JSON
                 # text, so what `repro dse --axes` refuses is refused
                 # here too, never truncated into a price or a 500
@@ -498,6 +511,45 @@ def test_price_error_paths():
             assert server.stats.responses_err == len(cases) + 2
 
     asyncio.run(main())
+
+
+def price_call(payload: dict) -> Request:
+    return Request(method="POST", path="/v1/price", version="HTTP/1.1",
+                   body=json.dumps(payload).encode())
+
+
+def test_unpriceable_request_fails_alone_in_its_tick():
+    """One request with no finite price shares a tick with two others:
+    it alone answers 400, and theirs are the bytes of a solo price."""
+    good = [{"workload": "fse:00", "axes": {"fpu": True}},
+            {"workload": "fse:00", "axes": {"fpu": True, "clock_mhz": 80}}]
+
+    async def main():
+        async with server_ctx() as (server, _):
+            solo = [await server._dispatch(price_call(payload))
+                    for payload in good]
+            batches = server.stats.batches
+            together = await asyncio.gather(*[
+                server._dispatch(price_call(payload))
+                for payload in (UNPRICEABLE, *good)])
+            assert server.stats.batches == batches + 1  # one shared tick
+            return solo, together
+
+    solo, together = asyncio.run(main())
+    assert [status for _, status, _, _ in together] == [400, 200, 200]
+    assert json.loads(together[0][2])["error"]["code"] == "bad-axis-value"
+    assert [body for _, _, body, _ in together[1:]] \
+        == [body for _, _, body, _ in solo]
+
+
+def test_price_at_one_hertz_is_strict_json():
+    """The slowest clock a platform accepts still prices, finitely."""
+    [(status, body)] = asyncio.run(price_bodies(
+        [{"workload": "fse:00", "axes": {"fpu": True, "clock_mhz": 1e-6}}]))
+    assert status == 200, body
+    priced = json.loads(body, parse_constant=lambda name: pytest.fail(name))
+    assert priced["config"] == "clk1e-06-fpu"
+    assert priced["time_s"] == priced["cycles"]     # one second a cycle
 
 
 #: SHA-256 of the 36 ``/v1/price`` bodies of ``img:sobel3x3`` over the
@@ -745,6 +797,7 @@ def test_sweep_error_paths():
             # configuration label, in both modes
             for mode in ("stream", "profile"):
                 for axes in ("clock_mhz=-5", "clock_mhz=0", "clock_mhz=nan",
+                             "clock_mhz=1e-320",
                              "nwindows=1", "clock_mhz=50:50:80",
                              "clock_mhz=50:50.00001", "fpu=1:1"):
                     status, raw = await fetch_json(
@@ -752,6 +805,13 @@ def test_sweep_error_paths():
                         {"mode": mode, "workloads": "fse:00", "axes": axes})
                     assert status == 400, (mode, axes)
                     assert raw["error"]["code"] == "bad-axes"
+                # a point no sweep can price is the client's error too
+                status, raw = await fetch_json(
+                    HOST, port, "/v1/sweep",
+                    {"mode": mode, "workloads": "fse:00",
+                     "axes": f"wait_states={10 ** 400},fpu=1"})
+                assert status == 400, mode
+                assert raw["error"]["code"] == "bad-sweep"
             status, raw = await fetch_json(
                 HOST, port, "/v1/sweep", {"mode": "profile", "front_cap": 8})
             assert status == 400

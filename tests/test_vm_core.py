@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.asm import assemble
 from repro.vm import (
+    CoreConfig,
     DivisionByZero,
     IllegalInstruction,
     Memory,
     MemoryFault,
+    Simulator,
     WatchdogTimeout,
 )
 from tests.helpers import run_asm, run_exit_code
@@ -68,6 +75,55 @@ class TestMemory:
             Memory(size=0)
         with pytest.raises(ValueError):
             Memory(size=64, base=0x40000001)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/statm")
+    def test_ram_holds_only_the_pages_a_kernel_touches(self):
+        """A 64 MiB RAM costs the pages a run touches, not 64 MiB."""
+        def resident_bytes() -> int:
+            with open("/proc/self/statm", encoding="ascii") as statm:
+                pages = int(statm.read().split()[1])
+            return pages * os.sysconf("SC_PAGE_SIZE")
+
+        program = assemble("""
+    .text
+_start:
+    set 1000, %o1
+loop:
+    st %o1, [%sp - 8]
+    subcc %o1, 1, %o1
+    bne loop
+    nop
+    mov 0, %o0
+    mov 0, %g1
+    ta 5
+""")
+        before = resident_bytes()
+        result = Simulator(program, CoreConfig(ram_size=64 << 20)).run()
+        grown = resident_bytes() - before
+        assert result.exit_code == 0
+        assert grown < 16 << 20, f"resident set grew {grown >> 20} MiB"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork")
+    def test_ram_is_private_across_fork(self):
+        """A forked child sees the parent's RAM, and its writes stay its
+        own: the mapping is private, not shared."""
+        mem = Memory(size=4096)
+        mem.write_u32(mem.base, 0x11111111)
+
+        def child():
+            seen = mem.read_u32(mem.base)
+            mem.write_u32(mem.base, 0x22222222)
+            ok = seen == 0x11111111 and mem.read_u32(mem.base) == 0x22222222
+            sys.exit(0 if ok else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        assert proc.exitcode == 0
+        assert mem.read_u32(mem.base) == 0x11111111
 
 
 def _alu_program(op: str, a: int, b: int) -> str:
