@@ -64,7 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--per-kernel", action="store_true",
                            help="print the per-kernel error breakdown")
     p = sub.add_parser(
-        "dse", help="sweep a hardware design space, print Pareto fronts")
+        "dse", help="sweep a hardware design space, print Pareto fronts",
+        description="Sweep a hardware design space over a workload suite "
+                    "and print its Pareto fronts.  Each simulation enters "
+                    "the result cache as it finishes (when the cache is on), "
+                    "so an interrupted sweep (Ctrl-C exits 130) resumes "
+                    "by running the same command again: it simulates "
+                    "only what had not finished, and its report is "
+                    "byte-identical to an uninterrupted run's.")
     _add_scale(p)
     p.add_argument("--axes", default=None, metavar="SPEC",
                    help="design-space spec, e.g. "
@@ -106,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"),
                    default="text", dest="fmt",
                    help="output rendering (default: text)")
-    p.add_argument("--resume", default=None, metavar="RUN_ID",
-                   help="continue an interrupted sweep from its "
-                        "checkpoint (run ids are printed on interrupt; "
-                        "the resumed report is byte-identical to an "
-                        "uninterrupted run)")
-    p.add_argument("--run-id", default=None, metavar="RUN_ID",
-                   help="name this sweep's checkpoint explicitly "
-                        "(default: a hash of the sweep parameters)")
     p.add_argument("--verbose", action="store_true",
                    help="print the resolved runner/resilience settings "
                         "(workers, cache, retries, timeouts, chaos) to "
@@ -193,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_dse(scale, args) -> int:
     """The ``repro dse`` branch: sweep, render, and handle interrupts.
 
-    A Ctrl-C (or a killed terminal) flushes the sweep checkpoint,
-    renders the partial report to a file under the runs directory
-    (noted on stderr, together with the ``--resume`` command line that
-    continues the sweep) and exits 130; the worker pool is torn down by
-    the executor, so no orphaned processes survive.  Malformed flags or
-    ``REPRO_*`` environment values exit 2 with a one-line error.
+    A Ctrl-C prints ``interrupted`` and exits 130, like every other
+    command; the worker pool is torn down by the executor, so no
+    orphaned processes survive, and each simulation that finished is
+    already in the result cache, so running the same command again
+    resumes the sweep.  Malformed flags or ``REPRO_*`` environment
+    values exit 2 with a one-line error.
     """
     from repro.experiments import dse as dse_driver
     try:
@@ -208,28 +207,10 @@ def _run_dse(scale, args) -> int:
                 print(f"# {knob:<20} {value}", file=sys.stderr)
         rendered = dse_driver.run(scale, axes=args.axes,
                                   workloads=args.workloads,
-                                  resume=args.resume,
-                                  run_id=args.run_id,
                                   stream=args.stream,
                                   refine=args.refine,
                                   front_cap=args.front_cap,
                                   shards=args.shards).render(args.fmt)
-    except dse_driver.DseInterrupted as exc:
-        partial = exc.result
-        root = dse_driver.checkpoint_root()
-        root.mkdir(parents=True, exist_ok=True)
-        ext = {"text": "txt", "csv": "csv", "json": "json"}[args.fmt]
-        path = root / f"{partial.run_id or 'unnamed'}.partial.{ext}"
-        rendered = partial.render(args.fmt)
-        path.write_text(
-            rendered if rendered.endswith("\n") else rendered + "\n",
-            encoding="utf-8")
-        print(f"interrupted at {exc.completed}/{exc.total} cells; "
-              f"partial report written to {path}", file=sys.stderr)
-        if partial.run_id:
-            print(f"resume with: repro dse --resume {partial.run_id}",
-                  file=sys.stderr)
-        return 130
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

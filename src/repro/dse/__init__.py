@@ -38,7 +38,6 @@ from repro.dse.engine import (
     DsePoint,
     FailedCell,
     StreamSummary,
-    SweepInterrupted,
     WorkloadFront,
     sweep,
     sweep_estimated,
@@ -69,7 +68,6 @@ __all__ = [
     "StreamReport",
     "StreamSummary",
     "SweepConfig",
-    "SweepInterrupted",
     "SweepReport",
     "WorkloadFront",
     "WorkloadPair",

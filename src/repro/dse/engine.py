@@ -23,16 +23,14 @@ Three public sweeps share this module:
 Materialized sweeps are fault-tolerant: a grid cell whose task retries
 ran out becomes a :class:`FailedCell` on :attr:`DseGrid.failures`
 (excluded from Pareto structure, marked in reports) instead of
-aborting the campaign.  :func:`sweep` can persist completed cells
-through a :class:`~repro.runner.resilience.SweepCheckpoint` after every
-chunk, so an interrupted ``repro dse`` resumes from its last checkpoint
-(:class:`SweepInterrupted` carries the partial grid out of a
-``KeyboardInterrupt``).
+aborting the campaign.  An interrupted sweep keeps every simulation
+that finished, in the runner's result cache, so running it again
+simulates only the rest and prices the grid anew in one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.dse.axes import DesignSpace, SweepConfig
@@ -43,14 +41,9 @@ from repro.hw.config import HwConfig
 from repro.runner import ExperimentRunner
 
 if TYPE_CHECKING:   # import cycle: repro.nfp's package init reaches back here
+    from repro.dse.evaluate import PointNfp
     from repro.nfp.linear import ProfileVectors
-from repro.runner.resilience import (
-    SweepCheckpoint,
-    TaskFailure,
-    UsageError,
-    is_failure,
-    log_event,
-)
+from repro.runner.resilience import TaskFailure, UsageError, is_failure
 
 #: Objective names, in the order :attr:`DsePoint.objectives` reports them.
 OBJECTIVES = ("time_s", "energy_j", "area_les")
@@ -94,16 +87,6 @@ class FailedCell:
     build: str
     attempts: int
     error: str
-
-
-class SweepInterrupted(KeyboardInterrupt):
-    """A sweep was interrupted; carries the partial grid built so far."""
-
-    def __init__(self, grid: "DseGrid", completed: int, total: int):
-        super().__init__(f"sweep interrupted at {completed}/{total} cells")
-        self.grid = grid
-        self.completed = completed
-        self.total = total
 
 
 @dataclass(frozen=True)
@@ -222,56 +205,35 @@ def _grid_jobs(space: DesignSpace | Sequence[SweepConfig],
 
 def _grid_from_jobs(jobs: Sequence[tuple[SweepConfig, WorkloadPair, str,
                                          object]],
-                    cells: Sequence[list | dict]) -> DseGrid:
-    """Assemble the grid from per-job cells.
+                    nfps: Sequence[PointNfp | TaskFailure]) -> DseGrid:
+    """Assemble the grid from per-job NFPs.
 
-    A cell is ``[time_s, energy_j, retired, cycles]`` or, for a task
-    whose retries ran out, ``{"failed": {...}}`` (a :class:`TaskFailure`
-    as a dict), which becomes a :class:`FailedCell` instead of a point
-    -- the form checkpoints store, in which JSON round-trips floats
-    exactly.  The single construction point of every materialized grid
-    (priced, metered, resumed or estimated), so the paths cannot drift
-    apart structurally -- only the NFP source differs.
+    A job whose task retries ran out carries its :class:`TaskFailure`,
+    which becomes a :class:`FailedCell` instead of a point.  The single
+    construction point of every materialized grid (priced, metered or
+    estimated), so the paths cannot drift apart structurally -- only
+    the NFP source differs.
     """
     points = []
     failures = []
-    for (config, pair, build, _), cell in zip(jobs, cells):
-        if isinstance(cell, dict):
-            failed = cell["failed"]
+    for (config, pair, build, _), nfp in zip(jobs, nfps):
+        if isinstance(nfp, TaskFailure):
             failures.append(FailedCell(
                 config=config.name, workload=pair.name, build=build,
-                attempts=failed["attempts"], error=failed["error"]))
+                attempts=nfp.attempts, error=nfp.error))
             continue
-        time_s, energy_j, retired, cycles = cell
         points.append(DsePoint(
             config=config.name,
             axis_values=config.axis_values,
             workload=pair.name,
             build=build,
-            time_s=time_s,
-            energy_j=energy_j,
+            time_s=nfp.time_s,
+            energy_j=nfp.energy_j,
             area_les=config_area_les(config),
-            retired=retired,
-            cycles=cycles,
+            retired=nfp.retired,
+            cycles=nfp.cycles,
         ))
     return DseGrid(points=tuple(points), failures=tuple(failures))
-
-
-def _job_nfps(jobs: Sequence[tuple[SweepConfig, WorkloadPair, str, object]],
-              *, budget: int, runner: ExperimentRunner,
-              metered: bool) -> list[list | dict]:
-    """Per-job cells (see :func:`_grid_from_jobs`) -- the one place a
-    materialized sweep executes anything.  Failed tasks surface as
-    failure cells, never as exceptions."""
-    # deferred: repro.dse.evaluate reaches repro.nfp, whose package
-    # import reaches back into this module through repro.nfp.dse
-    from repro.dse.evaluate import metered_points, profiled_points
-    price = metered_points if metered else profiled_points
-    return [{"failed": asdict(nfp)} if isinstance(nfp, TaskFailure)
-            else [nfp.time_s, nfp.energy_j, nfp.retired, nfp.cycles]
-            for nfp in price([(config.hw, program)
-                              for config, _, _, program in jobs],
-                             budget=budget, runner=runner)]
 
 
 def sweep(space: DesignSpace | Sequence[SweepConfig],
@@ -279,9 +241,7 @@ def sweep(space: DesignSpace | Sequence[SweepConfig],
           budget: int,
           runner: ExperimentRunner | None = None,
           base: HwConfig | None = None,
-          metered: bool = False,
-          checkpoint: SweepCheckpoint | None = None,
-          chunk: int | None = None) -> DseGrid:
+          metered: bool = False) -> DseGrid:
     """Price every (configuration, workload) point into a grid.
 
     By default each distinct workload build is profiled once (parallel,
@@ -297,40 +257,18 @@ def sweep(space: DesignSpace | Sequence[SweepConfig],
     Self-modifying workloads fall back to metering per point, so the
     grid is always exact.  The grid holds deterministic totals only, so
     two sweeps of one space are bit-identical regardless of cache state
-    or parallelism.
-
-    Points are priced in chunks of ``chunk`` cells (``None``: one
-    batch).  With a ``checkpoint`` the completed cells' NFPs are flushed
-    into it after every chunk (atomic JSON; floats round-trip exactly),
-    and cells it already holds are not priced again, so a resumed sweep
-    is byte-identical to an uninterrupted one.  A ``KeyboardInterrupt``
-    flushes the checkpoint and re-raises as :class:`SweepInterrupted`
-    carrying the partial grid, with no cell half-recorded.
+    or parallelism.  Failed tasks surface as failed cells, never as
+    exceptions.
     """
+    # deferred: repro.dse.evaluate reaches repro.nfp, whose package
+    # import reaches back into this module through repro.nfp.dse
+    from repro.dse.evaluate import metered_points, profiled_points
     runner = runner if runner is not None else ExperimentRunner()
     jobs = _grid_jobs(space, pairs, base)
-    cells = checkpoint.cells if checkpoint is not None else {}
-    keys = [f"{config.name}\t{pair.name}" for config, pair, _, _ in jobs]
-    missing = [i for i, key in enumerate(keys) if key not in cells]
-    step = max(1, chunk or len(missing))
-    try:
-        for start in range(0, len(missing), step):
-            ids = missing[start:start + step]
-            cells.update(zip([keys[i] for i in ids], _job_nfps(
-                [jobs[i] for i in ids], budget=budget, runner=runner,
-                metered=metered)))
-            if checkpoint is not None:
-                checkpoint.flush(total=len(jobs))
-    except KeyboardInterrupt:
-        if checkpoint is not None:
-            checkpoint.flush(total=len(jobs))
-        done = [i for i, key in enumerate(keys) if key in cells]
-        log_event("interrupted", completed=len(done), total=len(jobs))
-        raise SweepInterrupted(
-            _grid_from_jobs([jobs[i] for i in done],
-                            [cells[keys[i]] for i in done]),
-            completed=len(done), total=len(jobs)) from None
-    return _grid_from_jobs(jobs, [cells[key] for key in keys])
+    price = metered_points if metered else profiled_points
+    return _grid_from_jobs(jobs, price(
+        [(config.hw, program) for config, _, _, program in jobs],
+        budget=budget, runner=runner))
 
 
 # -- streaming sweeps --------------------------------------------------------
@@ -436,7 +374,7 @@ def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
     lowered vectors the server keeps hot, with exactly the failure
     semantics above (re-entrant: no module or engine state is touched).
     """
-    from repro.dse.evaluate import (   # deferred, see _job_nfps
+    from repro.dse.evaluate import (   # deferred, see sweep
         composed_vectors,
         profile_task,
     )
@@ -578,8 +516,9 @@ def sweep_estimated(space: DesignSpace | Sequence[SweepConfig],
     reproduces its historical numbers bit-for-bit.  Estimated points
     carry no cycle count.
     """
+    from repro.dse.evaluate import PointNfp   # deferred, see sweep
     jobs = _grid_jobs(space, pairs, base)
-    cells = []
+    nfps = []
     for config, pair, build, program in jobs:
         if isinstance(program, PipelineProgram):
             raise UsageError(
@@ -588,6 +527,7 @@ def sweep_estimated(space: DesignSpace | Sequence[SweepConfig],
         report = estimator_for(config).estimate_program(
             program, kernel_name=f"{pair.name}-{build}",
             max_instructions=budget)
-        cells.append([report.time_s, report.energy_j, report.sim.retired,
-                      None])
-    return _grid_from_jobs(jobs, cells)
+        nfps.append(PointNfp(time_s=report.time_s, energy_j=report.energy_j,
+                             cycles=None, retired=report.sim.retired,
+                             profiled=False))
+    return _grid_from_jobs(jobs, nfps)

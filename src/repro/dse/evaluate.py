@@ -54,7 +54,7 @@ class PointNfp:
 
     time_s: float
     energy_j: float
-    cycles: int
+    cycles: int | None  #: None on the estimation path (no cycle sim)
     retired: int
     profiled: bool  #: False when the point fell back to full simulation
 

@@ -369,9 +369,10 @@ class _FastSweep:
     space it cannot price exactly -- an axis without a lowering hook,
     two axes claiming one cost-model field, or cycle counts past int64
     -- raises a :class:`~repro.runner.resilience.UsageError` naming the
-    cause.  There is no fallback path.  Cycle counts no sweep can price
-    (a time or energy past the float range) raise the materialized
-    sweep's ``ValueError`` instead.
+    cause.  There is no fallback path.  Points no sweep can price (a
+    time or energy past the float range, from cycle counts or from a
+    clock whose energy tables overflow) raise the materialized sweep's
+    ``ValueError`` instead.
     """
 
     def __init__(self, space: DesignSpace,
@@ -481,15 +482,32 @@ class _FastSweep:
                 # multiplies through unchanged under IEEE-754)
                 base_dots = np.asarray(energy_dots(base.dyn_energy_nj, pv),
                                        dtype=np.float64)
-                self.E[key] = (np.asarray(scales, dtype=np.float64)[:, None]
-                               * base_dots[None, :])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    self.E[key] = (np.asarray(scales, dtype=np.float64)
+                                   [:, None] * base_dots[None, :])
+                # a clock whose V^2 factor overflows the energy tables:
+                # the materialized sweep refuses it, and so does this
+                # one, before any shard task runs
+                unpriced = ~(np.isfinite(self.E[key]).all(axis=1)
+                             & np.isfinite(self.TRNJ)
+                             & np.isfinite(self.STATIC))
+                if unpriced.any():
+                    self._price_point(key, {"scale": int(unpriced.argmax())})
+                    raise _unstreamable(
+                        f"the energy tables of workload {pair.name!r} "
+                        f"({key[1]}) overflow a float")
                 dots = [cycle_dot(table, pv) for table in cycle_tables]
                 win = [pv.window_at(int(nw)) for nw in nw_values]
                 traps = [spills + fills for spills, fills, _ in win]
                 peaks[pair.name] = max(peaks.get(pair.name, 0),
                                        max(dots) + max(traps) * self.TRAP_CYC)
                 if peaks[pair.name] > _INT64_MAX:
-                    self._price_slowest(key, dots, traps)
+                    # the most cycles at the slowest clock: the longest
+                    # run time of the workload
+                    self._price_point(key, {
+                        "ws": dots.index(max(dots)),
+                        "nw": traps.index(max(traps)),
+                        "chz": int(self.CYCSEC.argmax())})
                     raise _unstreamable(
                         f"workload {pair.name!r} reaches "
                         f"{peaks[pair.name]} cycles, past int64")
@@ -503,20 +521,19 @@ class _FastSweep:
                 f"{sum(peaks.values())} cycles, past int64")
         self.reset()
 
-    def _price_slowest(self, key: tuple[str, str], dots: list,
-                       traps: list) -> None:
-        """Price ``key``'s slowest point the way the materialized sweep does.
+    def _price_point(self, key: tuple[str, str],
+                     picks: dict[str, int]) -> None:
+        """Price one point of ``key`` the way the materialized sweep does.
 
-        The point with the most cycles at the slowest clock has the
-        longest run time.  When its time overflows a float, this raises
-        the materialized sweep's own ``ValueError``, so the caller
-        advises dropping ``--stream`` only when that would help.
+        ``picks`` maps cost roles to value indices on their axes; every
+        other axis takes its first value, and the FPU axis ``key``'s
+        build.  When the point has no finite price, this raises the
+        materialized sweep's own ``ValueError``, so the caller advises
+        dropping ``--stream`` only when that would help.
         """
         combo = [values[0] for values in self.values]
-        for role, index in (("ws", dots.index(max(dots))),
-                            ("nw", traps.index(max(traps))),
-                            ("chz", int(self.CYCSEC.argmax())),
-                            ("fpu", self.fpu_values.index(key[1] == "float"))):
+        picks = dict(picks, fpu=self.fpu_values.index(key[1] == "float"))
+        for role, index in picks.items():
             j = self.axis_of[role]
             if j is not None:
                 combo[j] = self.values[j][index]

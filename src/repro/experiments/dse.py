@@ -12,59 +12,26 @@ candidate platform is priced from that profile
 over (time, energy, area): which configurations are worth building, and
 which are dominated.
 
-Long sweeps are fault-tolerant: completed cells are checkpointed
-periodically under ``<cache root>/runs/<run id>.json``, an interrupted
-sweep raises :class:`DseInterrupted` carrying the partial result, and
-``repro dse --resume RUN_ID`` continues from the last checkpoint with a
-byte-identical final report (the sweep parameters must match the ones
-the checkpoint was taken under).  Checkpointing is on whenever the result
-cache is (or when a run id is named explicitly), so ``REPRO_CACHE=off``
-runs stay fully stateless by default.
+The profiles are the only costly part of a sweep, and the runner caches
+each one the moment it finishes.  An interrupted sweep therefore
+resumes by being run again with the same arguments: it simulates only
+the profiles still missing and prices the whole grid in one batch, so
+its report is byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.dse.axes import DesignSpace
-from repro.dse.engine import (
-    DseGrid,
-    StreamSummary,
-    SweepInterrupted,
-    sweep,
-    sweep_streamed,
-)
+from repro.dse.engine import DseGrid, StreamSummary, sweep, sweep_streamed
 from repro.dse.report import StreamReport, SweepReport
 from repro.dse.workload import resolve_pairs
 from repro.experiments.scale import Scale, get_scale
 from repro.experiments.setup import runner_from_env
 from repro.hw.config import HwConfig
-from repro.runner.resilience import (
-    CheckpointStore,
-    SweepCheckpoint,
-    UsageError,
-    cache_base_dir,
-)
+from repro.runner.resilience import UsageError
 from repro.vm.config import CoreConfig
-
-
-def checkpoint_root() -> Path:
-    """Where sweep checkpoint manifests live (``<cache root>/runs``)."""
-    return cache_base_dir() / "runs"
-
-
-def default_run_id(spec: dict) -> str:
-    """The content-derived run id of a sweep: same sweep, same id.
-
-    Hashed over the checkpoint spec (scale, axes with their values,
-    workload filter), so re-invoking an interrupted command line
-    resumes its own checkpoint without the user naming anything.
-    """
-    blob = json.dumps(spec, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 @dataclass
@@ -74,8 +41,6 @@ class DseResult:
     report: SweepReport
     space: DesignSpace
     scale_name: str
-    run_id: str | None = None   #: checkpoint id (None: checkpointing off)
-    partial: bool = False       #: True when the sweep was interrupted
 
     @property
     def grid(self) -> DseGrid:
@@ -83,17 +48,6 @@ class DseResult:
 
     def render(self, fmt: str = "text") -> str:
         return self.report.render(fmt)
-
-
-class DseInterrupted(KeyboardInterrupt):
-    """``repro dse`` was interrupted; carries the partial result."""
-
-    def __init__(self, result: DseResult, completed: int, total: int):
-        super().__init__(
-            f"dse sweep interrupted at {completed}/{total} cells")
-        self.result = result
-        self.completed = completed
-        self.total = total
 
 
 @dataclass
@@ -115,9 +69,6 @@ class DseStreamResult:
 def run(scale: Scale | str | None = None,
         axes: str | None = None,
         workloads: str | None = None,
-        resume: str | None = None,
-        run_id: str | None = None,
-        checkpoint_every: int = 8,
         stream: bool = False,
         refine: int = 0,
         front_cap: int | None = None,
@@ -135,14 +86,9 @@ def run(scale: Scale | str | None = None,
     workloads (see :func:`repro.dse.engine.sweep` for the exactness
     contract).
 
-    ``resume`` continues a previous run's checkpoint by id: it must
-    exist, and a checkpoint taken under other sweep parameters raises
-    :class:`~repro.runner.resilience.UsageError` naming the differing
-    keys, leaving the checkpoint untouched.  ``run_id`` names a run
-    explicitly; a stored checkpoint under that id whose parameters
-    differ is started afresh.  An interruption (Ctrl-C) flushes the
-    checkpoint and raises :class:`DseInterrupted` with the partial
-    result attached.
+    A ``KeyboardInterrupt`` propagates unchanged; every profile that
+    finished before it is already in the result cache, so calling
+    ``run`` again with the same arguments resumes the sweep.
 
     ``stream`` (the ``repro dse --stream`` flag; ``refine > 0`` implies
     it) runs the generate-price-reduce path instead
@@ -150,9 +96,6 @@ def run(scale: Scale | str | None = None,
     materialized, so million-config spaces sweep in bounded memory, and
     the report renders byte-identically to the materialized sweep at
     equal ``front_cap`` (a positive count, streamed sweeps only).
-    Streamed sweeps keep no checkpoint (pricing restarts in seconds; the
-    profile simulations are already content-cached), so they are
-    incompatible with ``resume``/``run_id``.
 
     ``shards`` (the ``repro dse --shards`` flag, streamed only) prices
     the flat config space across that many parallel worker processes
@@ -167,11 +110,8 @@ def run(scale: Scale | str | None = None,
              else DesignSpace.default())
     base = HwConfig(name="leon3", core=CoreConfig())
     runner = runner_from_env()
+    suite = f", workloads {workloads}" if workloads else ""
     if stream or refine:
-        if resume is not None or run_id is not None:
-            raise UsageError(
-                "streamed sweeps keep no checkpoint; drop "
-                "--resume/--run-id or drop --stream/--refine")
         if refine < 0:
             raise UsageError("--refine takes a non-negative round count")
         if shards is not None and shards < 1:
@@ -179,7 +119,6 @@ def run(scale: Scale | str | None = None,
         if front_cap is not None and front_cap < 1:
             raise UsageError("--front-cap takes a positive member count")
         mode = f", refine {refine}" if refine else ""
-        suite = f", workloads {workloads}" if workloads else ""
         title = (f"design-space exploration ({scale.name} scale, "
                  f"streamed{mode}{suite})")
         summary = sweep_streamed(
@@ -195,47 +134,8 @@ def run(scale: Scale | str | None = None,
     if front_cap is not None:
         raise UsageError("--front-cap only applies to streamed sweeps; "
                          "add --stream (or --refine)")
-    spec = {
-        "scale": scale.name,
-        "axes": [[name, list(values)] for name, values in space.axes],
-        "workloads": workloads or "",
-    }
-    checkpoint = None
-    rid = None
-    if runner.cache is not None or resume is not None or run_id is not None:
-        store = CheckpointStore(checkpoint_root())
-        if resume is not None:
-            rid = resume
-            manifest = store.load(rid)
-            if manifest is None:
-                raise UsageError(
-                    f"no checkpoint {rid!r} under {store.root} -- "
-                    f"run ids are printed when a sweep is interrupted")
-            stored = manifest.get("spec")
-            stored = stored if isinstance(stored, dict) else {}
-            differ = sorted(key for key in stored.keys() | spec.keys()
-                            if stored.get(key) != spec.get(key))
-            if differ:
-                raise UsageError(
-                    f"checkpoint {rid!r} was taken with other sweep "
-                    f"parameters (differing: {', '.join(differ)}); rerun "
-                    f"with the original parameters to resume it")
-        else:
-            rid = run_id or default_run_id(spec)
-        checkpoint = SweepCheckpoint.open(store, rid, spec)
-
-    suite = f", workloads {workloads}" if workloads else ""
     title = f"design-space exploration ({scale.name} scale{suite})"
-    try:
-        grid = sweep(
-            space, resolve_pairs(workloads, scale),
-            budget=scale.max_instructions, runner=runner, base=base,
-            checkpoint=checkpoint, chunk=checkpoint_every)
-    except SweepInterrupted as exc:
-        partial = DseResult(
-            report=SweepReport(exc.grid, title=f"{title} [partial]"),
-            space=space, scale_name=scale.name, run_id=rid, partial=True)
-        raise DseInterrupted(partial, completed=exc.completed,
-                             total=exc.total) from None
+    grid = sweep(space, resolve_pairs(workloads, scale),
+                 budget=scale.max_instructions, runner=runner, base=base)
     return DseResult(report=SweepReport(grid, title=title),
-                     space=space, scale_name=scale.name, run_id=rid)
+                     space=space, scale_name=scale.name)

@@ -50,7 +50,7 @@ from repro.runner import (
     default_workers,
     program_digest,
 )
-from repro.runner.resilience import cache_base_dir, cache_dir_from_env
+from repro.runner.resilience import cache_dir_from_env
 from repro.experiments.scale import Scale
 
 
@@ -73,7 +73,6 @@ def effective_settings() -> list[tuple[str, str]]:
     return [
         ("workers", str(default_workers())),
         ("cache", cache_dir if cache_dir else "off (in-process tier only)"),
-        ("checkpoints", str(cache_base_dir() / "runs")),
         ("retries per task", str(retry.max_attempts)),
         ("backoff base", f"{retry.base_delay_s:g}s"),
         ("task timeout", f"{retry.timeout_s:g}s" if retry.timeout_s

@@ -11,7 +11,9 @@ and repeated invocations.  This package factors that primitive out:
   any process that ever computed a simulation shares it with every later
   one;
 * :mod:`repro.runner.pool` fans batches of tasks across a process pool
-  and merges the cache in front of it.
+  and merges the cache in front of it, storing each result as its task
+  finishes -- the cache is also the checkpoint: an interrupted command
+  re-run with the same arguments recomputes only what had not finished.
 
 The split in :class:`repro.hw.board.Board` between :meth:`measure_raw`
 (pure, cacheable) and :meth:`reading` (stateful instruments, applied by
@@ -22,9 +24,9 @@ back from a warm cache.
 * :mod:`repro.runner.resilience` keeps all of the above alive under
   faults: retries with backoff, pool stall watchdogs, worker-crash
   isolation with graceful downgrade to serial execution, terminal
-  :class:`TaskFailure` payloads, cache-corruption quarantine, sweep
-  checkpoints, and the deterministic ``REPRO_CHAOS`` injection harness
-  that proves each guarantee in tests.
+  :class:`TaskFailure` payloads, cache-corruption quarantine, and the
+  deterministic ``REPRO_CHAOS`` injection harness that proves each
+  guarantee in tests.
 """
 
 from repro.runner.cache import CACHE_SCHEMA, ResultCache
@@ -32,10 +34,8 @@ from repro.runner.pool import ExperimentRunner, default_workers
 from repro.runner.resilience import (
     ChaosError,
     ChaosPolicy,
-    CheckpointStore,
     ResilientExecutor,
     RetryPolicy,
-    SweepCheckpoint,
     TaskFailedError,
     TaskFailure,
     UsageError,
@@ -57,14 +57,12 @@ __all__ = [
     "CACHE_SCHEMA",
     "ChaosError",
     "ChaosPolicy",
-    "CheckpointStore",
     "ExperimentRunner",
     "ResilientExecutor",
     "ResultCache",
     "RetryPolicy",
     "SCHEMA_VERSION",
     "SimTask",
-    "SweepCheckpoint",
     "TaskFailedError",
     "TaskFailure",
     "UsageError",

@@ -4,7 +4,11 @@
 a batch of :class:`~repro.runner.tasks.SimTask` and it returns their
 payloads, fetching what the cache already holds, fanning the rest across
 worker processes (``REPRO_WORKERS``, default ``min(cpu_count, 8)``) and
-persisting fresh results for the next figure, process or invocation.
+persisting each fresh result the moment its task finishes, for the rest
+of the batch, the next figure, process or invocation.  That makes the
+result cache the checkpoint: a batch interrupted after ``k`` of its
+``n`` tasks finished keeps those ``k``, and the same command run again
+computes only the other ``n - k``.
 
 Within a batch, duplicate keys are computed once.  With ``workers <= 1``
 or single-task batches everything runs inline -- bit-identical either
@@ -36,7 +40,6 @@ from repro.runner.resilience import (
     RetryPolicy,
     ensure_payload,
     env_int,
-    is_failure,
 )
 from repro.runner.tasks import (
     SimTask,
@@ -100,6 +103,10 @@ class ExperimentRunner:
     def run_tasks(self, tasks: list[SimTask]) -> list[dict]:
         """Payloads for ``tasks``, cache-first, misses fanned out.
 
+        Each miss enters the disk cache and the memory tier as soon as
+        its task finishes, so an interrupt (``KeyboardInterrupt``
+        propagates) loses only the tasks still running.
+
         A slot holds a :class:`TaskFailure` record (see
         :func:`repro.runner.resilience.is_failure`) when that task's
         attempt budget ran out; failures are returned, not raised, and
@@ -123,23 +130,23 @@ class ExperimentRunner:
             cached = self._memory.get(key)
             if cached is None and self.cache is not None:
                 cached = self.cache.get(key)
+                if cached is not None:
+                    self._memory[key] = cached
             if cached is not None:
                 payloads[key] = cached
             else:
                 missing[key] = task
         if missing:
-            fresh = self._compute(list(missing.values()), list(missing))
-            for key, payload in zip(missing, fresh):
-                payloads[key] = payload
-                if self.cache is not None and not is_failure(payload):
-                    self.cache.put(key, payload)
-        self._memory.update(
-            (key, payload) for key, payload in payloads.items()
-            if not is_failure(payload))
+            fresh = self._executor.run(list(missing.values()), list(missing),
+                                       on_result=self._store)
+            payloads.update(zip(missing, fresh))
         return [payloads[key] for key in keys]
 
-    def _compute(self, tasks: list[SimTask], keys: list[str]) -> list[dict]:
-        return self._executor.run(tasks, keys)
+    def _store(self, key: str, payload: dict) -> None:
+        """Keep one finished simulation in every tier, as it arrives."""
+        self._memory[key] = payload
+        if self.cache is not None:
+            self.cache.put(key, payload)
 
     def run_raw(self, tasks: list, keys: list[str]) -> list[dict]:
         """Resilient-pool execution for non-simulation tasks, cache-bypassed.

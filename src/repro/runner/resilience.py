@@ -14,18 +14,19 @@ into a logged, bounded, *deterministic* recovery:
   watchdogs (``REPRO_TIMEOUT_S``), worker-crash isolation (a broken pool
   is rebuilt and its tasks retried) and, after
   ``RetryPolicy.max_pool_failures`` pool-level incidents, a logged
-  downgrade to in-process serial execution.
+  downgrade to in-process serial execution.  It hands every finished
+  payload to its caller as it arrives, so the runner caches each
+  simulation the moment it completes: an interrupted command loses
+  only the tasks still running, and re-running it is the resume.
 * :class:`ChaosPolicy` -- the deterministic chaos-injection harness
   (``REPRO_CHAOS=<seed>:<spec>``): worker kills, cache corruption, slow
   tasks and transient exceptions fire at points decided purely by
   ``sha256(seed | site | task-key | attempt)``, and only on attempts
   below ``depth`` -- so any retry budget ``> depth`` provably converges
   to the fault-free result, bit for bit.
-* :class:`CheckpointStore` / :class:`SweepCheckpoint` -- atomic JSON run
-  manifests for ``repro dse --resume RUN_ID``.
 * :func:`log_event` -- one-line structured events (``repro.runner``
-  logger) for every retry, timeout, quarantine, downgrade and
-  checkpoint; silent recovery is unauditable.
+  logger) for every retry, timeout, quarantine and downgrade; silent
+  recovery is unauditable.
 * :class:`UsageError` and the ``env_*`` readers -- every ``REPRO_*``
   knob is validated on first read into one clear message instead of a
   deep traceback.
@@ -38,13 +39,12 @@ error types for free.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 LOGGER = logging.getLogger("repro.runner")
@@ -70,7 +70,7 @@ def log_event(event: str, _level: int = logging.WARNING, **fields_) -> None:
 
     ``event=<kind> key=value ...`` -- greppable, single-line, and
     asserted on by the resilience tests: every retry, timeout,
-    quarantine, downgrade and checkpoint must leave a trace.
+    quarantine and downgrade must leave a trace.
     """
     parts = [f"event={event}"]
     parts += [f"{name}={value}" for name, value in fields_.items()]
@@ -127,11 +127,7 @@ def cache_enabled_from_env() -> bool:
 
 
 def cache_base_dir() -> Path:
-    """The cache root (``REPRO_CACHE_DIR`` or the default), validated.
-
-    Resolved even when the result cache is disabled: checkpoint
-    manifests live under ``<root>/runs`` either way.
-    """
+    """The cache root (``REPRO_CACHE_DIR`` or the default), validated."""
     raw = os.environ.get("REPRO_CACHE_DIR", "").strip()
     path = Path(raw) if raw else Path.home() / ".cache" / "repro-nfp"
     if path.exists() and not path.is_dir():
@@ -403,23 +399,35 @@ class ResilientExecutor:
         self.degraded = False
         self.pool_failures = 0
 
-    def run(self, tasks: list, keys: list[str]) -> list[dict]:
-        """Payloads (or failure records) for ``tasks``, in order."""
+    def run(self, tasks: list, keys: list[str],
+            on_result=None) -> list[dict]:
+        """Payloads (or failure records) for ``tasks``, in order.
+
+        ``on_result(key, payload)`` sees every payload that is not a
+        failure the moment it arrives, on the pool and the serial path
+        alike, so whatever finished before an interrupt is kept.
+        """
         results: list[dict | None] = [None] * len(tasks)
+
+        def finish(i: int, payload: dict) -> None:
+            results[i] = payload
+            if on_result is not None and not is_failure(payload):
+                on_result(keys[i], payload)
+
         attempts = [0] * len(tasks)
         pending = list(range(len(tasks)))
         n = min(self.workers, len(tasks))
         if n > 1 and not self.degraded:
-            pending = self._parallel(tasks, keys, n, results, attempts,
+            pending = self._parallel(tasks, keys, n, finish, attempts,
                                      pending)
         for i in pending:
             if results[i] is None:
-                results[i] = self._run_serial(tasks[i], keys[i], attempts[i])
+                finish(i, self._run_serial(tasks[i], keys[i], attempts[i]))
         return results  # type: ignore[return-value]
 
     # -- pool generations ----------------------------------------------------
 
-    def _parallel(self, tasks, keys, n, results, attempts,
+    def _parallel(self, tasks, keys, n, finish, attempts,
                   pending) -> list[int]:
         chaos_spec = self.chaos.spec() if self.chaos else None
         while pending and not self.degraded:
@@ -429,14 +437,14 @@ class ResilientExecutor:
                 for i in pending:
                     fs[pool.submit(_resilient_worker, tasks[i], keys[i],
                                    attempts[i], chaos_spec)] = i
-                pending = self._drain(pool, fs, tasks, keys, results,
+                pending = self._drain(pool, fs, tasks, keys, finish,
                                       attempts, chaos_spec)
-            except KeyboardInterrupt:
-                self._teardown(pool, fs)
+            except BaseException:   # Ctrl-C, or ``finish`` failed
+                self._teardown(pool)
                 raise
         return pending
 
-    def _drain(self, pool, fs, tasks, keys, results, attempts,
+    def _drain(self, pool, fs, tasks, keys, finish, attempts,
                chaos_spec) -> list[int]:
         """Wait out one pool generation; returns indices that need a
         fresh pool (worker crash / stall), or ``[]`` when drained."""
@@ -449,7 +457,7 @@ class ResilientExecutor:
                 stalled = sorted(fs.values())
                 log_event("timeout", tasks=len(stalled),
                           timeout_s=self.policy.timeout_s)
-                self._teardown(pool, fs)
+                self._teardown(pool)
                 return self._note_pool_failure(stalled, attempts)
             for future in done:
                 i = fs.pop(future)
@@ -458,13 +466,13 @@ class ResilientExecutor:
                 except BrokenProcessPool:
                     survivors = sorted([i] + list(fs.values()))
                     log_event("pool-broken", tasks=len(survivors))
-                    self._teardown(pool, fs)
+                    self._teardown(pool)
                     return self._note_pool_failure(survivors, attempts)
                 except Exception as exc:  # noqa: BLE001 - retry boundary
                     attempts[i] += 1
                     if attempts[i] >= self.policy.max_attempts:
-                        results[i] = self._terminal(tasks[i], keys[i],
-                                                    attempts[i], exc)
+                        finish(i, self._terminal(tasks[i], keys[i],
+                                                 attempts[i], exc))
                     else:
                         self._backoff(keys[i], attempts[i], exc)
                         try:
@@ -474,11 +482,11 @@ class ResilientExecutor:
                         except (BrokenProcessPool, RuntimeError):
                             survivors = sorted([i] + list(fs.values()))
                             log_event("pool-broken", tasks=len(survivors))
-                            self._teardown(pool, fs)
+                            self._teardown(pool)
                             return self._note_pool_failure(survivors,
                                                            attempts)
                 else:
-                    results[i] = payload
+                    finish(i, payload)
         pool.shutdown()
         return []
 
@@ -498,10 +506,14 @@ class ResilientExecutor:
         return survivors
 
     @staticmethod
-    def _teardown(pool, fs) -> None:
-        """Cancel, shut down and terminate a (possibly hung) pool."""
-        for future in list(fs):
-            future.cancel()
+    def _teardown(pool) -> None:
+        """Shut down and terminate a (possibly hung) pool.
+
+        The pool cancels its own pending futures: one cancelled from
+        outside makes Python 3.11's pool manager thread die when the
+        terminated workers mark the pool broken, and the process then
+        hangs at exit on the task queue's feeder thread.
+        """
         procs = list((getattr(pool, "_processes", None) or {}).values())
         pool.shutdown(wait=False, cancel_futures=True)
         for proc in procs:
@@ -546,83 +558,14 @@ class ResilientExecutor:
                            error=repr(exc)).to_payload()
 
 
-# -- checkpoint manifests -----------------------------------------------------
-
-class CheckpointStore:
-    """A directory of atomic ``<run_id>.json`` sweep manifests."""
-
-    def __init__(self, root: str | os.PathLike):
-        self.root = Path(root)
-
-    def path(self, run_id: str) -> Path:
-        return self.root / f"{run_id}.json"
-
-    def load(self, run_id: str) -> dict | None:
-        try:
-            manifest = json.loads(self.path(run_id).read_text())
-        except OSError:
-            return None
-        except ValueError:
-            log_event("quarantine", kind="checkpoint", run=run_id,
-                      reason="not-json")
-            return None
-        return manifest if isinstance(manifest, dict) else None
-
-    def save(self, run_id: str, manifest: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / f".{run_id}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(manifest, sort_keys=True))
-        os.replace(tmp, self.path(run_id))
-
-
-@dataclass
-class SweepCheckpoint:
-    """Completed sweep cells, flushed after every chunk.
-
-    ``cells`` maps ``"<config>\\t<workload>"`` to either the cell's
-    deterministic NFP list ``[time_s, energy_j, retired, cycles]``
-    (JSON floats round-trip exactly, so a resumed report is
-    byte-identical to an uninterrupted one) or a ``{"failed": ...}``
-    record for cells whose attempt budget ran out.
-    """
-
-    store: CheckpointStore
-    run_id: str
-    spec: dict
-    cells: dict = field(default_factory=dict)
-
-    @classmethod
-    def open(cls, store: CheckpointStore, run_id: str,
-             spec: dict) -> "SweepCheckpoint":
-        """Load ``run_id``'s manifest when it matches ``spec``, else
-        start fresh (a changed spec invalidates old cells wholesale)."""
-        manifest = store.load(run_id)
-        cells: dict = {}
-        if manifest is not None and manifest.get("spec") == spec:
-            cells = dict(manifest.get("cells", {}))
-            if cells:
-                log_event("resume", _level=logging.INFO, run=run_id,
-                          cells=len(cells))
-        return cls(store=store, run_id=run_id, spec=spec, cells=cells)
-
-    def flush(self, total: int | None = None) -> None:
-        self.store.save(self.run_id, {"spec": self.spec,
-                                      "cells": self.cells})
-        log_event("checkpoint", _level=logging.INFO, run=self.run_id,
-                  cells=len(self.cells),
-                  **({"total": total} if total is not None else {}))
-
-
 __all__ = [
     "ChaosError",
     "ChaosPolicy",
-    "CheckpointStore",
     "CORRUPTION_STYLES",
     "FAILURE_KEY",
     "LOGGER",
     "ResilientExecutor",
     "RetryPolicy",
-    "SweepCheckpoint",
     "TaskFailedError",
     "TaskFailure",
     "UsageError",

@@ -203,6 +203,13 @@ def test_simulation_path_never_imports_numpy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+#: the workload suite of a ``test_dse_rejects_bad_axis_values`` case,
+#: when it is not fse:00 alone (at 3e152 MHz only the soft-float builds
+#: overflow, so the fpu=1 configs of the three workloads stay finite)
+SUITES = {"clock_mhz=3e152,fpu=0:1,nwindows=2:8":
+          "fse:00,fse:01,img:sobel3x3"}
+
+
 @pytest.mark.parametrize("mode", [
     pytest.param(["--stream"], id="--stream"),
     pytest.param([], id="materialized"),
@@ -222,13 +229,27 @@ def test_simulation_path_never_imports_numpy(tmp_path):
                  f"configuration 'ws{10 ** 400}-fpu' has no finite price: "
                  f"its time or energy overflows a float",
                  id="wait_states=1e400-no finite price"),
+    # clocks whose V^2 energy factor overflows a float
+    pytest.param("clock_mhz=1e200,fpu=1",
+                 "configuration 'clk1e+200-fpu' has no finite price: "
+                 "its time or energy overflows a float",
+                 id="clock_mhz=1e200-no finite price"),
+    pytest.param("clock_mhz=1e155,fpu=1",
+                 "configuration 'clk1e+155-fpu' has no finite price: "
+                 "its time or energy overflows a float",
+                 id="clock_mhz=1e155-no finite price"),
+    pytest.param("clock_mhz=3e152,fpu=0:1,nwindows=2:8",
+                 "configuration 'clk3e+152-nofpu-w2' has no finite price: "
+                 "its time or energy overflows a float",
+                 id="clock_mhz=3e152-three workloads-no finite price"),
 ])
 def test_dse_rejects_bad_axis_values(mode, axes, message, capsys):
     """Values the platform config rejects, values that would name two
     configurations alike, and a point whose price overflows a float
     exit 2 with one error line on the streamed and the materialized
     path alike."""
-    argv = ["dse", "--scale", "smoke", *mode, "--workloads", "fse:00",
+    workloads = SUITES.get(axes, "fse:00")
+    argv = ["dse", "--scale", "smoke", *mode, "--workloads", workloads,
             "--axes", axes]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Fault tolerance: retries, timeouts, chaos, quarantine, checkpoints.
+"""Fault tolerance: retries, timeouts, chaos, quarantine, interrupts.
 
 Every guarantee of :mod:`repro.runner.resilience` is exercised against
 *injected* faults (the deterministic ``REPRO_CHAOS`` harness or
@@ -16,14 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import (
-    DesignSpace,
-    SweepInterrupted,
-    SweepReport,
-    WorkloadPair,
-    sweep,
-)
-from repro.dse import engine as dse_engine
+from repro.dse import DesignSpace, SweepReport, WorkloadPair, sweep
 from repro.fse.kernel import build_fse_kernel
 from repro.fse.params import FseParams
 from repro.hw.config import leon3_fpu
@@ -31,19 +24,18 @@ from repro.kir import compile_module
 from repro.runner import (
     ChaosError,
     ChaosPolicy,
-    CheckpointStore,
     ExperimentRunner,
     ResilientExecutor,
     ResultCache,
     RetryPolicy,
     SimTask,
-    SweepCheckpoint,
     TaskFailedError,
     UsageError,
     ensure_payload,
     is_failure,
     task_key,
 )
+from repro.runner import tasks as runner_tasks
 from repro.runner.cache import corrupt_file
 from repro.runner.resilience import (
     CORRUPTION_STYLES,
@@ -56,6 +48,9 @@ from repro.runner.resilience import (
 )
 
 BUDGET = 2_000_000
+
+#: The simulation entry point, before any test patches it.
+RUN_TASK = runner_tasks.run_task
 
 #: Fast backoff for tests -- semantics identical, waiting is not the point.
 FAST = RetryPolicy(max_attempts=3, base_delay_s=0.001)
@@ -371,121 +366,69 @@ def test_sweep_tolerates_terminal_failures(tiny_pair, fault_free_render):
     assert report.render("csv").count(",failed") == 2
 
 
-# -- checkpoint / resume -----------------------------------------------------
+# -- interrupt and re-run ----------------------------------------------------
 
-def test_checkpoint_store_round_trip_and_damage(tmp_path, caplog):
-    store = CheckpointStore(tmp_path)
-    assert store.load("nope") is None
-    store.save("r1", {"spec": {"a": 1}, "cells": {}})
-    assert store.load("r1") == {"spec": {"a": 1}, "cells": {}}
-    store.path("r1").write_text("{broken")
-    with caplog.at_level(logging.WARNING, logger="repro.runner"):
-        assert store.load("r1") is None
-    assert any("event=quarantine" in r.message for r in caplog.records)
+def _record_runs(monkeypatch, interrupt_after: int | None = None) -> list:
+    """The list of tasks simulated from now on (serial runners only);
+    with ``interrupt_after``, Ctrl-C arrives once that many finished."""
+    ran = []
 
+    def run_task(task):
+        if interrupt_after is not None and len(ran) >= interrupt_after:
+            raise KeyboardInterrupt
+        ran.append(task)
+        return RUN_TASK(task)
 
-def test_checkpoint_spec_mismatch_starts_fresh(tmp_path):
-    store = CheckpointStore(tmp_path)
-    store.save("r1", {"spec": {"axes": "old"}, "cells": {"c\tw": [1]}})
-    checkpoint = SweepCheckpoint.open(store, "r1", {"axes": "new"})
-    assert checkpoint.cells == {}
+    monkeypatch.setattr(runner_tasks, "run_task", run_task)
+    return ran
 
 
 def test_interrupted_sweep_checkpoints_and_resumes_byte_identically(
-        tmp_path, tiny_pair, fault_free_render, monkeypatch, caplog):
-    store = CheckpointStore(tmp_path)
-    spec = {"axes": "fpu", "workloads": "fse:00"}
-    runner = ExperimentRunner(workers=1)
+        tmp_path, tiny_pair, fault_free_render, monkeypatch):
+    """Ctrl-C after the first task of a 2-cell metered sweep keeps that
+    task in the result cache; the same sweep run again computes only
+    the other one and renders the fault-free report."""
     space = DesignSpace.single("fpu")
+    _record_runs(monkeypatch, interrupt_after=1)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(space, [tiny_pair], budget=BUDGET, metered=True,
+              runner=ExperimentRunner(cache_dir=tmp_path, workers=1))
+    assert len(ResultCache(tmp_path)) == 1
 
-    calls = {"n": 0}
-    real = dse_engine._job_nfps
-
-    def interrupt_after_one_chunk(jobs, **kwargs):
-        if calls["n"] >= 1:
-            raise KeyboardInterrupt
-        calls["n"] += 1
-        return real(jobs, **kwargs)
-
-    monkeypatch.setattr(dse_engine, "_job_nfps", interrupt_after_one_chunk)
-    checkpoint = SweepCheckpoint.open(store, "r1", spec)
-    with caplog.at_level(logging.INFO, logger="repro.runner"), \
-            pytest.raises(SweepInterrupted) as excinfo:
-        sweep(space, [tiny_pair], budget=BUDGET, runner=runner,
-              metered=True, checkpoint=checkpoint, chunk=1)
-    assert excinfo.value.completed == 1
-    assert excinfo.value.total == 2
-    assert len(excinfo.value.grid.points) == 1  # the partial grid
-    assert any("event=checkpoint" in r.message for r in caplog.records)
-    assert any("event=interrupted" in r.message for r in caplog.records)
-    manifest = store.load("r1")
-    assert len(manifest["cells"]) == 1  # flushed, nothing half-recorded
-
-    # resume: only the missing cell is computed; the final report is
-    # byte-identical to an uninterrupted (and to a fault-free) run
-    monkeypatch.setattr(dse_engine, "_job_nfps", real)
-    with caplog.at_level(logging.INFO, logger="repro.runner"):
-        resumed = SweepCheckpoint.open(store, "r1", spec)
-        assert len(resumed.cells) == 1
-        grid = sweep(space, [tiny_pair], budget=BUDGET, runner=runner,
-                     metered=True, checkpoint=resumed, chunk=1)
-    assert any("event=resume" in r.message for r in caplog.records)
+    ran = _record_runs(monkeypatch)
+    grid = sweep(space, [tiny_pair], budget=BUDGET, metered=True,
+                 runner=ExperimentRunner(cache_dir=tmp_path, workers=1))
+    assert len(ran) == 1
     assert SweepReport(grid).render("json") == fault_free_render
-    assert len(store.load("r1")["cells"]) == 2
 
 
 def test_driver_resume_matches_uninterrupted_run(tmp_path, monkeypatch):
+    """Running a finished sweep again renders the same report from the
+    result cache alone, and no run manifest appears."""
     from repro.experiments import dse as dse_driver
     from repro.experiments.setup import reset_benches
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKERS", "1")
     reset_benches()
     first = dse_driver.run("smoke", axes="fpu", workloads="fse:00")
-    assert first.run_id
-    assert (tmp_path / "runs" / f"{first.run_id}.json").exists()
-    resumed = dse_driver.run("smoke", axes="fpu", workloads="fse:00",
-                             resume=first.run_id)
-    assert resumed.render("json") == first.render("json")
-    with pytest.raises(UsageError):
-        dse_driver.run("smoke", axes="fpu", workloads="fse:00",
-                       resume="no-such-run")
-
-
-def test_driver_resume_refuses_other_parameters(tmp_path, monkeypatch):
-    """Resuming under other sweep parameters names the differing keys
-    and leaves the checkpoint byte-identical, instead of sweeping the
-    new parameters over it."""
-    from repro.experiments import dse as dse_driver
-    from repro.experiments.setup import reset_benches
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKERS", "1")
-    reset_benches()
-    first = dse_driver.run("smoke", axes="fpu", workloads="fse:00")
-    manifest = tmp_path / "runs" / f"{first.run_id}.json"
-    before = manifest.read_bytes()
-    with pytest.raises(UsageError, match=r"differing: axes\)"):
-        dse_driver.run("smoke", axes="nwindows=4:8", workloads="fse:00",
-                       resume=first.run_id)
-    assert manifest.read_bytes() == before
-    # a manifest whose spec carries a key the sweep no longer has
-    stale = json.loads(before)
-    stale["spec"]["profile"] = True
-    manifest.write_text(json.dumps(stale))
-    before = manifest.read_bytes()
-    with pytest.raises(UsageError, match=r"differing: profile\)"):
-        dse_driver.run("smoke", axes="fpu", workloads="fse:00",
-                       resume=first.run_id)
-    assert manifest.read_bytes() == before
+    ran = _record_runs(monkeypatch)
+    again = dse_driver.run("smoke", axes="fpu", workloads="fse:00")
+    assert ran == []
+    assert again.render("json") == first.render("json")
+    assert not (tmp_path / "runs").exists()
 
 
 # -- CLI surface -------------------------------------------------------------
 
-def test_cli_dse_flags_parse():
+def test_cli_dse_flags_parse(capsys):
     from repro.cli import build_parser
-    args = build_parser().parse_args(
-        ["dse", "--resume", "abc123", "--run-id", "named", "--verbose"])
-    assert (args.resume, args.run_id, args.verbose) \
-        == ("abc123", "named", True)
+    assert build_parser().parse_args(["dse", "--verbose"]).verbose
+    for flag in ("--resume", "--run-id"):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["dse", flag, "abc123"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} abc123" \
+            in capsys.readouterr().err
 
 
 def test_cli_usage_error_exits_2(monkeypatch, capsys):
@@ -502,51 +445,29 @@ def test_cli_usage_error_exits_2(monkeypatch, capsys):
 def test_cli_unknown_resume_exits_2(monkeypatch, tmp_path, capsys):
     from repro.cli import main
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    assert main(["dse", "--scale", "smoke", "--resume", "nope"]) == 2
-    assert "no checkpoint" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["dse", "--scale", "smoke", "--resume", "nope"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --resume nope" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
-def test_cli_resume_with_other_parameters_exits_2(monkeypatch, tmp_path,
-                                                  capsys):
+def test_cli_interrupt_exits_130_and_writes_no_manifest(
+        monkeypatch, tmp_path, capsys):
+    """Ctrl-C during ``repro dse`` prints one line and exits 130, like
+    every other command: what finished stays in the result cache, and
+    nothing is written under ``<cache root>/runs``."""
     from repro.cli import main
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKERS", "1")
-    base = ["dse", "--scale", "smoke", "--workloads", "fse:00"]
-    assert main([*base, "--axes", "fpu", "--run-id", "r1"]) == 0
-    manifest = tmp_path / "runs" / "r1.json"
-    before = manifest.read_bytes()
-    capsys.readouterr()
-    assert main([*base, "--axes", "nwindows=4:8", "--resume", "r1"]) == 2
+    _record_runs(monkeypatch, interrupt_after=1)
+    assert main(["dse", "--scale", "smoke", "--workloads", "fse:00",
+                 "--axes", "fpu"]) == 130
     captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines()
-              if line.startswith("error: ")]
-    assert len(errors) == 1 and "differing: axes" in errors[0]
-    assert "Traceback" not in captured.err
+    assert captured.err == "interrupted\n"
     assert captured.out == ""
-    assert manifest.read_bytes() == before
-
-
-def test_cli_interrupt_writes_partial_report_and_exits_130(
-        monkeypatch, tmp_path, capsys):
-    from repro.cli import main
-    from repro.dse import DseGrid
-    from repro.experiments import dse as dse_driver
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    partial = dse_driver.DseResult(
-        report=SweepReport(DseGrid(points=()), title="t [partial]"),
-        space=DesignSpace.single("fpu"), scale_name="smoke",
-        run_id="cafe42", partial=True)
-
-    def interrupted(*args, **kwargs):
-        raise dse_driver.DseInterrupted(partial, completed=3, total=8)
-
-    monkeypatch.setattr(dse_driver, "run", interrupted)
-    assert main(["dse", "--scale", "smoke"]) == 130
-    err = capsys.readouterr().err
-    assert "interrupted at 3/8 cells" in err
-    assert "repro dse --resume cafe42" in err
-    report_path = tmp_path / "runs" / "cafe42.partial.txt"
-    assert "no complete configurations" in report_path.read_text()
+    assert len(ResultCache(tmp_path)) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_verbose_prints_doctor_summary(monkeypatch, capsys):

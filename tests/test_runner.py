@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import time
 
 import pytest
 
@@ -163,6 +164,45 @@ class TestRunner:
         # wall_seconds is a host-side timing, the only nondeterminism
         assert [strip_wall(p) for p in pooled] == \
             [strip_wall(p) for p in inline]
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_interrupted_batch_keeps_what_finished(self, tmp_path,
+                                                   monkeypatch, workers):
+        """Ctrl-C after k of a batch's n tasks finished leaves exactly
+        those k in the cache, and the batch run again computes only
+        the other n - k."""
+        from repro.runner import tasks as runner_tasks
+        batch = [_task(), _task(source=KERNEL_B), _task(mode="fast"),
+                 _task(budget=4_000_000)]
+        finished = batch[:-1]
+        real = runner_tasks.run_task
+
+        def run_or_interrupt(task):
+            if task.budget != batch[-1].budget:
+                return real(task)
+            # the last task is interrupted once the others are stored
+            # (pool workers inherit this patch when they fork)
+            deadline = time.monotonic() + 20.0
+            while len(ResultCache(tmp_path)) < len(finished) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner_tasks, "run_task", run_or_interrupt)
+        runner = ExperimentRunner(cache_dir=tmp_path, workers=workers)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_tasks(batch)
+        assert sorted(path.stem for path in tmp_path.glob("*.json")) \
+            == sorted(task_key(task) for task in finished)
+
+        monkeypatch.setattr(runner_tasks, "run_task", real)
+        again = ExperimentRunner(cache_dir=tmp_path, workers=workers)
+        payloads = again.run_tasks(batch)
+        assert (again.cache.hits, again.cache.misses) \
+            == (len(finished), len(batch) - len(finished))
+        assert len(again.cache) == len(batch)
+        assert payloads[:-1] == [runner.cache.get(task_key(task))
+                                 for task in finished]
 
     def test_fast_sim_payload(self):
         runner = ExperimentRunner(cache_dir=None, workers=1)

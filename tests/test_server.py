@@ -805,13 +805,28 @@ def test_sweep_error_paths():
                         {"mode": mode, "workloads": "fse:00", "axes": axes})
                     assert status == 400, (mode, axes)
                     assert raw["error"]["code"] == "bad-axes"
-                # a point no sweep can price is the client's error too
-                status, raw = await fetch_json(
-                    HOST, port, "/v1/sweep",
-                    {"mode": mode, "workloads": "fse:00",
-                     "axes": f"wait_states={10 ** 400},fpu=1"})
-                assert status == 400, mode
-                assert raw["error"]["code"] == "bad-sweep"
+                # a point no sweep can price is the client's error too:
+                # wait states past the float range, and clocks whose V^2
+                # energy factor overflows a float
+                for workloads, axes in (
+                        ("fse:00", f"wait_states={10 ** 400},fpu=1"),
+                        ("fse:00", "clock_mhz=1e200,fpu=1"),
+                        ("fse:00", "clock_mhz=1e155,fpu=1"),
+                        ("fse:00,fse:01,img:sobel3x3",
+                         "clock_mhz=3e152,fpu=0:1,nwindows=2:8")):
+                    status, raw = await fetch_json(
+                        HOST, port, "/v1/sweep",
+                        {"mode": mode, "workloads": workloads,
+                         "axes": axes})
+                    assert status == 400, (mode, axes)
+                    assert raw["error"]["code"] == "bad-sweep"
+            # refused in the parent, before any shard task runs
+            status, raw = await fetch_json(
+                HOST, port, "/v1/sweep",
+                {"mode": "stream", "shards": 2, "workloads": "fse:00",
+                 "axes": "clock_mhz=1e200,fpu=1"})
+            assert status == 400
+            assert raw["error"]["code"] == "bad-sweep"
             status, raw = await fetch_json(
                 HOST, port, "/v1/sweep", {"mode": "profile", "front_cap": 8})
             assert status == 400
@@ -856,6 +871,24 @@ def test_sweep_byte_identical_to_cli_driver():
             assert server.stats.sweeps == 2
 
     asyncio.run(main())
+
+
+def test_materialized_sweep_leaves_no_run_manifest(tmp_path, monkeypatch):
+    """A materialized ``/v1/sweep`` keeps its simulations in the result
+    cache and writes nothing under ``<cache root>/runs``."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    async def main():
+        async with server_ctx() as (server, port):
+            status, _ = await fetch_json(
+                HOST, port, "/v1/sweep",
+                {"mode": "profile", "workloads": "fse:00", "axes": "fpu"})
+            assert status == 200
+            assert server.stats.sweeps == 1
+
+    asyncio.run(main())
+    assert any(tmp_path.glob("*.json"))
+    assert not (tmp_path / "runs").exists()
 
 
 def test_streamed_sweep_byte_identical_to_driver():
@@ -909,8 +942,8 @@ def test_disconnect_mid_sweep_leaves_results_consistent():
                     break
                 await asyncio.sleep(0.05)
             assert server.stats.sweeps == 1
-            # cache/checkpoint state stayed consistent: the re-issued
-            # sweep renders byte-identically to the CLI reference
+            # the result cache stayed consistent: the re-issued sweep
+            # renders byte-identically to the CLI reference
             status, payload = await fetch(HOST, port, "POST", "/v1/sweep",
                                           json.dumps(SWEEP).encode())
             assert status == 200
