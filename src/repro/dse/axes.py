@@ -1,17 +1,21 @@
 """The axis registry and multi-dimensional design spaces.
 
 An :class:`Axis` is one named hardware parameter the exploration can
-sweep -- how to apply a value to a priced :class:`~repro.hw.config.HwConfig`,
-how to label it inside a configuration name, and which values a default
+sweep -- how it lowers a list of values onto a priced
+:class:`~repro.hw.config.HwConfig` (its :class:`AxisLowering`), how to
+label a value inside a configuration name, and which values a default
 sweep uses.  A :class:`DesignSpace` is an ordered selection of axes with
 value lists; its cartesian product yields the candidate platforms
 (:class:`SweepConfig`) a sweep runs every workload on.
 
-The registry is extensible: anything that can be expressed as a
-transformation of ``HwConfig`` (clock, cost tables, core parameters,
-static power, ...) can be registered as a new axis with
-:func:`register_axis` and immediately swept via ``DesignSpace.from_spec``
-or the ``repro dse --axes`` CLI flag.
+The lowering is the axis' one definition: materialized sweeps build
+each configuration from it (:meth:`AxisLowering.apply`), and streamed
+sweeps price the product straight from its per-value tables.  The
+registry is extensible: any parameter expressed in
+:class:`AxisLowering` fields (clock and DVFS scale, cycle table, core
+window count, FPU presence or block size) can be registered as a new
+axis with :func:`register_axis` and immediately swept via
+``DesignSpace.from_spec`` or the ``repro dse --axes`` CLI flag.
 """
 
 from __future__ import annotations
@@ -26,18 +30,18 @@ from repro.hw.timing import cycle_table_with_wait_states
 
 @dataclass(frozen=True)
 class AxisLowering:
-    """Per-value cost-model effects of one axis, for streamed sweeps.
+    """Per-value platform effects of one axis: the axis' definition.
 
     Aligned with the axis' value list; only the fields the axis touches
     are set.  ``dyn_scales``/``clock_hz`` describe a DVFS-style axis
     (dynamic energy, trap energy and static power scale; the clock
-    retimes), ``cycle_tables`` replaces the cycle table per value,
-    ``nwindows``/``has_fpu`` adjust the core, and an instance with no
-    fields set declares the axis NFP-inert (``block_size``).  Each
-    table derivation must match the axis' ``apply`` bit-for-bit -- the
-    streamed-vs-materialized byte-identity tests enforce it -- and the
-    hook must raise the ``ValueError`` that ``apply`` raises for a value
-    the platform config rejects.
+    retimes), ``cycle_tables`` replaces the cycle table per value, and
+    ``nwindows``/``has_fpu``/``block_size`` set the core field of that
+    name.  Materialized sweeps build configurations from it
+    (:meth:`apply`); streamed sweeps price straight from the tables,
+    where ``block_size`` is inert (a simulator knob).  The hook that
+    builds one raises ``ValueError`` for a value the platform config
+    rejects.
     """
 
     dyn_scales: tuple[float, ...] | None = None
@@ -45,6 +49,32 @@ class AxisLowering:
     cycle_tables: tuple | None = None
     nwindows: tuple[int, ...] | None = None
     has_fpu: tuple[bool, ...] | None = None
+    block_size: tuple[int, ...] | None = None
+
+    def apply(self, hw: HwConfig, i: int) -> HwConfig:
+        """``hw`` with this axis at its value ``i``: the V^2 factor scales
+        static power, trap energy and dynamic energy (onto one memoized
+        :class:`~repro.hw.config.ScaledDynTable` per base table and
+        factor), and every other field replaces its namesake."""
+        changes: dict[str, object] = {}
+        if self.dyn_scales is not None:
+            scale = self.dyn_scales[i]
+            base = hw.dyn_energy_nj
+            changes.update(
+                static_power_w=hw.static_power_w * scale,
+                window_trap_energy_nj=hw.window_trap_energy_nj * scale,
+                dyn_energy_nj=_derived_table(
+                    "dyn", base, scale, lambda: ScaledDynTable(base, scale)))
+        if self.clock_hz is not None:
+            changes["clock_hz"] = self.clock_hz[i]
+        if self.cycle_tables is not None:
+            changes["cycle_table"] = self.cycle_tables[i]
+        core = {name: getattr(self, name)[i]
+                for name in ("nwindows", "has_fpu", "block_size")
+                if getattr(self, name) is not None}
+        if core:
+            changes["core"] = replace(hw.core, **core)
+        return replace(hw, **changes)
 
 
 @dataclass(frozen=True)
@@ -57,20 +87,15 @@ class Axis:
         Registry key (``clock_mhz``, ``fpu``, ...).
     values:
         Default sweep values, in sweep order.
-    apply:
-        ``(hw, value) -> hw`` transformation (must be pure).
     label:
         ``value -> str`` fragment used in generated configuration names.
     parse:
         ``str -> value`` parser for CLI-provided value lists.
+    lower:
+        ``(base_hw, values) -> AxisLowering`` hook (must be pure): the
+        per-value effects every sweep builds its candidates from.
     doc:
         One-line description shown in help/reports.
-    lower:
-        ``(base_hw, values) -> AxisLowering`` hook, required for
-        streamed sweeps: :func:`repro.dse.engine.sweep_streamed` prices
-        the cartesian product from these factored per-axis tables
-        instead of applying ``apply`` per config, and refuses a space
-        with an axis that has none (``None``: materialized sweeps only).
     refine:
         Optional ``(a, b) -> mid | None`` midpoint hook between two
         swept values; axes with one are eligible for the adaptive
@@ -80,12 +105,15 @@ class Axis:
 
     name: str
     values: tuple
-    apply: Callable[[HwConfig, object], HwConfig]
     label: Callable[[object], str]
     parse: Callable[[str], object]
+    lower: Callable[[HwConfig, tuple], AxisLowering]
     doc: str = ""
-    lower: Callable[[HwConfig, tuple], AxisLowering] | None = None
     refine: Callable[[object, object], object | None] | None = None
+
+    def apply(self, hw: HwConfig, value) -> HwConfig:
+        """``hw`` with this axis at ``value``."""
+        return self.lower(hw, (value,)).apply(hw, 0)
 
 
 def _parse_bool(text: str) -> bool:
@@ -127,8 +155,8 @@ def _clock_scale(mhz: float) -> float:
     return voltage * voltage
 
 
-def _apply_clock(hw: HwConfig, mhz) -> HwConfig:
-    """Clock the platform at ``mhz``, with first-order voltage scaling.
+def _lower_clock(hw: HwConfig, values: tuple) -> AxisLowering:
+    """Clock the platform at each value (MHz), with voltage scaling.
 
     Timing closure at a higher frequency needs a higher supply voltage
     (affine V-f approximation, ``V/V0 = 0.7 + 0.3 f/f0``); dynamic
@@ -138,42 +166,6 @@ def _apply_clock(hw: HwConfig, mhz) -> HwConfig:
     genuine design axis: raising it buys time but costs dynamic energy,
     lowering it saves dynamic energy but pays static leakage for longer.
     """
-    mhz = float(mhz)
-    scale = _clock_scale(mhz)
-    dyn = _derived_table(
-        "dyn", hw.dyn_energy_nj, scale,
-        lambda: ScaledDynTable(hw.dyn_energy_nj, scale))
-    return replace(
-        hw, clock_hz=mhz * 1e6,
-        static_power_w=hw.static_power_w * scale,
-        window_trap_energy_nj=hw.window_trap_energy_nj * scale,
-        dyn_energy_nj=dyn)
-
-
-def _apply_fpu(hw: HwConfig, present) -> HwConfig:
-    return replace(hw, core=replace(hw.core, has_fpu=bool(present)))
-
-
-def _apply_nwindows(hw: HwConfig, nwindows) -> HwConfig:
-    return replace(hw, core=replace(hw.core, nwindows=int(nwindows)))
-
-
-def _apply_wait_states(hw: HwConfig, wait_states) -> HwConfig:
-    ws = int(wait_states)
-    table = _derived_table(
-        "cycle", hw.cycle_table, ws,
-        lambda: MappingProxyType(
-            cycle_table_with_wait_states(hw.cycle_table, ws)))
-    return replace(hw, cycle_table=table)
-
-
-def _apply_block_size(hw: HwConfig, block_size) -> HwConfig:
-    return replace(hw, core=replace(hw.core, block_size=int(block_size)))
-
-
-# -- streamed-sweep lowering hooks (must mirror the apply functions) ---------
-
-def _lower_clock(hw: HwConfig, values: tuple) -> AxisLowering:
     mhzs = [float(v) for v in values]
     clocks = tuple(mhz * 1e6 for mhz in mhzs)
     for clock_hz in clocks:   # the HwConfig check, without building one
@@ -188,19 +180,21 @@ def _lower_fpu(hw: HwConfig, values: tuple) -> AxisLowering:
 
 
 def _lower_nwindows(hw: HwConfig, values: tuple) -> AxisLowering:
-    return AxisLowering(nwindows=tuple(
-        _apply_nwindows(hw, v).core.nwindows for v in values))
+    return AxisLowering(nwindows=tuple(   # the CoreConfig range check
+        replace(hw.core, nwindows=int(v)).nwindows for v in values))
 
 
 def _lower_wait_states(hw: HwConfig, values: tuple) -> AxisLowering:
+    base = hw.cycle_table
     return AxisLowering(cycle_tables=tuple(
-        _apply_wait_states(hw, v).cycle_table for v in values))
+        _derived_table("cycle", base, ws, lambda: MappingProxyType(
+            cycle_table_with_wait_states(base, ws)))
+        for ws in map(int, values)))
 
 
 def _lower_block_size(hw: HwConfig, values: tuple) -> AxisLowering:
-    for value in values:    # the CoreConfig range check only
-        _apply_block_size(hw, value)
-    return AxisLowering()   # simulator knob: NFPs and area are invariant
+    return AxisLowering(block_size=tuple(   # the CoreConfig range check
+        replace(hw.core, block_size=int(v)).block_size for v in values))
 
 
 def _refine_float(a, b):
@@ -236,30 +230,30 @@ def get_axis(name: str) -> Axis:
 
 register_axis(Axis(
     name="clock_mhz", values=(25.0, 50.0, 80.0),
-    apply=_apply_clock, label=lambda v: f"clk{v:g}", parse=float,
+    label=lambda v: f"clk{v:g}", parse=float,
     doc="core clock frequency in MHz (time vs static energy)",
     lower=_lower_clock, refine=_refine_float))
 register_axis(Axis(
     name="fpu", values=(False, True),
-    apply=_apply_fpu, label=lambda v: "fpu" if v else "nofpu",
+    label=lambda v: "fpu" if v else "nofpu",
     parse=_parse_bool,
     doc="FPU presence (hard-float builds vs soft-float, Table IV)",
     lower=_lower_fpu))
 register_axis(Axis(
     name="nwindows", values=(4, 8, 16),
-    apply=_apply_nwindows, label=lambda v: f"w{v}", parse=int,
+    label=lambda v: f"w{v}", parse=int,
     doc="register windows (area vs window-trap overhead; 16 windows are "
         "over-provisioned for call-shallow kernels and come out "
         "Pareto-dominated)",
     lower=_lower_nwindows, refine=_refine_int))
 register_axis(Axis(
     name="wait_states", values=(0, 2),
-    apply=_apply_wait_states, label=lambda v: f"ws{v}", parse=int,
+    label=lambda v: f"ws{v}", parse=int,
     doc="memory wait states per bus access (area vs memory latency)",
     lower=_lower_wait_states, refine=_refine_int))
 register_axis(Axis(
     name="block_size", values=(8, 32),
-    apply=_apply_block_size, label=lambda v: f"bs{v}", parse=int,
+    label=lambda v: f"bs{v}", parse=int,
     doc="superblock fusion cap (simulator knob; NFPs are invariant)",
     lower=_lower_block_size))
 
@@ -362,17 +356,12 @@ class DesignSpace:
     def check(self, base: HwConfig | None = None) -> None:
         """Raise ``ValueError`` for any axis value the platform rejects.
 
-        Runs each axis' lowering hook where it has one (cheap over long
-        value lists), else applies every value to ``base``.
+        Runs each axis' lowering hook, which is cheap over long value
+        lists.
         """
         base = base if base is not None else HwConfig()
         for name, values in self.axes:
-            axis = get_axis(name)
-            if axis.lower is not None:
-                axis.lower(base, tuple(values))
-            else:
-                for value in values:
-                    axis.apply(base, value)
+            get_axis(name).lower(base, tuple(values))
 
     def configs(self, base: HwConfig | None = None) -> tuple[SweepConfig, ...]:
         """Every candidate platform, in deterministic product order."""
@@ -382,13 +371,15 @@ class DesignSpace:
         """Candidate platforms one at a time, in the same product order.
 
         The streaming counterpart of :meth:`configs`: nothing is
-        materialized, and axis applications are shared across product
-        prefixes (the first axis applies once per value, not once per
-        config) -- with the axes' derived-table memoization this makes
-        iteration over million-config spaces cheap enough to price.
+        materialized, every axis lowers once over its values, and axis
+        applications are shared across product prefixes (the first axis
+        applies once per value, not once per config) -- with the
+        derived-table memoization this makes iteration over
+        million-config spaces cheap enough to price.
         """
         base = base if base is not None else HwConfig()
         axes = [(get_axis(name), values) for name, values in self.axes]
+        lowered = [axis.lower(base, tuple(values)) for axis, values in axes]
         names = self.axis_names
 
         def rec(i: int, hw: HwConfig, labels: tuple, combo: tuple):
@@ -400,8 +391,8 @@ class DesignSpace:
                     hw=replace(hw, name=name))
                 return
             axis, values = axes[i]
-            for value in values:
-                yield from rec(i + 1, axis.apply(hw, value),
+            for k, value in enumerate(values):
+                yield from rec(i + 1, lowered[i].apply(hw, k),
                                labels + (axis.label(value),),
                                combo + (value,))
 

@@ -1,6 +1,11 @@
 """The sweep engine: design space x workload suite -> objective grid.
 
-Three public sweeps share this module:
+Every sweep plans the same way: the candidates come from the axes'
+lowerings (:class:`~repro.dse.axes.AxisLowering`), and the workload
+builds are profiled in one pass
+(:func:`repro.dse.evaluate.profile_builds`).  What differs between the
+sweeps is only pricing and reduction.  Three public sweeps share this
+module:
 
 - :func:`sweep` materializes the grid.  Each distinct workload build is
   profiled once and every (candidate platform, workload) point is
@@ -15,7 +20,9 @@ Three public sweeps share this module:
   model, so warm, cold, serial and parallel sweeps produce identical
   floats.
 - :func:`sweep_streamed` prices the same space without materializing
-  it and keeps only fronts, knees and per-objective winners.
+  it and keeps only fronts, knees and per-objective winners; its
+  profiles come from :func:`stream_profiles`, the same pass the
+  evaluation server fills through.
 - :func:`sweep_estimated` runs the paper's fast Eq.-1 path instead of
   the testbed; the Table IV FPU exploration
   (:func:`repro.nfp.dse.explore_fpu`) is built on it.
@@ -35,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.dse.axes import DesignSpace, SweepConfig
 from repro.dse.pareto import classify, knee_point, pareto_front
-from repro.dse.workload import PipelineProgram, WorkloadPair, pipeline_parts
+from repro.dse.workload import PipelineProgram, WorkloadPair
 from repro.hw.area import memctrl_les, synthesize
 from repro.hw.config import HwConfig
 from repro.runner import ExperimentRunner
@@ -43,7 +50,7 @@ from repro.runner import ExperimentRunner
 if TYPE_CHECKING:   # import cycle: repro.nfp's package init reaches back here
     from repro.dse.evaluate import PointNfp
     from repro.nfp.linear import ProfileVectors
-from repro.runner.resilience import TaskFailure, UsageError, is_failure
+from repro.runner.resilience import TaskFailure, UsageError
 
 #: Objective names, in the order :attr:`DsePoint.objectives` reports them.
 OBJECTIVES = ("time_s", "energy_j", "area_les")
@@ -267,7 +274,7 @@ def sweep(space: DesignSpace | Sequence[SweepConfig],
     jobs = _grid_jobs(space, pairs, base)
     price = metered_points if metered else profiled_points
     return _grid_from_jobs(jobs, price(
-        [(config.hw, program) for config, _, _, program in jobs],
+        [(config.hw, pair) for config, pair, _, _ in jobs],
         budget=budget, runner=runner))
 
 
@@ -358,6 +365,8 @@ def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
                     base: HwConfig) -> dict[tuple[str, str], ProfileVectors]:
     """One lowered profile per (workload, build) -- or an exception.
 
+    The builds are ``pairs x fpu_builds`` over ``base.core``, profiled
+    in one runner batch by :func:`repro.dse.evaluate.profile_builds`.
     A composed pipeline pair profiles each weighted invocation and
     lowers the exact composition
     (:func:`repro.nfp.linear.compose_profiles`), so downstream pricing
@@ -374,42 +383,23 @@ def stream_profiles(pairs: Sequence[WorkloadPair], fpu_builds: Sequence[bool],
     lowered vectors the server keeps hot, with exactly the failure
     semantics above (re-entrant: no module or engine state is touched).
     """
-    from repro.dse.evaluate import (   # deferred, see sweep
-        composed_vectors,
-        profile_task,
-    )
-    from repro.nfp.linear import ExecutionProfile
-    entries = []   # (name, build, [(flat task index, weight), ...])
-    tasks = []
-    owners = []    # flat task index -> (name, build)
-    for pair in pairs:
-        for fpu in fpu_builds:
-            core = replace(base.core, has_fpu=fpu)
-            build, program = pair.build_for(core)
-            part_ids = []
-            for part_program, count in pipeline_parts(program):
-                part_ids.append((len(tasks), count))
-                tasks.append(profile_task(part_program, budget, core))
-                owners.append((pair.name, build))
-            entries.append((pair.name, build, part_ids))
-    flat_profiles: list[ExecutionProfile] = []
-    for (name, build), payload in zip(owners, runner.run_tasks(tasks)):
-        if is_failure(payload):
-            failure = TaskFailure.from_payload(payload)
+    from repro.dse.evaluate import profile_builds   # deferred, see sweep
+    builds = [(pair, replace(base.core, has_fpu=fpu))
+              for pair in pairs for fpu in fpu_builds]
+    vectors: dict[tuple[str, str], ProfileVectors] = {}
+    for (pair, core), result in zip(builds, profile_builds(
+            builds, budget=budget, runner=runner)):
+        name, build = pair.name, pair.build_for(core)[0]
+        if isinstance(result, TaskFailure):
             raise RuntimeError(
                 f"profiling {name!r} ({build}) failed after "
-                f"{failure.attempts} attempts: {failure.error}")
-        profile = ExecutionProfile.from_payload(payload["profile"])
-        if not profile.clean:
+                f"{result.attempts} attempts: {result.error}")
+        if result is None:
             raise UsageError(
                 f"workload {name!r} ({build}) is self-modifying; the "
                 f"streamed sweep has no metered fallback -- run the "
                 f"materialized sweep (drop --stream) instead")
-        flat_profiles.append(profile)
-    vectors: dict[tuple[str, str], ProfileVectors] = {}
-    for name, build, part_ids in entries:
-        vectors[(name, build)] = composed_vectors(
-            [(flat_profiles[i], count) for i, count in part_ids])
+        vectors[(name, build)] = result
     return vectors
 
 
@@ -434,8 +424,8 @@ def sweep_streamed(space: DesignSpace,
     Results are byte-identical to
     ``StreamSummary.from_grid(sweep(...))`` at equal
     ``front_cap`` (the property tests and the CI check enforce it).
-    Every axis needs a lowering hook (``Axis.lower``; all stock axes
-    have one); a space the engine cannot price exactly raises a
+    A space the engine cannot price exactly (two axes lowering one
+    cost-model field, cycle counts past int64) raises a
     :class:`~repro.runner.resilience.UsageError` pointing at the
     materialized sweep -- there is no fallback path.
 

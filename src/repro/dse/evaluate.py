@@ -1,29 +1,33 @@
-"""Pricing of materialized sweep grids: profile once, or meter per point.
+"""Profiling and pricing of sweeps: profile once, or meter per point.
+
+One profiling pass serves every sweep: :func:`profile_builds` takes the
+``(pair, core)`` builds a sweep needs and submits one ``profile``
+:class:`~repro.runner.tasks.SimTask` per part of each build, all in one
+batch through the shared cached/parallel runner.  The streamed sweep
+and the evaluation server fill through it
+(:func:`repro.dse.engine.stream_profiles`), and so does the default
+materialized pricer, :func:`profiled_points`:
+
+1. the grid's points group into builds by ``(pair, functional-core
+   essentials)`` (:func:`profile_core`), and each build is profiled
+   exactly once -- a 36-config sweep over 6 workload pairs needs 12
+   profiled runs instead of 216 metered ones;
+2. every build's points are then priced by one batch linear evaluator
+   (:class:`repro.nfp.linear.BatchNfpEngine`): its configurations lower
+   to a deduplicated cost-row matrix and each point is one
+   constant-size combine over exact dot products -- the same bits the
+   streamed sweep (:func:`repro.dse.engine.sweep_streamed`) produces,
+   which is what makes streamed and materialized reports byte-identical.
 
 The metered oracle (:func:`metered_points`) pays one instrumented
-simulation per (configuration, workload) point even though every
-configuration executes the same instruction stream.  The default
-pricer (:func:`profiled_points`) is the profile-once alternative:
-
-1. every distinct ``(program, functional-core essentials)`` of the grid
-   is profiled exactly once (``profile`` :class:`~repro.runner.tasks.SimTask`
-   through the shared cached/parallel runner -- a 36-config sweep over
-   6 workload pairs needs 12 profiled runs instead of 216 metered ones);
-2. every grid point is then priced by the batch linear evaluator
-   (:class:`repro.nfp.linear.BatchNfpEngine`): per profile, all of its
-   configurations lower to a deduplicated cost-row matrix and each
-   point is one constant-size combine over exact dot products -- the
-   same bits the streamed sweep (:func:`repro.dse.engine.sweep_streamed`)
-   produces, which is what makes streamed and materialized reports
-   byte-identical.
-
-Integer counters and cycles are bit-identical to the metered oracle
-(which profiles every point and prices it for its own board, see
+simulation per (configuration, workload) point instead.  Integer
+counters and cycles are bit-identical to it (it profiles every point and
+prices it for its own board, see
 :meth:`repro.hw.board.Board.measure_raw`); dynamic energy agrees within
 ``1e-12`` relative, the batch combine regrouping the same exact sums.
 Profiles of runs that wrote into their own code (self-modifying
-kernels) are flagged unclean and their grid points transparently fall
-back to the metered oracle, point by point.
+kernels) are flagged unclean, and the points of their builds
+transparently fall back to the metered oracle, point by point.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.asm.program import Program
-from repro.dse.workload import pipeline_parts
+from repro.dse.workload import WorkloadPair, pipeline_parts
 from repro.hw.config import HwConfig
 from repro.nfp.linear import (
     BatchNfpEngine,
@@ -44,7 +48,7 @@ from repro.nfp.linear import (
 )
 from repro.runner import ExperimentRunner
 from repro.runner.resilience import TaskFailure, is_failure, log_event
-from repro.runner.tasks import SimTask, raw_from_payload, task_key
+from repro.runner.tasks import SimTask, raw_from_payload
 from repro.vm.config import CoreConfig
 
 
@@ -100,14 +104,53 @@ def composed_vectors(parts: Sequence[tuple[ExecutionProfile, int]]
     return lower_profile(compose_profiles(parts))
 
 
-def metered_points(items: Sequence[tuple[HwConfig, object]], *,
+def profile_builds(builds: Sequence[tuple[WorkloadPair, CoreConfig]], *,
+                   budget: int, runner: ExperimentRunner
+                   ) -> list[ProfileVectors | TaskFailure | None]:
+    """Profile every ``(pair, core)`` build once, in one runner batch.
+
+    Each build is the program ``pair.build_for(core)`` selects, a plain
+    program or a weighted pipeline part list
+    (:func:`~repro.dse.workload.pipeline_parts`): one profile task per
+    part, all of them in one :meth:`~repro.runner.ExperimentRunner.run_tasks`
+    batch.  Per build, in order, the result is its composed
+    :class:`~repro.nfp.linear.ProfileVectors`; the
+    :class:`~repro.runner.resilience.TaskFailure` of its first part
+    whose retries ran out; or ``None`` when a part wrote into its own
+    code (an unclean, self-modifying profile has no linear pricing).
+    Nothing here raises for a failed task.
+    """
+    parts_per_build = [pipeline_parts(pair.build_for(core)[1])
+                       for pair, core in builds]
+    tasks = [profile_task(program, budget, core)
+             for (_, core), parts in zip(builds, parts_per_build)
+             for program, _ in parts]
+    payloads = iter(runner.run_tasks(tasks))
+    out: list[ProfileVectors | TaskFailure | None] = []
+    for parts in parts_per_build:
+        mine = [next(payloads) for _ in parts]
+        failed = next((p for p in mine if is_failure(p)), None)
+        if failed is not None:
+            out.append(TaskFailure.from_payload(failed))
+            continue
+        profiles = [ExecutionProfile.from_payload(p["profile"]) for p in mine]
+        if not all(profile.clean for profile in profiles):
+            out.append(None)
+            continue
+        out.append(composed_vectors(
+            [(profile, count) for profile, (_, count)
+             in zip(profiles, parts)]))
+    return out
+
+
+def metered_points(items: Sequence[tuple[HwConfig, WorkloadPair]], *,
                    budget: int,
                    runner: ExperimentRunner
                    ) -> list[PointNfp | TaskFailure]:
-    """Meter every ``(configuration, program)`` grid point: the oracle.
+    """Meter every ``(configuration, workload pair)`` grid point: the oracle.
 
     One batch of metered :class:`~repro.runner.tasks.SimTask`s, one per
-    part of each point (a plain program is one part, a composed
+    part of each point's build (a plain program is one part, a composed
     pipeline one run per invocation).  A pipeline point combines its
     parts exactly, which is what keeps metered and composed-profile
     sweeps *bit-identical* in cycles and time: total cycles are the
@@ -121,7 +164,8 @@ def metered_points(items: Sequence[tuple[HwConfig, object]], *,
     A failed part surfaces as its :class:`TaskFailure` in the point's
     slot; nothing here raises for a failed task.
     """
-    parts_per_item = [pipeline_parts(program) for _, program in items]
+    parts_per_item = [pipeline_parts(pair.build_for(hw.core)[1])
+                      for hw, pair in items]
     tasks = [SimTask(mode="metered", program=program, budget=budget, hw=hw)
              for (hw, _), parts in zip(items, parts_per_item)
              for program, _ in parts]
@@ -155,82 +199,58 @@ def metered_points(items: Sequence[tuple[HwConfig, object]], *,
     return out
 
 
-def profiled_points(items: Sequence[tuple[HwConfig, object]], *,
+def profiled_points(items: Sequence[tuple[HwConfig, WorkloadPair]], *,
                     budget: int,
                     runner: ExperimentRunner
                     ) -> list[PointNfp | TaskFailure]:
-    """Evaluate every ``(configuration, program)`` grid point.
+    """Evaluate every ``(configuration, workload pair)`` grid point.
 
-    ``items`` may mix plain :class:`Program` grid points with composed
-    :class:`~repro.dse.workload.PipelineProgram` points; each point is
-    a weighted part list (:func:`~repro.dse.workload.pipeline_parts`),
-    plain programs being the one-part case.
-
-    One batch of deduplicating profile tasks over all parts (the
-    runner's content addressing collapses the grid onto its distinct
-    invocation builds), one linear evaluation per point over its
-    composed vectors, and -- only where a part profile came back
-    unclean *or never came back at all* -- :func:`metered_points` for
-    those points.  A grid point whose profile *and* metered fallback
-    both exhausted their retries surfaces as the fallback's
+    The pairs may mix plain :class:`~repro.dse.workload.WorkloadPair`
+    points with composed :class:`~repro.dse.workload.PipelinePair`
+    points.  Points group into builds by ``(pair, profile_core)``: each
+    build is profiled once (:func:`profile_builds`, one batch for the
+    whole grid) and all of its points are priced in one
+    :class:`~repro.nfp.linear.BatchNfpEngine`.  Points of builds whose
+    profile came back unclean *or never came back at all* go to
+    :func:`metered_points`.  A grid point whose profile *and* metered
+    fallback both exhausted their retries surfaces as the fallback's
     :class:`~repro.runner.resilience.TaskFailure` in its slot; nothing
     here raises for a failed task.
     """
-    parts_per_item = [pipeline_parts(program) for _, program in items]
-    tasks = []
-    for (hw, _), parts in zip(items, parts_per_item):
-        for program, _ in parts:
-            tasks.append(profile_task(program, budget, hw.core))
-    keys = [task_key(task) for task in tasks]
-    payloads = runner.run_tasks(tasks)
-    profiles: dict[str, ExecutionProfile] = {}
-    for key, payload in zip(keys, payloads):
-        if key not in profiles and not is_failure(payload):
-            profiles[key] = ExecutionProfile.from_payload(payload["profile"])
+    groups: dict[tuple[int, CoreConfig], list[int]] = {}
+    for i, (hw, pair) in enumerate(items):
+        groups.setdefault((id(pair), profile_core(hw.core)), []).append(i)
+    members = list(groups.values())
+    results = profile_builds(
+        [(items[indices[0]][1], items[indices[0]][0].core)
+         for indices in members], budget=budget, runner=runner)
 
-    # per-item composition keys: ((part task key, weight), ...) -- two
-    # grid points share pricing iff they price the same weighted parts
-    item_keys: list[tuple[tuple[str, int], ...]] = []
-    pos = 0
-    for parts in parts_per_item:
-        item_keys.append(tuple(
-            (keys[pos + j], count) for j, (_, count) in enumerate(parts)))
-        pos += len(parts)
-
-    # fallback: self-modifying workloads (unclean profiles) and points
-    # whose profile task failed outright are priced by the metered
-    # oracle (shared with it through the result cache)
-    dirty = [i for i, ikeys in enumerate(item_keys)
-             if any(key not in profiles or not profiles[key].clean
-                    for key, _ in ikeys)]
-    failed_profiles = sum(1 for key in set(keys) if key not in profiles)
-    if failed_profiles:
-        log_event("profile-fallback", profiles=failed_profiles,
-                  points=sum(1 for key in keys if key not in profiles))
-    fallback: dict[int, PointNfp | TaskFailure] = {}
-    if dirty:
-        fallback = dict(zip(dirty, metered_points(
-            [items[i] for i in dirty], budget=budget, runner=runner)))
-
-    # clean points are priced in one batch per distinct composition:
-    # the configurations lower to a deduplicated cost-row matrix and
-    # every point is a constant-size combine (cycles/time bit-identical
-    # to the per-point engine; energy within its ~1-ulp regrouping, and
-    # bit-identical to the streamed sweep, which prices the same way)
-    clean: dict[tuple, list[int]] = {}
-    for i, ikeys in enumerate(item_keys):
-        if i not in fallback:
-            clean.setdefault(ikeys, []).append(i)
-    linear: dict[int, PointNfp] = {}
-    vectors: dict[tuple, ProfileVectors] = {}
-    for ikeys, indices in clean.items():
-        if ikeys not in vectors:
-            vectors[ikeys] = composed_vectors(
-                [(profiles[key], count) for key, count in ikeys])
+    failed = [len(indices) for indices, result in zip(members, results)
+              if isinstance(result, TaskFailure)]
+    if failed:
+        log_event("profile-fallback", profiles=len(failed),
+                  points=sum(failed))
+    out: list[PointNfp | TaskFailure | None] = [None] * len(items)
+    dirty: list[int] = []
+    for indices, vectors in zip(members, results):
+        if not isinstance(vectors, ProfileVectors):
+            dirty.extend(indices)
+            continue
+        # one cost-row matrix per build: cycles/time bit-identical to
+        # the per-point engine, energy within its ~1-ulp regrouping, and
+        # bit-identical to the streamed sweep, which prices the same way
         engine = BatchNfpEngine([items[i][0] for i in indices])
-        for i, nfp in zip(indices, engine.evaluate(vectors[ikeys])):
-            linear[i] = PointNfp(
+        for i, nfp in zip(indices, engine.evaluate(vectors)):
+            out[i] = PointNfp(
                 time_s=nfp.true_time_s, energy_j=nfp.true_energy_j,
                 cycles=nfp.cycles, retired=nfp.retired, profiled=True)
 
-    return [fallback.get(i, linear.get(i)) for i in range(len(items))]
+    # self-modifying workloads (unclean profiles) and points whose
+    # profile task failed outright are priced by the metered oracle
+    # (shared with it through the result cache)
+    if dirty:
+        dirty.sort()
+        for i, nfp in zip(dirty, metered_points(
+                [items[i] for i in dirty], budget=budget, runner=runner)):
+            out[i] = nfp
+    return out

@@ -3,12 +3,12 @@
 :class:`_FastSweep` is the one engine behind every streamed sweep
 (:func:`repro.dse.engine.sweep_streamed`).  It prices a cartesian design
 space in flat index space: every axis contributes small per-value cost
-tables (its :class:`~repro.dse.axes.AxisLowering`, which a streamed
-sweep requires of every axis), a chunk of configurations is just
-``arange(start, stop)`` decomposed into per-axis indices, and the NFP
-combine is a handful of table gathers plus the exact expressions of
-:meth:`repro.nfp.linear.BatchNfpEngine.evaluate` -- so a
-million-config space never materializes a single ``HwConfig``.
+tables (its :class:`~repro.dse.axes.AxisLowering`, the same definition
+materialized sweeps build configurations from), a chunk of
+configurations is just ``arange(start, stop)`` decomposed into per-axis
+indices, and the NFP combine is a handful of table gathers plus the
+exact expressions of :meth:`repro.nfp.linear.BatchNfpEngine.evaluate`
+-- so a million-config space never materializes a single ``HwConfig``.
 
 Bit-compatibility is the design constraint, not an afterthought:
 
@@ -366,12 +366,12 @@ class _FastSweep:
     """One streamed sweep: factored cost tables, stores and the finish.
 
     Construction lowers every axis and builds the per-value tables; a
-    space it cannot price exactly -- an axis without a lowering hook,
-    two axes claiming one cost-model field, or cycle counts past int64
-    -- raises a :class:`~repro.runner.resilience.UsageError` naming the
-    cause.  There is no fallback path.  Points no sweep can price (a
-    time or energy past the float range, from cycle counts or from a
-    clock whose energy tables overflow) raise the materialized sweep's
+    space it cannot price exactly -- two axes claiming one cost-model
+    field, or cycle counts past int64 -- raises a
+    :class:`~repro.runner.resilience.UsageError` naming the cause.
+    There is no fallback path.  Points no sweep can price (a time or
+    energy past the float range, from cycle counts or from a clock
+    whose energy tables overflow) raise the materialized sweep's
     ``ValueError`` instead.
     """
 
@@ -404,11 +404,7 @@ class _FastSweep:
         self.axis_of: dict[str, int | None] = dict.fromkeys(roles.values())
         lowered: dict[str, tuple] = {}
         for j, (name, values) in enumerate(space.axes):
-            axis = get_axis(name)
-            if axis.lower is None:
-                raise _unstreamable(
-                    f"axis {name!r} has no lowering hook (Axis.lower)")
-            low = axis.lower(base, tuple(values))
+            low = get_axis(name).lower(base, tuple(values))
             for field, role in roles.items():
                 got = getattr(low, field)
                 if got is None:
@@ -441,7 +437,7 @@ class _FastSweep:
 
         # -- per-value cost tables -------------------------------------------
         # scale-indexed scalars (DVFS axis): identical derivations to
-        # _apply_clock, so every float matches the materialized path
+        # AxisLowering.apply, so every float matches the materialized path
         self.TRNJ = np.array([base.window_trap_energy_nj * s for s in scales],
                              dtype=np.float64)
         self.STATIC = np.array([base.static_power_w * s for s in scales],

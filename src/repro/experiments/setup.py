@@ -92,7 +92,7 @@ class Bench:
     calibration: CalibrationResult
     estimator_fpu: NFPEstimator
     estimator_nofpu: NFPEstimator
-    runner: ExperimentRunner | None = None
+    runner: ExperimentRunner
     _measurements: dict[tuple[str, str, bool], Measurement] = field(
         default_factory=dict)
     _estimates: dict[tuple[str, str, bool], EstimationReport] = field(
@@ -111,13 +111,9 @@ class Bench:
         measurement = self._measurements.get(key)
         if measurement is None:
             board = self.board_fpu if fpu else self.board_nofpu
-            if self.runner is not None:
-                raw = self.runner.metered_raw(
-                    program, board.config, self.scale.max_instructions)
-                measurement = board.reading(raw)
-            else:
-                measurement = board.measure(
-                    program, max_instructions=self.scale.max_instructions)
+            raw = self.runner.metered_raw(
+                program, board.config, self.scale.max_instructions)
+            measurement = board.reading(raw)
             self._measurements[key] = measurement
         return measurement
 
@@ -135,16 +131,11 @@ class Bench:
             estimator = self.estimator_fpu if fpu else self.estimator_nofpu
             measurement = self._measurements.get(key)
             if measurement is not None:
-                report = estimator.report_from_result(
-                    measurement.sim, kernel_name=name)
-            elif self.runner is not None:
+                sim = measurement.sim
+            else:
                 sim = self.runner.fast_sim(
                     program, estimator.core, self.scale.max_instructions)
-                report = estimator.report_from_result(sim, kernel_name=name)
-            else:
-                report = estimator.estimate_program(
-                    program, kernel_name=name,
-                    max_instructions=self.scale.max_instructions)
+            report = estimator.report_from_result(sim, kernel_name=name)
             self._estimates[key] = report
         return report
 
@@ -156,8 +147,6 @@ class Bench:
         cache; the later :meth:`measure`/:meth:`estimate` calls then only
         replay instrument readings in call order.
         """
-        if self.runner is None:
-            return
         tasks = []
         for name, program, fpu in items:
             if self._key(name, program, fpu) in self._measurements:

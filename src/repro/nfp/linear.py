@@ -32,6 +32,12 @@ config-derived cost vectors:
 The evaluator is deterministic and order-independent (integer sums plus
 a correctly-rounded float sum), so warm-cache, cold-cache and parallel
 evaluations of the same profile are byte-identical.
+
+Profiles compose before they are lowered: :func:`add_profiles`,
+:func:`scale_profile` and :func:`compose_profiles` are exact integer
+algebra on :class:`ExecutionProfile` counts, and a composed profile
+lowers (:func:`lower_profile`) and prices like any other.  Lowered
+:class:`ProfileVectors` are only ever priced, never combined.
 """
 
 from __future__ import annotations
@@ -430,83 +436,6 @@ def lower_profile(profile: ExecutionProfile,
         spills_at=spills_at,
         fills_at=fills_at,
         trapjc_at=trapjc_at,
-    )
-
-
-def _pad(table: Sequence, length: int, zero) -> list:
-    """Extend a window suffix table to ``length`` slots.
-
-    Every table ends in an all-zero slot absorbing all deeper
-    thresholds, so padding with zeros is exact.
-    """
-    return list(table) + [zero] * (length - len(table))
-
-
-def add_vectors(*vectors: ProfileVectors) -> ProfileVectors:
-    """:func:`add_profiles`, on lowered vectors.
-
-    Bit-identical to ``lower_profile(add_profiles(...))`` of the source
-    profiles: the integer vectors add exactly, and the ``jcent``-style
-    floats are dyadic rationals on the shared ``2**-15`` grid, so their
-    float sums are exact too (for any run that fits a double's
-    mantissa, the same bound the scalar evaluator documents).  Useful
-    when only lowered vectors are at hand (the server's hot tier);
-    engine-side composition goes through :func:`compose_profiles`.
-    """
-    if not vectors:
-        return lower_profile(identity_profile())
-    if len(vectors) == 1:
-        return vectors[0]
-    basis = vectors[0].basis
-    for v in vectors[1:]:
-        if v.basis != basis:
-            raise ValueError("cannot add vectors over different bases")
-    n = len(basis)
-    counts = [sum(v.counts[i] for v in vectors) for i in range(n)]
-    top = max(len(v.spills_at) for v in vectors)
-    return ProfileVectors(
-        basis=basis,
-        counts=tuple(counts),
-        fcounts=tuple(float(c) for c in counts),
-        jcent=tuple(sum(v.jcent[i] for v in vectors) for i in range(n)),
-        ucounts=tuple(sum(v.ucounts[i] for v in vectors) for i in range(n)),
-        ujcent=tuple(sum(v.ujcent[i] for v in vectors) for i in range(n)),
-        total_untaken=sum(v.total_untaken for v in vectors),
-        div_refund=sum(v.div_refund for v in vectors),
-        retired=sum(v.retired for v in vectors),
-        clean=all(v.clean for v in vectors),
-        spills_at=tuple(sum(col) for col in zip(
-            *(_pad(v.spills_at, top, 0) for v in vectors))),
-        fills_at=tuple(sum(col) for col in zip(
-            *(_pad(v.fills_at, top, 0) for v in vectors))),
-        trapjc_at=tuple(sum(col) for col in zip(
-            *(_pad(v.trapjc_at, top, 0.0) for v in vectors))),
-    )
-
-
-def scale_vectors(vectors: ProfileVectors, n: int) -> ProfileVectors:
-    """:func:`scale_profile`, on lowered vectors (same exactness)."""
-    if n < 0:
-        raise ValueError(f"cannot scale vectors by {n} (< 0) runs")
-    if n == 0:
-        return lower_profile(identity_profile())
-    if n == 1:
-        return vectors
-    counts = tuple(c * n for c in vectors.counts)
-    return ProfileVectors(
-        basis=vectors.basis,
-        counts=counts,
-        fcounts=tuple(float(c) for c in counts),
-        jcent=tuple(j * n for j in vectors.jcent),
-        ucounts=tuple(u * n for u in vectors.ucounts),
-        ujcent=tuple(u * n for u in vectors.ujcent),
-        total_untaken=vectors.total_untaken * n,
-        div_refund=vectors.div_refund * n,
-        retired=vectors.retired * n,
-        clean=vectors.clean,
-        spills_at=tuple(s * n for s in vectors.spills_at),
-        fills_at=tuple(s * n for s in vectors.fills_at),
-        trapjc_at=tuple(t * n for t in vectors.trapjc_at),
     )
 
 

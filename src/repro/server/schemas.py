@@ -211,5 +211,8 @@ def sweep_request(payload: dict) -> SweepRequest:
     if front_cap is not None and mode != "stream":
         raise ApiError(400, "bad-front-cap",
                        "'front_cap' only applies to mode=stream sweeps")
+    if refine and mode != "stream":
+        raise ApiError(400, "bad-refine",
+                       "'refine' only applies to mode=stream sweeps")
     return SweepRequest(axes=axes, workloads=workloads, fmt=fmt, mode=mode,
                         refine=refine, front_cap=front_cap, shards=shards)

@@ -278,6 +278,24 @@ class TestProfiledSweep:
         front = profiled.front()
         assert front and all(p in profiled.aggregate() for p in front)
 
+    def test_grid_profiles_each_build_once_in_one_batch(self, pair,
+                                                        shared_runner):
+        """Four configurations over two builds submit two profile tasks."""
+        batches = []
+
+        class RecordingRunner(ExperimentRunner):
+            def run_tasks(self, tasks):
+                batches.append([task.mode for task in tasks])
+                return super().run_tasks(tasks)
+
+        space = DesignSpace.from_spec("fpu,nwindows=4:8")
+        profiled = sweep(space, [pair], budget=BUDGET,
+                         runner=RecordingRunner(cache_dir=None, workers=1))
+        assert batches == [["profile", "profile"]]
+        metered = sweep(space, [pair], budget=BUDGET, runner=shared_runner,
+                        metered=True)
+        assert_grids_match(metered, profiled)
+
     def test_profiled_sweep_is_deterministic_warm_and_fresh(
             self, pair, shared_runner, tmp_path):
         space = DesignSpace.from_spec("fpu,nwindows=4:8")

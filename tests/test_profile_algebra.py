@@ -4,9 +4,8 @@ The contracts under test (see :mod:`repro.nfp.linear`):
 
 * profiles form a commutative monoid under :func:`add_profiles` with
   :func:`identity_profile` neutral, and ``scale_profile(p, n)`` equals
-  the n-fold add -- all exact, integers only;
-* the lowered-vector twins (:func:`add_vectors`, :func:`scale_vectors`)
-  are *bit-identical* to lowering the composed profile;
+  the n-fold add -- all exact, integers only (composition happens on
+  profiles; lowered vectors are only priced);
 * :func:`offset_sites` changes no NFP (site keys only group counts);
 * :func:`compose_profiles` prices a weighted mix of real stage
   invocations bit-identically in cycles/retired to metering every
@@ -29,14 +28,11 @@ from repro.nfp.linear import (
     ExecutionProfile,
     LinearNfpEngine,
     add_profiles,
-    add_vectors,
     canonical_basis,
     compose_profiles,
     identity_profile,
-    lower_profile,
     offset_sites,
     scale_profile,
-    scale_vectors,
 )
 from repro.vm.blocks import FLAG_BRANCH, cost_flags
 from repro.vm.config import CoreConfig
@@ -101,23 +97,6 @@ def test_scale_equals_repeated_add(p, n):
 def test_scale_rejects_negative_counts():
     with pytest.raises(ValueError):
         scale_profile(identity_profile(), -1)
-    with pytest.raises(ValueError):
-        scale_vectors(lower_profile(identity_profile()), -1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(profiles(), profiles())
-def test_add_vectors_bit_identical_to_lowered_add(a, b):
-    """Vector-level addition == lowering the profile-level sum, bitwise."""
-    assert add_vectors(lower_profile(a), lower_profile(b)) == \
-        lower_profile(add_profiles(a, b))
-
-
-@settings(max_examples=25, deadline=None)
-@given(profiles(), st.integers(min_value=0, max_value=1000))
-def test_scale_vectors_bit_identical_to_lowered_scale(p, n):
-    assert scale_vectors(lower_profile(p), n) == \
-        lower_profile(scale_profile(p, n))
 
 
 @settings(max_examples=20, deadline=None)

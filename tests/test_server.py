@@ -831,6 +831,15 @@ def test_sweep_error_paths():
                 HOST, port, "/v1/sweep", {"mode": "profile", "front_cap": 8})
             assert status == 400
             assert raw["error"]["code"] == "bad-front-cap"
+            # refinement is streamed only, like front_cap and shards:
+            # an explicit profile mode and an absent mode both refuse it
+            for extra in ({"mode": "profile"}, {}):
+                status, raw = await fetch_json(
+                    HOST, port, "/v1/sweep",
+                    {**extra, "refine": 1, "workloads": "fse:00",
+                     "axes": "clock_mhz=25:50,fpu=1"})
+                assert status == 400, extra
+                assert raw["error"]["code"] == "bad-refine"
             assert server.stats.sweeps == 0
 
     asyncio.run(main())

@@ -35,15 +35,7 @@ from repro.dse import (
 )
 from repro.dse.pareto import _classify_quadratic, classify
 from repro.dse.report import StreamReport
-from repro.dse.shard import (
-    MIN_SHARD_CONFIGS,
-    ShardContext,
-    _load_context,
-    _shm_export,
-    publish_context,
-    resolve_shards,
-    unpublish_context,
-)
+from repro.dse.shard import MIN_SHARD_CONFIGS, resolve_shards
 from repro.dse.stream import _grouping, _Store
 from repro.fse.kernel import build_fse_kernel
 from repro.fse.params import FseParams
@@ -168,7 +160,7 @@ def test_front_cache_invalidated_only_by_accepted_adds():
     assert len(acc.front_entries()) == 2
 
 
-# -- shard-count resolution and context transport ----------------------------
+# -- shard-count resolution ---------------------------------------------------
 
 def test_resolve_shards_explicit_and_auto(monkeypatch):
     assert resolve_shards(4, 1000) == 4
@@ -180,27 +172,6 @@ def test_resolve_shards_explicit_and_auto(monkeypatch):
     assert resolve_shards(None, 100) == 1     # tiny grids stay serial
     assert resolve_shards(None, 2 * MIN_SHARD_CONFIGS) == 2
     assert resolve_shards(None, 100 * MIN_SHARD_CONFIGS) == 4
-
-
-def test_context_transport_round_trips():
-    ctx = ShardContext(space=SPACE, base=HwConfig(), pair_names=("w",),
-                       vectors={}, chunk=7)
-    digest, blob = publish_context(ctx)
-    try:
-        assert _load_context(("pickle", blob)) == ctx
-        exported = _shm_export(blob)
-        if exported is not None:
-            segment, transport = exported
-            try:
-                assert transport[0] == "shm"
-                assert _load_context(transport) == ctx
-            finally:
-                segment.close()
-                segment.unlink()
-    finally:
-        unpublish_context(digest)
-    with pytest.raises(RuntimeError):
-        _load_context(None)
 
 
 # -- end to end: sharded == serial, byte for byte ----------------------------

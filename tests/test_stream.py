@@ -171,29 +171,20 @@ def test_streamed_never_materializes_the_grid(sweep_setup):
     assert held <= (len(summary.per_workload) + 1) * (2 + 3)
 
 
-def test_streamed_refuses_axis_without_lowering(sweep_setup, monkeypatch):
-    """No silent fallback: the axis is named and the materialized sweep
-    suggested."""
-    from repro.dse.axes import AXES, Axis, get_axis
-    clock = get_axis("clock_mhz")
-    monkeypatch.setitem(AXES, "clock_copy", Axis(
-        name="clock_copy", values=(25.0, 50.0), apply=clock.apply,
-        label=clock.label, parse=float))
-    space = DesignSpace((("clock_copy", (25.0, 50.0)), ("fpu", (False,))))
-    pair, runner, base = sweep_setup
-    with pytest.raises(UsageError, match="'clock_copy'.*drop --stream"):
-        sweep_streamed(space, [pair], budget=BUDGET, runner=runner,
-                       base=base)
-
-
 def test_streamed_refuses_cycle_counts_past_int64(sweep_setup):
-    from repro.dse.engine import stream_profiles
+    from dataclasses import replace
+
+    from repro.dse.evaluate import composed_vectors, profile_task
     from repro.dse.stream import _FastSweep
-    from repro.nfp.linear import scale_vectors
+    from repro.nfp.linear import ExecutionProfile
     pair, runner, base = sweep_setup
-    vectors = stream_profiles([pair], [False, True], budget=BUDGET,
-                              runner=runner, base=base)
-    huge = {key: scale_vectors(v, 2 ** 50) for key, v in vectors.items()}
+    huge = {}
+    for fpu in (False, True):
+        core = replace(base.core, has_fpu=fpu)
+        build, program = pair.build_for(core)
+        payload, = runner.run_tasks([profile_task(program, BUDGET, core)])
+        profile = ExecutionProfile.from_payload(payload["profile"])
+        huge[(pair.name, build)] = composed_vectors([(profile, 2 ** 50)])
     with pytest.raises(UsageError, match="'fse:00'.*int64.*drop --stream"):
         _FastSweep(SPACE, [pair], huge, base)
 
