@@ -3,8 +3,8 @@
 
 Runs the micro + figure benchmarks under ``pytest-benchmark`` with
 ``--benchmark-json``, then trims the (large) raw report down to the
-numbers the perf trajectory cares about -- mean wall seconds per
-benchmark and the simulated-MIPS extra where a benchmark reports one --
+numbers the perf trajectory cares about -- mean and median wall seconds
+per benchmark and the simulated-MIPS extra where a benchmark reports one --
 and writes them to ``BENCH_<n>.json`` next to this script (``<n>``
 auto-increments so successive PRs leave a comparable series).
 
@@ -57,11 +57,13 @@ def next_output_path() -> Path:
 
 
 def trim(raw: dict) -> dict:
-    """Keep per-benchmark mean seconds plus the informative extras."""
+    """Keep per-benchmark mean and median seconds plus the informative
+    extras."""
     suites: dict[str, dict] = {}
     for bench in raw.get("benchmarks", []):
         entry: dict[str, object] = {
             "mean_s": bench["stats"]["mean"],
+            "median_s": bench["stats"]["median"],
             "rounds": bench["stats"]["rounds"],
         }
         extra = bench.get("extra_info") or {}

@@ -9,10 +9,13 @@ exact Pareto fronts without ever materializing the grid.
 The per-point rung prices a 2,000-configuration subspace the pre-batch
 way -- one :class:`~repro.nfp.linear.LinearNfpEngine` evaluation per
 (configuration, workload) point over ``DesignSpace.iter_configs`` -- and
-is the honest A/B baseline for the batch fast path.
+reduces each stream's points with ``pareto_front`` and ``knee_point``,
+the materialized sweep's own reduction; it is the honest A/B baseline
+for the batch fast path.
 
-``benchmarks/check_floor.py`` enforces the relative floor in
-*configs per second* (>= 100x; both rungs record a ``configs`` extra).
+Both rungs run 5 rounds.  ``benchmarks/check_floor.py`` enforces the
+relative floor in *configs per second* on the rungs' median rounds
+(>= 100x; both rungs record a ``configs`` extra).
 The exactness contract (bit-identical integer cycles, energy to 1e-12
 relative, streamed report byte-identical to the materialized sweep) is
 pinned by ``tests/test_batch_eval.py`` and ``tests/test_stream.py``, not
@@ -42,6 +45,9 @@ from repro.vm.config import CoreConfig
 CLOCKS = tuple(12.5 + i * 75.0 / 12_499 for i in range(12_500))
 NWINDOWS = (2, 3, 4, 6, 8, 12, 16, 24)
 WAIT_STATES = (0, 1, 2, 3, 4)
+
+#: rounds per rung: the floor compares the rungs' median rounds
+ROUNDS = 5
 
 
 def million_config_space() -> DesignSpace:
@@ -98,7 +104,7 @@ def test_batch_eval_throughput_streamed(benchmark, priced_inputs, scale):
                               runner=runner, base=base, front_cap=64,
                               shards=1)
 
-    summary = benchmark.pedantic(run, rounds=1, iterations=1)
+    summary = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert summary.configs == space.size == 1_000_000
     benchmark.extra_info["configs"] = summary.configs
     benchmark.extra_info["points"] = summary.configs * len(pairs)
@@ -109,12 +115,13 @@ def test_batch_eval_throughput_per_point(benchmark, priced_inputs, scale):
     """The pre-batch baseline: a faithful per-point sweep.
 
     Per configuration: one LinearNfpEngine evaluation per workload,
-    DsePoint assembly, synthesis area, and online Pareto accumulation
-    (per workload and aggregate), then front extraction with knees --
-    the same deliverable the streamed rung times end to end.
+    DsePoint assembly and synthesis area, collected per workload and
+    aggregate; then each stream's front and knee through
+    ``pareto_front`` and ``knee_point`` -- the same deliverable the
+    streamed rung times end to end.
     """
     from repro.dse.engine import AGGREGATE, DsePoint, config_area_les
-    from repro.dse.pareto import ParetoAccumulator, knee_point
+    from repro.dse.pareto import knee_point, pareto_front
 
     pairs, base, runner, profiles = priced_inputs
     space = per_point_space()
@@ -131,8 +138,8 @@ def test_batch_eval_throughput_per_point(benchmark, priced_inputs, scale):
 
     def run():
         key = (lambda p: p.objectives)
-        accs = {pair.name: ParetoAccumulator(key=key) for pair, _ in keyed}
-        accs[AGGREGATE] = ParetoAccumulator(key=key)
+        streams = {pair.name: [] for pair, _ in keyed}
+        streams[AGGREGATE] = []
         for config in space.iter_configs(base):
             engine = LinearNfpEngine(config.hw)
             area = config_area_les(config)
@@ -141,7 +148,7 @@ def test_batch_eval_throughput_per_point(benchmark, priced_inputs, scale):
             for pair, keys in keyed:
                 build, profile_key = keys[config.hw.core.has_fpu]
                 nfp = engine.evaluate(profiles[profile_key])
-                accs[pair.name].add(DsePoint(
+                streams[pair.name].append(DsePoint(
                     config=config.name, axis_values=config.axis_values,
                     workload=pair.name, build=build, time_s=nfp.true_time_s,
                     energy_j=nfp.true_energy_j, area_les=area,
@@ -150,16 +157,16 @@ def test_batch_eval_throughput_per_point(benchmark, priced_inputs, scale):
                        nfp.retired, nfp.cycles)
                 agg = add if agg is None else tuple(
                     a + b for a, b in zip(agg, add))
-            accs[AGGREGATE].add(DsePoint(
+            streams[AGGREGATE].append(DsePoint(
                 config=config.name, axis_values=config.axis_values,
                 workload=AGGREGATE, build=build, time_s=agg[0],
                 energy_j=agg[1], area_les=area, retired=agg[2],
                 cycles=agg[3]))
         return {name: (front, knee_point(front, key=key))
-                for name, acc in accs.items()
-                for front in [acc.front()]}
+                for name, points in streams.items()
+                for front in [pareto_front(points, key=key)]}
 
-    fronts = benchmark.pedantic(run, rounds=1, iterations=1)
+    fronts = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert all(front for front, _ in fronts.values())
     benchmark.extra_info["configs"] = space.size
     benchmark.extra_info["points"] = space.size * len(pairs)

@@ -44,7 +44,6 @@ from repro.dse.engine import (
     sweep_streamed,
 )
 from repro.dse.pareto import (
-    ParetoAccumulator,
     classify,
     dominates,
     knee_point,
@@ -64,7 +63,6 @@ __all__ = [
     "DsePoint",
     "FailedCell",
     "OBJECTIVES",
-    "ParetoAccumulator",
     "StreamReport",
     "StreamSummary",
     "SweepConfig",

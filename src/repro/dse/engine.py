@@ -27,6 +27,13 @@ module:
   the testbed; the Table IV FPU exploration
   (:func:`repro.nfp.dse.explore_fpu`) is built on it.
 
+Every sweep reduces through one Pareto engine, the column store of
+:mod:`repro.dse.pareto`: the grid views (:meth:`DseGrid.front`,
+:meth:`DseGrid.knee`, :meth:`DseGrid.dominated_flags`) classify through
+it, and every :class:`WorkloadFront` -- streamed, sharded or
+:meth:`StreamSummary.from_grid` -- finishes one store through
+:meth:`WorkloadFront.of`.
+
 Materialized sweeps are fault-tolerant: a grid cell whose task retries
 ran out becomes a :class:`FailedCell` on :attr:`DseGrid.failures`
 (excluded from Pareto structure, marked in reports) instead of
@@ -41,7 +48,15 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.dse.axes import DesignSpace, SweepConfig
-from repro.dse.pareto import classify, knee_point, pareto_front
+from repro.dse.pareto import (
+    OBJECTIVES,
+    _knee_seq,
+    _Store,
+    _store_of,
+    classify,
+    knee_point,
+    pareto_front,
+)
 from repro.dse.workload import PipelineProgram, WorkloadPair
 from repro.hw.area import memctrl_les, synthesize
 from repro.hw.config import HwConfig
@@ -51,9 +66,6 @@ if TYPE_CHECKING:   # import cycle: repro.nfp's package init reaches back here
     from repro.dse.evaluate import PointNfp
     from repro.nfp.linear import ProfileVectors
 from repro.runner.resilience import TaskFailure, UsageError
-
-#: Objective names, in the order :attr:`DsePoint.objectives` reports them.
-OBJECTIVES = ("time_s", "energy_j", "area_les")
 
 #: Workload label of per-configuration aggregate points.
 AGGREGATE = "*"
@@ -145,12 +157,17 @@ class DseGrid:
         area is a property of the configuration itself.  Configurations
         with failed cells cover less of the suite, so their sums would
         not be comparable -- they are left out of the aggregate (and the
-        report marks them).
+        report marks them).  One pass groups the points by configuration,
+        in order of first appearance and keeping each configuration's
+        point order, so every sum adds the same floats in the same order
+        as a per-configuration :meth:`select` would.
         """
         expected = len(self.workloads())
+        by_config: dict[str, list[DsePoint]] = {}
+        for p in self.points:
+            by_config.setdefault(p.config, []).append(p)
         out = []
-        for config in self.configs():
-            points = self.select(config=config)
+        for config, points in by_config.items():
             if len(points) != expected:
                 continue
             cycles: int | None = None
@@ -298,6 +315,34 @@ class WorkloadFront:
     best_energy: DsePoint
     best_area: DsePoint
 
+    @classmethod
+    def of(cls, workload: str, store: _Store, front_cap: int | None,
+           points_at: Callable[[list[int]], list[DsePoint]]
+           ) -> "WorkloadFront":
+        """Finish one Pareto store: the (capped) front, the knee and the
+        per-objective winners, looked up as points by their seqs.
+
+        The one finish of every summary: streamed, sharded and
+        :meth:`StreamSummary.from_grid` alike.
+        """
+        fin = store.finalize()
+        front_size = int(fin["seq"].size)
+        limit = (front_size if front_cap is None
+                 else min(front_cap, front_size))
+        seqs = fin["seq"][:limit].tolist() + [_knee_seq(fin)]
+        seqs.extend(store.best[objective][1] for objective in OBJECTIVES)
+        points = points_at(seqs)
+        best_time, best_energy, best_area = points[limit + 1:]
+        return cls(
+            workload=workload,
+            points=store.count,
+            front_size=front_size,
+            front=tuple(points[:limit]),
+            knee=points[limit],
+            best_time=best_time,
+            best_energy=best_energy,
+            best_area=best_area)
+
 
 @dataclass(frozen=True)
 class StreamSummary:
@@ -323,29 +368,22 @@ class StreamSummary:
                   front_cap: int | None = None) -> "StreamSummary":
         """The summary a streamed sweep of the same space would produce.
 
-        Only defined for complete grids: the streamed path has no
-        failure slots (a profile that cannot be priced raises), so a
-        grid with failures has no streamed twin.
+        Each workload's points (and the aggregate's) go into one Pareto
+        store in grid order and finish through :meth:`WorkloadFront.of`,
+        exactly as a streamed sweep's stores do.  Only defined for
+        complete grids: the streamed path has no failure slots (a
+        profile that cannot be priced raises), so a grid with failures
+        has no streamed twin.
         """
         if grid.failures:
             raise ValueError("a grid with failed cells has no streamed twin")
-        key = (lambda p: p.objectives)
 
         def build(workload: str) -> WorkloadFront:
             points = (grid.aggregate() if workload == AGGREGATE
                       else grid.select(workload=workload))
-            front = pareto_front(points, key=key)
-            best = {}
-            for objective in OBJECTIVES:
-                index = min(range(len(points)),
-                            key=lambda i: (getattr(points[i], objective), i))
-                best[objective] = points[index]
-            return WorkloadFront(
-                workload=workload, points=len(points), front_size=len(front),
-                front=tuple(front if front_cap is None else front[:front_cap]),
-                knee=knee_point(front, key=key),
-                best_time=best["time_s"], best_energy=best["energy_j"],
-                best_area=best["area_les"])
+            return WorkloadFront.of(
+                workload, _store_of([p.objectives for p in points]),
+                front_cap, lambda seqs: [points[s] for s in seqs])
 
         configs = len(grid.configs())
         return cls(

@@ -1,18 +1,42 @@
 """Pareto dominance over non-functional objective vectors.
 
-All objectives are minimised (time, energy, area).  The helpers are
-deliberately generic -- they act on items through a ``key`` function that
-returns an objective tuple -- so per-workload fronts, aggregate fronts
-and tests all share one dominance definition.
+All objectives are minimised (time, energy, area).  One engine decides
+dominance for every sweep: the column store :class:`_Store`, which
+keeps, per area value, only the mutually non-dominated ``(time,
+energy)`` entries as sorted numpy columns.  A batch is folded in with
+one sort plus vectorized dominance marking (:func:`_merge`), and
+:meth:`_Store.finalize` resolves cross-area dominance against a
+cumulative staircase envelope (:func:`_corners`).  The store fills
+three ways, and all of them finish alike:
+
+- :func:`classify` and :func:`pareto_front` act on items through a
+  ``key`` function returning a 2- or 3-objective tuple and make one
+  store offer over the items' objective columns, the item's position
+  being its seq; :func:`knee_point` reads the same columns through the
+  store's knee (:func:`_knee_seq`).  They classify materialized grids,
+  and :meth:`repro.dse.engine.StreamSummary.from_grid` offers grid
+  points into stores;
+- the streamed sweep (:mod:`repro.dse.stream`) offers priced chunks in
+  flat index space;
+- a sharded sweep folds each worker's :meth:`_Store.export` into one
+  store with :meth:`_Store.absorb` (:mod:`repro.dse.shard`).
+
+:func:`dominates`, :func:`_classify_quadratic` and :func:`_knee_scalar`
+are the scalar reference definitions the property tests pin the store
+against.  numpy is imported inside the functions only, so importing
+:mod:`repro.dse` (or simulating anything) never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence, TypeVar
 
 Item = TypeVar("Item")
+
+#: Objective names, in the order :attr:`repro.dse.engine.DsePoint.objectives`
+#: reports them (and :attr:`_Store.best` keys its winners).
+OBJECTIVES = ("time_s", "energy_j", "area_les")
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -54,11 +78,44 @@ def knee_point(items: Sequence[Item],
     Each objective is scaled to ``[0, 1]`` over ``items`` (constant
     objectives contribute zero) and the item closest to the all-zero
     ideal in Euclidean distance wins; ties break to the earliest item,
-    keeping the choice deterministic.
+    keeping the choice deterministic.  Like :func:`classify`, it takes
+    2- or 3-objective vectors and raises ``ValueError`` on any other
+    arity.
     """
     if not items:
         raise ValueError("knee_point of an empty set")
+    return items[_knee_seq(_columns([tuple(key(item)) for item in items]))]
+
+
+def classify(items: Sequence[Item],
+             key: Callable[[Item], Sequence[float]] = lambda it: it
+             ) -> list[bool]:
+    """Per-item non-dominated flags (aligned with ``items``).
+
+    One store offer over the items' 2- or 3-objective vectors, in
+    O(n log n); any other arity raises ``ValueError``.  Exact ties keep
+    their flags (tied vectors never dominate each other), and the
+    property tests pin the store against the quadratic definition.
+    """
     objectives = [tuple(key(item)) for item in items]
+    if not objectives:
+        return []
+    on_front = [False] * len(objectives)
+    for seq in _store_of(objectives).finalize()["seq"].tolist():
+        on_front[seq] = True
+    return on_front
+
+
+def _classify_quadratic(objectives: list[tuple]) -> list[bool]:
+    """The pairwise O(n^2) dominance scan (reference definition)."""
+    return [not any(dominates(objectives[j], objectives[i])
+                    for j in range(len(objectives)) if j != i)
+            for i in range(len(objectives))]
+
+
+def _knee_scalar(objectives: list[tuple]) -> int:
+    """The index :func:`knee_point` picks, one objective at a time
+    (reference definition)."""
     dims = len(objectives[0])
     lows = [min(obj[d] for obj in objectives) for d in range(dims)]
     highs = [max(obj[d] for obj in objectives) for d in range(dims)]
@@ -75,186 +132,252 @@ def knee_point(items: Sequence[Item],
         if dist < best_dist:
             best_dist = dist
             best_index = i
-    return items[best_index]
+    return best_index
 
 
-def classify(items: Sequence[Item],
-             key: Callable[[Item], Sequence[float]] = lambda it: it
-             ) -> list[bool]:
-    """Per-item non-dominated flags (aligned with ``items``).
+def _columns(objectives: list[tuple]) -> dict:
+    """Store columns of 2- or 3-objective vectors, seq = position.
 
-    For the 2- and 3-objective vectors the sweep produces this runs in
-    O(n log n) through the :class:`ParetoAccumulator` staircases instead
-    of the O(n^2) pairwise definition; exact ties keep their flags (tied
-    vectors never dominate each other), and the property tests pin the
-    equivalence against the quadratic definition.  Other objective
-    arities fall back to the pairwise scan.
+    A 2-objective vector stands in one area group.  The area column
+    keeps its values' type, so a non-integer third objective groups
+    exactly.
     """
-    objectives = [tuple(key(item)) for item in items]
-    if not objectives:
-        return []
+    import numpy as np
     dims = len(objectives[0])
     if dims not in (2, 3) or any(len(obj) != dims for obj in objectives):
-        return _classify_quadratic(objectives)
-    acc = ParetoAccumulator()
-    for obj in objectives:
-        acc.add(obj)
-    on_front = bytearray(len(objectives))
-    for seq, _ in acc.front_entries():
-        on_front[seq] = 1
-    return [bool(flag) for flag in on_front]
+        raise ValueError(f"Pareto objectives must all be 2- or 3-tuples, "
+                         f"got {objectives[0]!r} first")
+    n = len(objectives)
+    return {"t": np.fromiter((obj[0] for obj in objectives), np.float64, n),
+            "e": np.fromiter((obj[1] for obj in objectives), np.float64, n),
+            "seq": np.arange(n, dtype=np.int64),
+            "area": (np.array([obj[2] for obj in objectives]) if dims == 3
+                     else np.zeros(n, dtype=np.int64))}
 
 
-def _classify_quadratic(objectives: list[tuple]) -> list[bool]:
-    """The pairwise O(n^2) dominance scan (reference definition)."""
-    return [not any(dominates(objectives[j], objectives[i])
-                    for j in range(len(objectives)) if j != i)
-            for i in range(len(objectives))]
+def _store_of(objectives: list[tuple]) -> "_Store":
+    """A store offered ``objectives`` in one batch (seq = position)."""
+    cols = _columns(objectives)
+    store = _Store()
+    store.offer(cols, _grouping(cols["area"]))
+    return store
 
 
-def _envelope_insert(xs: list, ys: list, x, y) -> None:
-    """Insert ``(x, y)`` into a lower-left staircase envelope.
+def _merge(held, cand):
+    """Fold candidate entries into a group's 2-D non-dominated arrays.
 
-    ``xs`` strictly increasing, ``ys`` strictly decreasing; after the
-    insert, ``ys[bisect_right(xs, q) - 1]`` is ``min(y' : x' <= q)`` for
-    any query ``q`` -- the structure the streaming cross-group filter
-    queries in logarithmic time.
+    One lexicographic sort of old + new entries by ``(time, energy,
+    seq)``, then vectorized strict-dominance marking: an entry loses
+    iff a strictly-faster entry is no worse on energy (prefix minimum
+    over earlier time runs) or an equally-fast one is strictly better
+    (its run's first, i.e. minimal, energy).  Exact objective ties all
+    survive, as :func:`dominates` defines them.
     """
-    pos = bisect_right(xs, x) - 1
-    if pos >= 0 and ys[pos] <= y:
-        return                      # an existing corner already covers it
-    lo = bisect_left(xs, x)
-    hi = lo
-    while hi < len(xs) and ys[hi] >= y:
-        hi += 1
-    if hi > lo:
-        del xs[lo:hi]
-        del ys[lo:hi]
-    xs.insert(lo, x)
-    ys.insert(lo, y)
+    import numpy as np
+    if held is None:
+        merged = cand
+    else:
+        merged = {k: np.concatenate((held[k], cand[k])) for k in cand}
+    order = np.lexsort((merged["seq"], merged["e"], merged["t"]))
+    t = merged["t"][order]
+    e = merged["e"][order]
+    n = t.size
+    tchange = np.empty(n, dtype=bool)
+    tchange[0] = True
+    np.not_equal(t[1:], t[:-1], out=tchange[1:])
+    run_id = np.cumsum(tchange) - 1
+    starts = np.flatnonzero(tchange)
+    prefix = np.minimum.accumulate(e)
+    # best energy at strictly smaller time (the first run has none)
+    cover = prefix[starts - 1][run_id]
+    first = e[starts][run_id]   # best energy at exactly this time
+    lost = ((run_id > 0) & (cover <= e)) | (e > first)
+    return {k: v[order[~lost]] for k, v in merged.items()}
 
 
-class ParetoAccumulator:
-    """Streaming Pareto front: add points one by one, bounded memory.
+def _corners(t, e):
+    """Strictly-improving corners of a time-sorted point set.
 
-    The online counterpart of :func:`pareto_front` for 2- or 3-objective
-    minimisation.  Points are grouped by their objective tail (for the
-    sweep's ``(time, energy, area)`` vectors: by area, which takes few
-    distinct values across a grid); each group maintains its 2-D
-    non-dominated set as a sorted staircase, so an arriving point costs
-    one binary search plus amortised O(1) removals -- never a pass over
-    everything seen.  Memory holds only the union of per-group 2-D
-    fronts (a superset of the true front, far below the full grid).
+    The returned ``(t, e)`` pair is the pointwise-minimum staircase of
+    the input: t ascending, e strictly decreasing.  Looking up the last
+    corner with ``t' <= t`` therefore yields the best energy seen at
+    any time ``<= t``.
+    """
+    import numpy as np
+    corner = np.empty(e.size, dtype=bool)
+    corner[:1] = True
+    np.less(e[1:], np.minimum.accumulate(e)[:-1], out=corner[1:])
+    return t[corner], e[corner]
 
-    :meth:`front` resolves cross-group dominance exactly (ascending
-    tails against a cumulative staircase envelope) and returns survivors
-    in arrival order -- element-for-element equal to
-    ``pareto_front(all_points_in_arrival_order)``, including duplicate
-    and tied vectors (the property tests pin the equivalence down).
+
+def _knee_seq(front: dict) -> int:
+    """The seq of the knee over seq-ordered ``t``/``e``/``area`` columns.
+
+    Same normalisation, same accumulation order over ``(time, energy,
+    area)``, same first-minimum tie-break as :func:`_knee_scalar`, so
+    the two are bit-equal on the same vectors.
+    """
+    import numpy as np
+    dist = np.zeros(front["t"].size, dtype=np.float64)
+    for arr in (front["t"], front["e"], front["area"].astype(np.float64)):
+        low = arr.min()
+        span = arr.max() - low
+        if span > 0:
+            scaled = (arr - low) / span
+            dist = dist + scaled * scaled
+    return int(front["seq"][np.argmin(np.sqrt(dist))])
+
+
+def _grouping(area) -> list[tuple[object, object]]:
+    """``(area value, row indices)`` of a column batch, stable order.
+
+    The area value is the column's own scalar (``.item()``), never
+    rounded, so groups split exactly where the values differ.
+    """
+    import numpy as np
+    if not area.size:
+        return []
+    order = np.argsort(area, kind="stable")
+    sorted_area = area[order]
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], sorted_area[1:] != sorted_area[:-1])))
+    ends = np.concatenate((bounds[1:], [area.size]))
+    return [(sorted_area[b].item(), order[b:e]) for b, e in zip(bounds, ends)]
+
+
+class _Store:
+    """Per-stream Pareto state over column arrays.
+
+    ``groups`` maps an area value to the mutually 2-D non-dominated
+    ``(time, energy)`` entries seen so far; ``best`` tracks
+    per-objective ``(value, seq)`` running minima, the seq breaking
+    ties.  New entries accumulate in a per-group pending buffer and
+    fold in only once they outweigh the held front (dominance filtering
+    is order-free, so deferred folds keep the exact set); each entry is
+    re-sorted O(log) times instead of once per chunk, and memory stays
+    bounded by held + pending, both O(front + chunk).
     """
 
-    __slots__ = ("_key", "_groups", "_seen", "_stored", "_resolved")
+    __slots__ = ("groups", "pending", "best", "count")
 
-    def __init__(self, key: Callable[[Item], Sequence[float]] = lambda it: it):
-        self._key = key
-        # tail -> [xs, ys, payload-lists]; staircase per tail value
-        self._groups: dict[tuple, list] = {}
-        self._seen = 0
-        self._stored = 0
-        # cached front_entries(); a False add leaves the staircases
-        # untouched (the point is definitively off the front), so only
-        # accepted adds invalidate -- the refinement loop's knee reads
-        # between rejected offers then cost nothing
-        self._resolved: list[tuple[int, Item]] | None = []
+    # only what dominance needs travels through the merges
+    _COLS = ("t", "e", "seq")
 
-    def __len__(self) -> int:
-        """Entries currently stored (the bounded-memory figure)."""
-        return self._stored
+    def __init__(self):
+        self.groups: dict[object, dict] = {}
+        self.pending: dict[object, list] = {}  # area -> unfolded slices
+        self.best: dict[str, tuple] = {}   # objective -> (value, seq)
+        self.count = 0
 
-    @property
-    def seen(self) -> int:
-        """Points offered so far (stored or rejected)."""
-        return self._seen
+    def offer(self, cols: dict, grouping) -> None:
+        """Fold in one non-empty batch of ``t``/``e``/``area``/``seq``
+        columns.
 
-    def add(self, item: Item) -> bool:
-        """Offer one point; False when already dominated within its group.
-
-        A False return is definitive (the point is not on the front); a
-        True return is provisional -- a later arrival or a smaller-tail
-        group may still dominate it, which :meth:`front` resolves.
+        ``grouping`` is the batch's :func:`_grouping`, shared by every
+        store the same configurations are offered to.
         """
-        obj = tuple(self._key(item))
-        if len(obj) not in (2, 3):
-            raise ValueError(
-                f"ParetoAccumulator supports 2 or 3 objectives, got {obj!r}")
-        seq = self._seen
-        self._seen += 1
-        a, b, tail = obj[0], obj[1], obj[2:]
-        group = self._groups.get(tail)
-        if group is None:
-            self._groups[tail] = [[a], [b], [[(seq, item)]]]
-            self._stored += 1
-            self._resolved = None
-            return True
-        xs, ys, payloads = group
-        pos = bisect_right(xs, a) - 1
-        if pos >= 0:
-            y = ys[pos]
-            if y < b or (y == b and xs[pos] < a):
-                return False        # dominated inside its own group
-            if y == b and xs[pos] == a:
-                payloads[pos].append((seq, item))   # exact tie: both stay
-                self._stored += 1
-                self._resolved = None
-                return True
-        lo = bisect_left(xs, a)
-        hi = lo
-        # corners at x >= a with y >= b are strictly dominated by (a, b)
-        # (the exact-tie corner was handled above, so strictness holds)
-        while hi < len(xs) and ys[hi] >= b:
-            self._stored -= len(payloads[hi])
-            hi += 1
-        if hi > lo:
-            del xs[lo:hi]
-            del ys[lo:hi]
-            del payloads[lo:hi]
-        xs.insert(lo, a)
-        ys.insert(lo, b)
-        payloads.insert(lo, [(seq, item)])
-        self._stored += 1
-        self._resolved = None
-        return True
+        import numpy as np
+        self.count += cols["t"].size
+        for objective, arr in zip(OBJECTIVES,
+                                  (cols["t"], cols["e"], cols["area"])):
+            i = int(np.argmin(arr))     # first minimum = smallest seq
+            self._best(objective, arr[i].item(), int(cols["seq"][i]))
+        self._queue(cols, grouping)
 
-    def front_entries(self) -> list[tuple[int, Item]]:
-        """Exact front as ``(arrival_seq, item)`` pairs, arrival order.
+    def absorb(self, export: dict) -> None:
+        """Fold in another store's :meth:`export` (one shard's range)."""
+        self.count += export["count"]
+        for objective, (value, seq) in export["best"].items():
+            self._best(objective, value, seq)
+        front = export["front"]
+        self._queue(front, _grouping(front["area"]))
 
-        The sequence numbers are the 0-based offer order (:meth:`add`
-        call order), which is what the sharded sweep shifts into global
-        flat-index space before merging shard fronts.
+    def export(self) -> dict:
+        """Count, winners and exact front columns, for :meth:`absorb`.
+
+        The columns stay numpy arrays: they pickle as flat binary
+        buffers (fronts over near-continuous axes reach 10^5..10^6
+        survivors, and a per-element ``tolist`` round-trip would
+        dominate a shard's wall time).
         """
-        if self._resolved is None:
-            survivors: list[tuple[int, Item]] = []
-            xs_c: list = []     # cumulative envelope over smaller tails
-            ys_c: list = []
-            for tail in sorted(self._groups):
-                xs, ys, payloads = self._groups[tail]
-                for x, y, plist in zip(xs, ys, payloads):
-                    # a smaller tail dominates on any (x', y') <= (x, y),
-                    # ties included (the tail itself is strictly better)
-                    pos = bisect_right(xs_c, x) - 1
-                    if pos >= 0 and ys_c[pos] <= y:
-                        continue
-                    survivors.extend(plist)
-                for x, y in zip(xs, ys):
-                    _envelope_insert(xs_c, ys_c, x, y)
-            survivors.sort(key=lambda entry: entry[0])
-            self._resolved = survivors
-        return list(self._resolved)
+        return {"count": self.count, "best": dict(self.best),
+                "front": self.finalize()}
 
-    def front(self) -> list[Item]:
-        """The exact non-dominated set of everything added, arrival order."""
-        return [item for _, item in self.front_entries()]
+    def _best(self, objective: str, value, seq: int) -> None:
+        held = self.best.get(objective)
+        if held is None or (value, seq) < held:
+            self.best[objective] = (value, seq)
 
-    def knee(self) -> Item:
-        """The balanced pick over the current front (see :func:`knee_point`)."""
-        return knee_point(self.front(), self._key)
+    def _queue(self, cols: dict, grouping) -> None:
+        for area_value, sel in grouping:
+            queue = self.pending.setdefault(area_value, [])
+            queue.append({k: cols[k][sel] for k in self._COLS})
+            held = self.groups.get(area_value)
+            if held is None or (sum(c["t"].size for c in queue)
+                                >= held["t"].size):
+                self._fold(area_value)
+
+    def _fold(self, area_value) -> None:
+        import numpy as np
+        queue = self.pending.get(area_value)
+        if not queue:
+            return
+        cand = (queue[0] if len(queue) == 1 else
+                {k: np.concatenate([c[k] for c in queue]) for k in self._COLS})
+        self.pending[area_value] = []
+        self.groups[area_value] = _merge(self.groups.get(area_value), cand)
+
+    def finalize(self) -> dict:
+        """The exact front as seq-sorted column arrays (incl. ``area``).
+
+        Ascending area groups are filtered against the cumulative
+        staircase envelope of all smaller-area entries (ties included:
+        the smaller area is strictly better).  The ``area`` column holds
+        the group values as offered.  The store stays usable: later
+        offers fold into the same groups.
+        """
+        import numpy as np
+        for area_value in list(self.pending):
+            self._fold(area_value)
+        if not self.groups:
+            return {"t": np.empty(0), "e": np.empty(0),
+                    "seq": np.empty(0, dtype=np.int64),
+                    "area": np.empty(0, dtype=np.int64)}
+        parts = []
+        env_t = env_e = None
+        for area_value in sorted(self.groups):
+            part = dict(self.groups[area_value])
+            if env_t is None:
+                st, se = part["t"], part["e"]
+            else:
+                # the envelope corners before ``after`` are the smaller
+                # areas' entries at times <= t; the last holds their
+                # best energy
+                after = np.searchsorted(env_t, part["t"], side="right")
+                kept = ~((after > 0) & (env_e[np.maximum(after - 1, 0)]
+                                        <= part["e"]))
+                part = {k: v[kept] for k, v in part.items()}
+                # a covered entry is no corner, so only the kept ones
+                # join the envelope; both inputs are time-sorted (the
+                # envelope by construction, the group by _merge), so
+                # one O(n) two-array merge replaces a full sort, and the
+                # order of equal-time entries cannot change the
+                # pointwise prefix-min envelope
+                gt, ge = part["t"], part["e"]
+                n = env_t.size + gt.size
+                st = np.empty(n, dtype=np.float64)
+                se = np.empty(n, dtype=np.float64)
+                at = np.arange(env_t.size) + np.searchsorted(
+                    gt, env_t, side="left")
+                bt = np.arange(gt.size) + after[kept]
+                st[at] = env_t
+                st[bt] = gt
+                se[at] = env_e
+                se[bt] = ge
+            part["area"] = np.full(part["t"].size, area_value)
+            parts.append(part)
+            env_t, env_e = _corners(st, se)
+        out = {k: np.concatenate([p[k] for p in parts])
+               for k in parts[0]}
+        order = np.argsort(out["seq"], kind="stable")
+        return {k: v[order] for k, v in out.items()}

@@ -9,8 +9,10 @@ missing instead of silently shrinking the grid.
 
 The Pareto structure (aggregate points, fronts, knees) is computed once
 per report (:attr:`SweepReport._analysis`) and shared by all three
-renderers, so rendering every format prices the grid's dominance
-exactly once.  :class:`StreamReport` is the same idea over a streamed
+renderers, so rendering every format decides the grid's dominance
+exactly once -- in the numpy column store of :mod:`repro.dse.pareto`,
+so rendering a materialized report loads numpy.  :class:`StreamReport`
+is the same idea over a streamed
 :class:`~repro.dse.engine.StreamSummary` -- a pure function of the
 summary, so a streamed sweep and ``StreamSummary.from_grid`` of its
 materialized twin render byte-identical reports.

@@ -4,11 +4,11 @@ The flat cartesian index space ``[0, N)`` is split into contiguous
 shard ranges; each shard is priced by a worker process running the
 serial engine (:class:`~repro.dse.stream._FastSweep`) over its range
 and ships back only its compact per-workload reduction
-(:meth:`~repro.dse.stream._Store.export`): front columns with *global*
+(:meth:`~repro.dse.pareto._Store.export`): front columns with *global*
 flat sequence numbers, the per-objective winners and the offer count --
 never raw points.  :func:`price_shards` returns those reductions; the
 parent folds them into its own sweep's stores
-(:meth:`~repro.dse.stream._Store.absorb`) and finishes exactly as an
+(:meth:`~repro.dse.pareto._Store.absorb`) and finishes exactly as an
 inline sweep does.  Pareto reduction is associative -- ``front(A | B)
 == front(front(A) | front(B))``, because a point dominated within its
 shard is dominated globally -- so every text/csv/json report is

@@ -22,25 +22,24 @@ Bit-compatibility is the design constraint, not an afterthought:
   per-config combine mirrors the batch engine's expression order, so
   streamed and materialized reports come out byte-identical.
 
-The reduction (:class:`_Store`) keeps, per workload and area value, only
-the mutually non-dominated ``(time, energy)`` entries as sorted column
-arrays; a chunk is folded in with one sort + vectorized dominance
-marking, and :meth:`_Store.finalize` resolves cross-area dominance
-against a cumulative staircase envelope -- the array twin of
-:class:`repro.dse.pareto.ParetoAccumulator`, equal by construction (and
-by the property tests).  The stores fill three ways:
+Each workload (and the aggregate) reduces into one Pareto store
+(:class:`repro.dse.pareto._Store`, the one dominance engine, which also
+classifies materialized grids).  The stores fill three ways:
 
 - :meth:`_FastSweep.run` prices a flat range ``[start, stop)`` inline;
-- :meth:`_Store.absorb` folds in a shard worker's exported reduction
-  (:mod:`repro.dse.shard`) -- Pareto reduction is associative, so the
-  result equals the inline one;
+- :meth:`~repro.dse.pareto._Store.absorb` folds in a shard worker's
+  exported reduction (:mod:`repro.dse.shard`) -- Pareto reduction is
+  associative, so the result equals the inline one;
 - :meth:`_FastSweep.refine` prices off-grid candidates around the
-  aggregate knee through the batch evaluator (:func:`_priced_points`);
-  their seqs continue past the grid's ``N`` and their points are kept
-  in a side table.
+  aggregate knee as a small materialized grid (one
+  :class:`~repro.nfp.linear.BatchNfpEngine` per build, points from
+  :func:`repro.dse.engine._grid_from_jobs`, totals from
+  :meth:`repro.dse.engine.DseGrid.aggregate`); their seqs continue past
+  the grid's ``N`` and their points are kept in a side table.
 
-One finish, :meth:`_FastSweep.workload_front`, serves every path.
-Entries carry only ``(time, energy, area, seq)``; the few that become
+One finish, :meth:`repro.dse.engine.WorkloadFront.of` (through
+:meth:`_FastSweep.workload_front`), serves every path.  Entries carry
+only ``(time, energy, area, seq)``; the few that become
 :class:`~repro.dse.engine.DsePoint` objects are re-priced from their
 flat seq.  numpy is imported inside the pricing code only, so importing
 :mod:`repro.dse` (or simulating anything) never loads it.
@@ -55,11 +54,13 @@ from typing import Sequence
 from repro.dse.axes import DesignSpace, SweepConfig, get_axis
 from repro.dse.engine import (
     AGGREGATE,
-    OBJECTIVES,
     DsePoint,
     WorkloadFront,
-    config_area_les,
+    _grid_from_jobs,
+    _grid_jobs,
 )
+from repro.dse.evaluate import PointNfp
+from repro.dse.pareto import _grouping, _knee_seq, _Store
 from repro.dse.workload import WorkloadPair
 from repro.hw.area import memctrl_les, synthesize
 from repro.hw.config import HwConfig
@@ -80,90 +81,6 @@ def _unstreamable(what: str) -> UsageError:
                       f"materialized sweep (drop --stream) instead")
 
 
-def _merge(held, cand):
-    """Fold candidate entries into a group's 2-D non-dominated arrays.
-
-    One lexicographic sort of old + new entries by ``(time, energy,
-    seq)``, then vectorized strict-dominance marking: an entry loses
-    iff a strictly-faster entry is no worse on energy (prefix minimum
-    over earlier time runs) or an equally-fast one is strictly better
-    (its run's first, i.e. minimal, energy).  Exact objective ties all
-    survive, matching :func:`repro.dse.pareto.pareto_front`.
-    """
-    import numpy as np
-    if held is None:
-        merged = cand
-    else:
-        merged = {k: np.concatenate((held[k], cand[k])) for k in cand}
-    order = np.lexsort((merged["seq"], merged["e"], merged["t"]))
-    t = merged["t"][order]
-    e = merged["e"][order]
-    n = t.size
-    tchange = np.empty(n, dtype=bool)
-    tchange[0] = True
-    np.not_equal(t[1:], t[:-1], out=tchange[1:])
-    run_id = np.cumsum(tchange) - 1
-    starts = np.flatnonzero(tchange)
-    prefix = np.minimum.accumulate(e)
-    prev = np.empty(starts.size, dtype=np.float64)
-    prev[0] = np.inf
-    prev[1:] = prefix[starts[1:] - 1]
-    cover = prev[run_id]        # best energy at strictly smaller time
-    first = e[starts][run_id]   # best energy at exactly this time
-    kept = order[~((cover <= e) | (e > first))]
-    return {k: v[kept] for k, v in merged.items()}
-
-
-def _corners(t, e):
-    """Strictly-improving corners of a time-sorted point set.
-
-    The returned ``(t, e)`` pair is the pointwise-minimum staircase of
-    the input: t ascending, e strictly decreasing.  Looking up the last
-    corner with ``t' <= t`` therefore yields the best energy seen at
-    any time ``<= t``.
-    """
-    import numpy as np
-    if not e.size:
-        return t, e
-    prefix = np.minimum.accumulate(e)
-    prev = np.empty(e.size, dtype=np.float64)
-    prev[0] = np.inf
-    prev[1:] = prefix[:-1]
-    corner = e < prev
-    return t[corner], e[corner]
-
-
-def _knee_seq(front: dict) -> int:
-    """The seq of :func:`repro.dse.pareto.knee_point` over front columns.
-
-    Same normalisation, same accumulation order over ``(time, energy,
-    area)``, same first-minimum tie-break -- bit-equal to the scalar
-    implementation on the same (seq-ordered) front.
-    """
-    import numpy as np
-    dist = np.zeros(front["t"].size, dtype=np.float64)
-    for arr in (front["t"], front["e"], front["area"].astype(np.float64)):
-        low = arr.min()
-        span = arr.max() - low
-        if span > 0:
-            scaled = (arr - low) / span
-            dist = dist + scaled * scaled
-    return int(front["seq"][np.argmin(np.sqrt(dist))])
-
-
-def _grouping(area) -> list[tuple[int, object]]:
-    """``(area value, row indices)`` of a column batch, stable order."""
-    import numpy as np
-    if not area.size:
-        return []
-    order = np.argsort(area, kind="stable")
-    sorted_area = area[order]
-    bounds = np.flatnonzero(np.concatenate(
-        ([True], sorted_area[1:] != sorted_area[:-1])))
-    ends = np.concatenate((bounds[1:], [area.size]))
-    return [(int(sorted_area[b]), order[b:e]) for b, e in zip(bounds, ends)]
-
-
 def _cols(seq, t, e, area) -> dict:
     """Store columns of one batch (scalar prices broadcast)."""
     import numpy as np
@@ -172,194 +89,6 @@ def _cols(seq, t, e, area) -> dict:
             "e": np.broadcast_to(np.asarray(e, dtype=np.float64), (n,)),
             "seq": seq,
             "area": area}
-
-
-class _Store:
-    """Per-workload streaming state over column arrays.
-
-    ``groups`` maps an area value to the mutually 2-D non-dominated
-    ``(time, energy)`` entries seen so far; ``best`` tracks
-    per-objective ``(value, seq)`` running minima, the flat sequence
-    number breaking ties.  New entries accumulate in a per-group
-    pending buffer and fold in only once they outweigh the held front
-    (dominance filtering is order-free, so deferred folds keep the
-    exact set); each entry is re-sorted O(log) times instead of once
-    per chunk, and memory stays bounded by held + pending, both
-    O(front + chunk).
-    """
-
-    __slots__ = ("groups", "pending", "best", "count")
-
-    # only what dominance needs travels through the merges
-    _COLS = ("t", "e", "seq")
-
-    def __init__(self):
-        self.groups: dict[int, dict] = {}
-        self.pending: dict[int, list] = {}  # area -> unfolded slices
-        self.best: dict[str, tuple] = {}   # objective -> (value, seq)
-        self.count = 0
-
-    def offer(self, cols: dict, grouping) -> None:
-        """Fold in one batch of ``t``/``e``/``area``/``seq`` columns.
-
-        ``grouping`` is the batch's :func:`_grouping`, shared by every
-        store the same configurations are offered to.
-        """
-        import numpy as np
-        self.count += cols["t"].size
-        for objective, arr in zip(OBJECTIVES,
-                                  (cols["t"], cols["e"], cols["area"])):
-            i = int(np.argmin(arr))     # first minimum = smallest seq
-            self._best(objective, arr[i].item(), int(cols["seq"][i]))
-        self._queue(cols, grouping)
-
-    def absorb(self, export: dict) -> None:
-        """Fold in another store's :meth:`export` (one shard's range)."""
-        self.count += export["count"]
-        for objective, (value, seq) in export["best"].items():
-            self._best(objective, value, seq)
-        front = export["front"]
-        self._queue(front, _grouping(front["area"]))
-
-    def export(self) -> dict:
-        """Count, winners and exact front columns, for :meth:`absorb`.
-
-        The columns stay numpy arrays: they pickle as flat binary
-        buffers (fronts over near-continuous axes reach 10^5..10^6
-        survivors, and a per-element ``tolist`` round-trip would
-        dominate a shard's wall time).
-        """
-        return {"count": self.count, "best": dict(self.best),
-                "front": self.finalize()}
-
-    def _best(self, objective: str, value, seq: int) -> None:
-        held = self.best.get(objective)
-        if held is None or (value, seq) < held:
-            self.best[objective] = (value, seq)
-
-    def _queue(self, cols: dict, grouping) -> None:
-        for area_value, sel in grouping:
-            queue = self.pending.setdefault(area_value, [])
-            queue.append({k: cols[k][sel] for k in self._COLS})
-            held = self.groups.get(area_value)
-            if held is None or (sum(c["t"].size for c in queue)
-                                >= held["t"].size):
-                self._fold(area_value)
-
-    def _fold(self, area_value: int) -> None:
-        import numpy as np
-        queue = self.pending.get(area_value)
-        if not queue:
-            return
-        cand = (queue[0] if len(queue) == 1 else
-                {k: np.concatenate([c[k] for c in queue]) for k in self._COLS})
-        self.pending[area_value] = []
-        self.groups[area_value] = _merge(self.groups.get(area_value), cand)
-
-    def finalize(self) -> dict:
-        """The exact front as seq-sorted column arrays (incl. ``area``).
-
-        Ascending area groups are filtered against the cumulative
-        staircase envelope of all smaller-area entries (ties included:
-        the smaller area is strictly better), exactly like
-        :meth:`repro.dse.pareto.ParetoAccumulator.front`.  The store
-        stays usable: later offers fold into the same groups.
-        """
-        import numpy as np
-        for area_value in list(self.pending):
-            self._fold(area_value)
-        if not self.groups:
-            return {"t": np.empty(0), "e": np.empty(0),
-                    "seq": np.empty(0, dtype=np.int64),
-                    "area": np.empty(0, dtype=np.int64)}
-        parts = []
-        env_t = env_e = None
-        for area_value in sorted(self.groups):
-            group = self.groups[area_value]
-            if env_t is not None and env_t.size:
-                pos = np.searchsorted(env_t, group["t"], side="right") - 1
-                covered = np.where(pos >= 0,
-                                   env_e[np.maximum(pos, 0)], np.inf)
-                keep = ~(covered <= group["e"])
-                part = {k: v[keep] for k, v in group.items()}
-            else:
-                part = dict(group)
-            part["area"] = np.full(part["t"].size, area_value,
-                                   dtype=np.int64)
-            parts.append(part)
-            gt, ge = group["t"], group["e"]
-            if env_t is None:
-                st, se = gt, ge
-            else:
-                # both inputs are time-sorted (the envelope by
-                # construction, the group by _merge), so one O(n)
-                # two-array merge replaces a full sort; the order of
-                # equal-time entries cannot change the pointwise
-                # prefix-min envelope
-                n = env_t.size + gt.size
-                st = np.empty(n, dtype=np.float64)
-                se = np.empty(n, dtype=np.float64)
-                at = np.arange(env_t.size) + np.searchsorted(
-                    gt, env_t, side="left")
-                bt = np.arange(gt.size) + np.searchsorted(
-                    env_t, gt, side="right")
-                st[at] = env_t
-                st[bt] = gt
-                se[at] = env_e
-                se[bt] = ge
-            env_t, env_e = _corners(st, se)
-        out = {k: np.concatenate([p[k] for p in parts])
-               for k in parts[0]}
-        order = np.argsort(out["seq"], kind="stable")
-        return {k: v[order] for k, v in out.items()}
-
-
-def _priced_points(configs: Sequence[SweepConfig],
-                   pairs: Sequence[WorkloadPair],
-                   vectors: dict[tuple[str, str], ProfileVectors],
-                   start_seq: int):
-    """Yield ``(seq, workload, point)`` for a batch of explicit configs.
-
-    The refinement pass' pricer: one :class:`BatchNfpEngine` over the
-    batch, one evaluation per (workload, build) actually present, then
-    per-config assembly in flat order -- workloads first, the
-    left-to-right aggregate last.  Point construction matches
-    :func:`repro.dse.engine._grid_from_jobs` /
-    :meth:`repro.dse.engine.DseGrid.aggregate` field for field -- the
-    byte-identity tests compare entire reports through it.
-    """
-    engine = BatchNfpEngine([config.hw for config in configs])
-    builds = sorted({config.hw.core.has_fpu for config in configs})
-    priced: dict[tuple[str, str], list] = {}
-    for pair in pairs:
-        for fpu in builds:
-            build = "float" if fpu else "fixed"
-            priced[(pair.name, build)] = engine.evaluate(
-                vectors[(pair.name, build)])
-    for i, config in enumerate(configs):
-        seq = start_seq + i
-        area = config_area_les(config)
-        build = "float" if config.hw.core.has_fpu else "fixed"
-        agg_time: float = 0
-        agg_energy: float = 0
-        agg_retired = 0
-        agg_cycles = 0
-        for pair in pairs:
-            nfp = priced[(pair.name, build)][i]
-            yield seq, pair.name, DsePoint(
-                config=config.name, axis_values=config.axis_values,
-                workload=pair.name, build=build,
-                time_s=nfp.true_time_s, energy_j=nfp.true_energy_j,
-                area_les=area, retired=nfp.retired, cycles=nfp.cycles)
-            agg_time = agg_time + nfp.true_time_s
-            agg_energy = agg_energy + nfp.true_energy_j
-            agg_retired += nfp.retired
-            agg_cycles += nfp.cycles
-        yield seq, AGGREGATE, DsePoint(
-            config=config.name, axis_values=config.axis_values,
-            workload=AGGREGATE, build=build,
-            time_s=agg_time, energy_j=agg_energy,
-            area_les=area, retired=agg_retired, cycles=agg_cycles)
 
 
 class _FastSweep:
@@ -654,7 +383,7 @@ class _FastSweep:
         Each round reads the current aggregate knee, proposes the
         midpoint between the knee's value and its nearest known
         neighbours on every refinable axis (``Axis.refine``), prices the
-        off-grid candidates through :func:`_priced_points`, and offers
+        off-grid candidates (:meth:`_offer_configs`), and offers
         them into the stores with seqs from ``N`` up.  A midpoint whose
         configuration name a grid config or an earlier midpoint already
         holds is skipped, so every priced configuration keeps a name of
@@ -718,21 +447,46 @@ class _FastSweep:
 
     def _offer_configs(self, configs: Sequence[SweepConfig],
                        start_seq: int) -> None:
-        """Price explicit configs into the stores and the side table."""
+        """Price explicit configs into the stores and the side table.
+
+        The configs form a small materialized grid: each build's configs
+        price in one :class:`BatchNfpEngine` (a config's result does not
+        depend on its batch), the points come from
+        :func:`~repro.dse.engine._grid_from_jobs` and the totals from
+        :meth:`~repro.dse.engine.DseGrid.aggregate`, so a refined point
+        is built field for field as a materialized sweep builds it.
+        """
         import numpy as np
-        points: dict[str, list[DsePoint]] = {name: [] for name in self.stores}
-        for seq, workload, point in _priced_points(
-                configs, self.pairs, self.vectors, start_seq):
-            self.refined[(seq, workload)] = point
-            points[workload].append(point)
+        jobs = _grid_jobs(configs, self.pairs, None)
+        npairs = len(self.pairs)
+        by_build: dict[str, list[int]] = {}
+        for c, config in enumerate(configs):
+            build = "float" if config.hw.core.has_fpu else "fixed"
+            by_build.setdefault(build, []).append(c)
+        nfps: list = [None] * len(jobs)
+        for build, members in by_build.items():
+            engine = BatchNfpEngine([configs[c].hw for c in members])
+            for p, pair in enumerate(self.pairs):
+                priced = engine.evaluate(self.vectors[(pair.name, build)])
+                for c, nfp in zip(members, priced):
+                    # jobs run config-major, pairs in order
+                    nfps[c * npairs + p] = PointNfp(
+                        time_s=nfp.true_time_s, energy_j=nfp.true_energy_j,
+                        cycles=nfp.cycles, retired=nfp.retired,
+                        profiled=True)
+        grid = _grid_from_jobs(jobs, nfps)
+        aggregate = grid.aggregate()
         seqs = np.arange(start_seq, start_seq + len(configs), dtype=np.int64)
-        area = np.array([p.area_les for p in points[AGGREGATE]],
-                        dtype=np.int64)
+        area = np.array([p.area_les for p in aggregate], dtype=np.int64)
         grouping = _grouping(area)
-        for workload, batch in points.items():
+        for workload, points in [
+                *((pair.name, grid.select(workload=pair.name))
+                  for pair in self.pairs), (AGGREGATE, aggregate)]:
+            for seq, point in enumerate(points, start_seq):
+                self.refined[(seq, workload)] = point
             self.stores[workload].offer(
-                _cols(seqs, [p.time_s for p in batch],
-                      [p.energy_j for p in batch], area), grouping)
+                _cols(seqs, [p.time_s for p in points],
+                      [p.energy_j for p in points], area), grouping)
 
     # -- the finish ----------------------------------------------------------
 
@@ -790,21 +544,5 @@ class _FastSweep:
                        front_cap: int | None) -> WorkloadFront:
         """Finish one store into a WorkloadFront: the (capped) front,
         the knee and the per-objective winners as points."""
-        store = self.stores[workload]
-        fin = store.finalize()
-        front_size = int(fin["seq"].size)
-        limit = (front_size if front_cap is None
-                 else min(front_cap, front_size))
-        seqs = fin["seq"][:limit].tolist() + [_knee_seq(fin)]
-        seqs.extend(store.best[objective][1] for objective in OBJECTIVES)
-        points = self._points(workload, seqs)
-        best_time, best_energy, best_area = points[limit + 1:]
-        return WorkloadFront(
-            workload=workload,
-            points=store.count,
-            front_size=front_size,
-            front=tuple(points[:limit]),
-            knee=points[limit],
-            best_time=best_time,
-            best_energy=best_energy,
-            best_area=best_area)
+        return WorkloadFront.of(workload, self.stores[workload], front_cap,
+                                lambda seqs: self._points(workload, seqs))

@@ -539,18 +539,6 @@ class LinearNfpEngine:
         )
 
 
-def evaluate_batch(hws: Sequence[HwConfig], vectors: ProfileVectors,
-                   basis: tuple[str, ...] | None = None) -> list["LinearNfp"]:
-    """Price ``hws`` against one lowered profile in a single pass.
-
-    A re-entrant module-level convenience over :class:`BatchNfpEngine`
-    (build, evaluate, discard): no engine or module state survives the
-    call, so concurrent callers never share mutable state.  Results are
-    the engine's bits exactly.
-    """
-    return BatchNfpEngine(hws, basis).evaluate(vectors)
-
-
 class BatchNfpEngine:
     """Price N configurations against one profile in a single pass.
 

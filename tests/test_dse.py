@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse import (
+    AGGREGATE,
     DesignSpace,
+    DseGrid,
+    DsePoint,
+    FailedCell,
     SweepConfig,
     SweepReport,
     WorkloadPair,
@@ -240,6 +244,53 @@ def test_front_and_knee_views(small_grid_setup):
     flags = dict((p.config, on_front)
                  for p, on_front in grid.dominated_flags())
     assert all(flags[p.config] for p in front)
+
+
+def naive_aggregate(grid: DseGrid) -> tuple[DsePoint, ...]:
+    """The per-configuration definition: one select() per config."""
+    out = []
+    for config in grid.configs():
+        points = grid.select(config=config)
+        if len(points) != len(grid.workloads()):
+            continue
+        cycles = (None if any(p.cycles is None for p in points)
+                  else sum(p.cycles for p in points))
+        out.append(DsePoint(
+            config=config, axis_values=points[0].axis_values,
+            workload=AGGREGATE, build=points[0].build,
+            time_s=sum(p.time_s for p in points),
+            energy_j=sum(p.energy_j for p in points),
+            area_les=points[0].area_les,
+            retired=sum(p.retired for p in points), cycles=cycles))
+    return tuple(out)
+
+
+def test_aggregate_matches_per_config_definition():
+    """One grouping pass == one select per config, bit for bit: config
+    order of first appearance, point order within a config, configs
+    with failed cells left out."""
+    def point(config, workload, time_s, energy_j, cycles=7):
+        return DsePoint(config=config, axis_values=(("clock_mhz", config),),
+                        workload=workload, build="fixed", time_s=time_s,
+                        energy_j=energy_j, area_les=len(config),
+                        retired=3, cycles=cycles)
+
+    # sums of these floats depend on their order: bb's times add up to
+    # 1.0 in point order and to 0.0 in workload order
+    grid = DseGrid(points=(
+        point("c", "w1", 0.1, 1e-3), point("a", "w1", 0.7, 0.3),
+        point("c", "w2", 0.2, 2e-3), point("bb", "w2", 1e16, 0.1),
+        point("a", "w2", 0.1, 1e-17), point("bb", "w3", -1e16, 0.7,
+                                             cycles=None),
+        point("dddd", "w1", 0.3, 0.6), point("c", "w3", 0.3, 3e-3),
+        point("a", "w3", 0.2, 0.1), point("bb", "w1", 1.0, 0.2),
+        point("dddd", "w3", 0.4, 0.5)),
+        failures=(FailedCell(config="dddd", workload="w2", build="fixed",
+                             attempts=3, error="boom"),))
+    aggregate = grid.aggregate()
+    assert aggregate == naive_aggregate(grid)
+    assert [p.config for p in aggregate] == ["c", "a", "bb"]
+    assert aggregate[2].cycles is None and aggregate[2].time_s == 1.0
 
 
 def test_report_formats(small_grid_setup, tiny_pair):

@@ -24,10 +24,10 @@ from repro.experiments.pipeline import registered_pipelines, structural_variants
 from repro.experiments.scale import SMOKE
 from repro.hw.config import HwConfig
 from repro.nfp.linear import (
+    BatchNfpEngine,
     ExecutionProfile,
     LinearNfpEngine,
     compose_profiles,
-    evaluate_batch,
 )
 from repro.runner import ExperimentRunner
 from repro.runner.tasks import run_task
@@ -330,7 +330,7 @@ class TestServer:
                     [pipeline_pair(XFEL, SMOKE)], [True], budget=BUDGET,
                     runner=server.runner, base=server.base)[
                         ("pipe:xfel", "float")]
-                nfp = evaluate_batch([config.hw], vectors)[0]
+                nfp = BatchNfpEngine([config.hw]).evaluate(vectors)[0]
                 assert payload["cycles"] == nfp.cycles
                 assert payload["retired"] == nfp.retired
                 assert payload["time_s"] == nfp.true_time_s

@@ -46,7 +46,7 @@ from repro.cli import build_parser
 from repro.dse.engine import stream_profiles
 from repro.experiments.scale import get_scale
 from repro.hw.config import HwConfig
-from repro.nfp.linear import evaluate_batch
+from repro.nfp.linear import BatchNfpEngine
 from repro.runner import ExperimentRunner
 from repro.runner.resilience import ChaosPolicy, RetryPolicy, UsageError
 from repro.server import EvalServer, ServerSettings, batching
@@ -145,21 +145,6 @@ def test_singleflight_collapses_and_retries_after_failure():
     asyncio.run(main())
 
 
-def test_evaluate_batch_helper_matches_engine():
-    from repro.dse.axes import DesignSpace
-    from repro.nfp.linear import BatchNfpEngine
-    configs = DesignSpace.from_spec("clock_mhz=25:80,nwindows=4:8") \
-        .configs()
-    pair = get_spec("img:sobel3x3").pair(SCALE)
-    vectors = stream_profiles([pair], [True],
-                              budget=SCALE.max_instructions,
-                              runner=ExperimentRunner(workers=1),
-                              base=configs[0].hw)[("img:sobel3x3", "float")]
-    hws = [config.hw for config in configs]
-    assert evaluate_batch(hws, vectors) \
-        == BatchNfpEngine(hws).evaluate(vectors)
-
-
 def test_runner_run_tasks_is_thread_safe(tmp_path):
     from concurrent.futures import ThreadPoolExecutor
     from repro.dse.evaluate import profile_task
@@ -211,7 +196,7 @@ def test_price_matches_linear_evaluation_exactly():
                 [pair], [True], budget=SCALE.max_instructions,
                 runner=server.runner, base=server.base)[
                     ("img:sobel3x3", "float")]
-            nfp = evaluate_batch([config.hw], vectors)[0]
+            nfp = BatchNfpEngine([config.hw]).evaluate(vectors)[0]
             assert payload["time_s"] == nfp.true_time_s
             assert payload["energy_j"] == nfp.true_energy_j
             assert payload["cycles"] == nfp.cycles
@@ -348,7 +333,7 @@ def test_price_coalescing_batches_and_matches_solo_bits(sobel_vectors,
     assert (stats.batches, stats.batched_requests, stats.max_batch) \
         == (1, 4, 4)
     # coalesced bits == solo bits
-    assert results == [evaluate_batch([hw], sobel_vectors)[0]
+    assert results == [BatchNfpEngine([hw]).evaluate(sobel_vectors)[0]
                        for hw in hws]
 
 
@@ -385,7 +370,7 @@ def test_batcher_prices_max_batch_rows_per_tick_in_order(sobel_vectors,
     assert [len(chunk) for chunk in chunks] == [3, 3, 1]
     assert [hw for chunk in chunks for hw in chunk] == hws
     assert ticks == sorted(set(ticks))      # one evaluation per tick
-    assert results == [evaluate_batch([hw], sobel_vectors)[0]
+    assert results == [BatchNfpEngine([hw]).evaluate(sobel_vectors)[0]
                        for hw in hws]
 
 
@@ -415,7 +400,7 @@ def test_batcher_failure_fails_only_its_member(sobel_vectors, monkeypatch):
     # chunk [0, 1] fails, then prices alone; chunk [2, 3] prices at once
     assert calls == [hws[:2], [hws[0]], [hws[1]], hws[2:], [hws[0]]]
     assert isinstance(first[1], RuntimeError)
-    solo = [evaluate_batch([hw], sobel_vectors)[0] for hw in hws]
+    solo = [BatchNfpEngine([hw]).evaluate(sobel_vectors)[0] for hw in hws]
     assert [first[0], *first[2:]] == [solo[0], *solo[2:]]
     # the failure was not sticky: the next submit still prices
     assert again == solo[0]
@@ -442,7 +427,8 @@ def test_batcher_skips_cancelled_submitter(sobel_vectors, priced):
     assert isinstance(results[1], asyncio.CancelledError)
     assert priced == [[hws[0], hws[2]]]
     assert [results[0], results[2]] == [
-        evaluate_batch([hw], sobel_vectors)[0] for hw in (hws[0], hws[2])]
+        BatchNfpEngine([hw]).evaluate(sobel_vectors)[0]
+        for hw in (hws[0], hws[2])]
     assert loop_errors == []
 
 

@@ -2,20 +2,21 @@
 
 Three layers of guarantees:
 
-* :meth:`repro.dse.stream._Store.absorb` -- folding per-shard store
-  exports into one store equals the single-pass front
-  (:class:`~repro.dse.pareto.ParetoAccumulator` and
-  :func:`~repro.dse.pareto.pareto_front`) for *any* contiguous split of
-  the offer sequence, including empty shards, one-point shards and
-  exact objective ties (property-tested: Pareto reduction is
-  associative);
+* :meth:`repro.dse.pareto._Store.absorb` -- folding per-shard store
+  exports into one store equals the quadratic dominance scan and the
+  scalar knee (:func:`repro.dse.pareto._classify_quadratic`,
+  :func:`repro.dse.pareto._knee_scalar`) for *any* contiguous split of
+  the offer sequence, including empty shards, one-point shards, exact
+  objective ties and non-integer areas (property-tested: Pareto
+  reduction is associative);
 * :func:`repro.dse.engine.sweep_streamed` with ``shards > 1`` -- the
   summary and every rendered report are byte-identical to the serial
   ``shards=1`` path, through real pool workers, and under
   deterministic chaos (kills and raises retry to convergence);
-* the O(n log n) :func:`repro.dse.pareto.classify` staircase rewrite
-  equals the quadratic pairwise definition, and the accumulator's
-  cached front invalidates exactly on accepted adds.
+* :func:`repro.dse.pareto.classify` and
+  :func:`repro.dse.pareto.knee_point`, one store offer each, equal the
+  reference definitions for 2 and 3 objectives and refuse any other
+  arity.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ from hypothesis import strategies as st
 from repro.dse import (
     OBJECTIVES,
     DesignSpace,
-    ParetoAccumulator,
     WorkloadPair,
+    knee_point,
     pareto_front,
     sweep_streamed,
 )
-from repro.dse.pareto import _classify_quadratic, classify
+from repro.dse.pareto import (
+    _classify_quadratic,
+    _grouping,
+    _knee_scalar,
+    _knee_seq,
+    _Store,
+    classify,
+)
 from repro.dse.report import StreamReport
 from repro.dse.shard import MIN_SHARD_CONFIGS, resolve_shards
-from repro.dse.stream import _grouping, _Store
 from repro.fse.kernel import build_fse_kernel
 from repro.fse.params import FseParams
 from repro.hw.config import HwConfig
@@ -59,6 +66,10 @@ SPACE = DesignSpace((
 
 # small coordinate grids force duplicates and exact objective ties
 vectors = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+# a third objective that is not an integer: area groups must split
+# exactly (0.5 and 0.75 are different groups)
+fractional = st.tuples(st.integers(0, 4), st.integers(0, 4),
+                       st.sampled_from((0.5, 0.75, 1.5)))
 
 
 def shard_exports(points, bounds):
@@ -70,8 +81,7 @@ def shard_exports(points, bounds):
             cols = {
                 "t": np.array([p[0] for p in points[lo:hi]], dtype=float),
                 "e": np.array([p[1] for p in points[lo:hi]], dtype=float),
-                "area": np.array([p[2] for p in points[lo:hi]],
-                                 dtype=np.int64),
+                "area": np.array([p[2] for p in points[lo:hi]]),
                 "seq": np.arange(lo, hi, dtype=np.int64)}
             store.offer(cols, _grouping(cols["area"]))
         exports.append(store.export())
@@ -88,7 +98,9 @@ def absorbed(exports) -> _Store:
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_merged_shard_fronts_equal_single_pass(data):
-    points = data.draw(st.lists(vectors, min_size=1, max_size=48))
+    points = data.draw(st.one_of(
+        st.lists(vectors, min_size=1, max_size=48),
+        st.lists(fractional, min_size=1, max_size=48)))
     n = len(points)
     # arbitrary contiguous split: sorted cut points allow empty shards
     # at either end and in the middle, and 1-point shards throughout
@@ -96,15 +108,13 @@ def test_merged_shard_fronts_equal_single_pass(data):
     bounds = [0] + sorted(cuts) + [n]
     merged = absorbed(shard_exports(points, bounds))
     front = merged.finalize()
-    serial = ParetoAccumulator()
-    for point in points:
-        serial.add(point)
-    assert list(zip(front["t"].tolist(), front["e"].tolist(),
-                    front["area"].tolist())) == serial.front() \
-        == pareto_front(points)
     # global seqs survive the merge (arrival order is the tie contract)
-    assert front["seq"].tolist() == [
-        seq for seq, _ in serial.front_entries()]
+    seqs = [i for i, on_front in enumerate(_classify_quadratic(points))
+            if on_front]
+    assert front["seq"].tolist() == seqs
+    assert list(zip(front["t"].tolist(), front["e"].tolist(),
+                    front["area"].tolist())) == [points[i] for i in seqs]
+    assert _knee_seq(front) == seqs[_knee_scalar([points[i] for i in seqs])]
     assert merged.count == n
     for k, objective in enumerate(OBJECTIVES):
         assert merged.best[objective] == min(
@@ -120,7 +130,7 @@ def test_merge_handles_all_empty_shards():
     assert merged.count == 0 and merged.best == {}
 
 
-# -- classify: staircase rewrite vs the quadratic definition -----------------
+# -- classify and knee_point vs the reference definitions -------------------
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=48))
@@ -135,29 +145,36 @@ def test_classify_equals_quadratic_2d(points):
     assert classify(points) == _classify_quadratic(points)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractional, min_size=1, max_size=48))
+def test_classify_and_knee_keep_non_integer_third_objective(points):
+    assert classify(points) == _classify_quadratic(points)
+    positions = list(range(len(points)))
+    assert knee_point(positions, key=points.__getitem__) \
+        == _knee_scalar(points)
+
+
+def test_classify_keeps_infinite_objectives():
+    """An infinite time or energy classifies as the pairwise scan says:
+    alone on a front, in an area group of its own, or behind a smaller
+    area."""
+    inf = float("inf")
+    for points in ([(1, inf, 0)],
+                   [(5, 0, 0), (1, inf, 1)],
+                   [(1, inf, 0), (2, inf, 1)],
+                   [(1, inf, 0), (2, inf, 0), (0, 5, 1), (3, 1, 0)],
+                   [(inf, inf), (inf, inf), (inf, 0)]):
+        assert classify(points) == _classify_quadratic(points)
+
+
 def test_classify_falls_back_on_other_arities():
-    points = [(1, 2, 3, 4), (0, 0, 0, 0), (1, 2, 3, 4)]
-    assert classify(points) == _classify_quadratic(points) \
-        == [False, True, False]
-
-
-# -- the accumulator's cached front ------------------------------------------
-
-def test_front_cache_invalidated_only_by_accepted_adds():
-    acc = ParetoAccumulator()
-    acc.add((1, 1, 1))
-    first = acc.front_entries()
-    assert first == [(0, (1, 1, 1))]
-    # a dominated offer is rejected and must not disturb the cache
-    assert not acc.add((2, 2, 1))
-    assert acc.front_entries() == first
-    assert acc.knee() == (1, 1, 1)
-    # an accepted add recomputes: new point joins the front
-    assert acc.add((0, 2, 1))
-    assert acc.front_entries() == [(0, (1, 1, 1)), (2, (0, 2, 1))]
-    # mutating the returned list never corrupts the cache
-    acc.front_entries().clear()
-    assert len(acc.front_entries()) == 2
+    """Only 2 or 3 objectives are accepted; any other arity raises."""
+    for points in ([(1, 2, 3, 4), (0, 0, 0, 0), (1, 2, 3, 4)],
+                   [(1,), (0,)],
+                   [(1, 2), (0, 0, 0)]):
+        for reduce in (classify, pareto_front, knee_point):
+            with pytest.raises(ValueError, match="2- or 3-tuples"):
+                reduce(points)
 
 
 # -- shard-count resolution ---------------------------------------------------

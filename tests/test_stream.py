@@ -1,11 +1,13 @@
-"""Streamed sweeps: online Pareto fronts equal to the materialized twin.
+"""Streamed sweeps: Pareto stores equal to the reference definitions.
 
 Two layers of guarantees:
 
-* :class:`repro.dse.pareto.ParetoAccumulator` -- the bounded-memory
-  online front is element-for-element equal to the batch
-  :func:`repro.dse.pareto.pareto_front` on any point sequence,
-  including duplicates and exact objective ties (property-tested);
+* the Pareto store (:class:`repro.dse.pareto._Store`, reached here
+  through :func:`~repro.dse.pareto.pareto_front`,
+  :func:`~repro.dse.pareto.classify` and
+  :func:`~repro.dse.pareto.knee_point`) equals the quadratic dominance
+  scan and the scalar knee on any point sequence, including duplicates
+  and exact objective ties (property-tested);
 * :func:`repro.dse.engine.sweep_streamed` -- the streamed summary (and
   every :class:`repro.dse.report.StreamReport` format rendered from it)
   is byte-identical to ``StreamSummary.from_grid`` over the
@@ -24,14 +26,15 @@ from hypothesis import strategies as st
 
 from repro.dse import (
     DesignSpace,
-    ParetoAccumulator,
     StreamSummary,
     WorkloadPair,
+    classify,
     knee_point,
     pareto_front,
     sweep,
     sweep_streamed,
 )
+from repro.dse.pareto import _classify_quadratic, _knee_scalar
 from repro.dse.report import StreamReport
 from repro.fse.kernel import build_fse_kernel
 from repro.fse.params import FseParams
@@ -51,43 +54,52 @@ SPACE = DesignSpace((
 ))
 
 
-# -- the online accumulator vs the batch front (property-based) --------------
+# -- the store vs the reference definitions (property-based) ----------------
 
 # small coordinate grids force duplicates and exact objective ties
 vectors = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
 
 
+def quadratic_front(points: list) -> list[int]:
+    """Positions of the non-dominated points, by the pairwise scan."""
+    return [i for i, on_front in enumerate(_classify_quadratic(points))
+            if on_front]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=64))
 def test_accumulator_front_equals_batch_front(points):
-    acc = ParetoAccumulator()
-    for point in points:
-        acc.add(point)
-    assert acc.front() == pareto_front(points)
-    assert acc.seen == len(points)
-    assert len(acc) <= len(points)
+    """The store's front is the pairwise scan's, position for position."""
+    positions = list(range(len(points)))
+    assert (pareto_front(positions, key=points.__getitem__)
+            == quadratic_front(points))
+    assert pareto_front(points) == [points[i]
+                                    for i in quadratic_front(points)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=48))
 def test_accumulator_knee_matches_batch(points):
-    acc = ParetoAccumulator()
-    for point in points:
-        acc.add(point)
-    assert knee_point(acc.front()) == knee_point(pareto_front(points))
+    """knee_point picks the scalar reference's item, over a front and
+    over any point set (dominated points widen the normalisation)."""
+    positions = list(range(len(points)))
+    assert knee_point(positions, key=points.__getitem__) \
+        == _knee_scalar(points)
+    front = [points[i] for i in quadratic_front(points)]
+    assert knee_point(front) == front[_knee_scalar(front)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=48))
 def test_accumulator_add_verdict_is_definitive_when_false(points):
-    """A False add() means the point is not on the final front."""
-    acc = ParetoAccumulator()
-    rejected = []
-    for point in points:
-        if not acc.add(point):
-            rejected.append(point)
-    front = acc.front()
-    assert all(point not in front for point in rejected)
+    """Every prefix classifies like the pairwise scan, and a point off
+    the front of a prefix is off the final front."""
+    final = classify(points)
+    for n in range(1, len(points) + 1):
+        flags = classify(points[:n])
+        assert flags == _classify_quadratic(points[:n])
+        assert all(on_front or not final[i]
+                   for i, on_front in enumerate(flags))
 
 
 # -- streamed vs materialized sweeps (end to end) ----------------------------
